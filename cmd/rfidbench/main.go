@@ -6,12 +6,13 @@
 //	rfidbench -scale 12 -exp all
 //	rfidbench -scale 40 -exp fig7a -reps 5
 //
-// It also carries the service-level load generator: -exp loadgen drives
-// a running rfidserve with open-loop arrivals at a target QPS and
-// reports served-QPS and p50/p95/p99 latency (the numbers scale-out PRs
-// quote), writing machine-readable JSON with -out:
+// It also carries the load generator behind scripts/serve_smoke.sh:
+// -exp loadgen drives a running rfidserve with open-loop arrivals at a
+// target QPS and reports served-QPS and p50/p95/p99 latency, writing
+// machine-readable JSON with -out. The repository's benchmark — the one
+// a performance claim is measured with — is benchmark/run.sh.
 //
-//	rfidbench -exp loadgen -url http://127.0.0.1:8080 -qps 200 -dur 5s -out BENCH_PR6.json
+//	rfidbench -exp loadgen -url http://127.0.0.1:8080 -qps 200 -dur 5s -out loadgen.json
 package main
 
 import (
@@ -315,7 +316,7 @@ var loadgenQueries = []string{
 
 // loadgen runs the open-loop load generator against a running rfidserve
 // and reports service-level numbers (served QPS, latency percentiles),
-// optionally as JSON for BENCH_PR6.json.
+// optionally as JSON (-out).
 func loadgen() error {
 	st, err := bench.RunLoad(context.Background(), bench.LoadConfig{
 		BaseURL:  strings.TrimRight(*url, "/"),

@@ -44,7 +44,7 @@ type LoadConfig struct {
 	Timeout time.Duration
 }
 
-// LoadStats is one load run's result, shaped for BENCH_PR6.json.
+// LoadStats is one load run's result; rfidbench -out writes it as JSON.
 type LoadStats struct {
 	TargetQPS   float64 `json:"target_qps"`
 	DurationSec float64 `json:"duration_sec"`

@@ -79,6 +79,21 @@ func (c *Compiled) Vectorized() bool { return c.batch != nil }
 // (after constant folding) and whether the expression is such a constant.
 func (c *Compiled) ConstValue() (types.Value, bool) { return c.constV, c.isConst }
 
+// ColumnOrdinals returns the input ordinal each expression reads when
+// every one of them is a bare column reference, and nil otherwise — a
+// projection that only selects columns can copy cells instead of
+// evaluating anything.
+func ColumnOrdinals(exprs []*Compiled) []int {
+	ords := make([]int, len(exprs))
+	for j, c := range exprs {
+		if !c.isCol {
+			return nil
+		}
+		ords[j] = c.colIdx
+	}
+	return ords
+}
+
 // EvalBatch evaluates the selected rows (sel == nil means all), writing
 // out[i] for each selected i. Values and errors are guaranteed identical
 // to evaluating the row closure over sel in order: any vector-path error

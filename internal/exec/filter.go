@@ -100,6 +100,9 @@ type ProjectNode struct {
 	base
 	Input Node
 	Exprs []*eval.Compiled
+	// ords holds the input ordinal of every expression when the
+	// projection only selects columns; nil when any expression computes.
+	ords []int
 }
 
 // NewProjectNode builds a projection with a prepared output schema.
@@ -107,6 +110,7 @@ func NewProjectNode(child Node, out *schema.Schema, exprs []*eval.Compiled) *Pro
 	n := &ProjectNode{Input: child, Exprs: exprs}
 	n.schema = out
 	n.estRows = child.EstRows()
+	n.ords = eval.ColumnOrdinals(exprs)
 	return n
 }
 
@@ -116,10 +120,71 @@ func (n *ProjectNode) Label() string { return fmt.Sprintf("Project(%d cols)", n.
 // Children implements Node.
 func (n *ProjectNode) Children() []Node { return []Node{n.Input} }
 
+// scratch allocates the kernel column vectors project needs for one
+// worker, or nil when project will not use them.
+func (n *ProjectNode) scratch(vec bool) [][]types.Value {
+	if !vec || n.ords != nil {
+		return nil
+	}
+	return evalScratch(len(n.Exprs), MorselSize)
+}
+
+// project computes out[i] from in[i] for every input row — the one
+// projection loop behind Execute and the streaming projectSource. The
+// vector path works a MorselSize chunk at a time and assembles the
+// chunk's output rows in one flat backing array, so rows stay disjoint
+// and cost one allocation per chunk: a pure column selection copies the
+// cells straight from the input rows, anything else evaluates each
+// expression over the chunk into cols (from scratch) first. A kernel
+// failure reruns the chunk on the row path, which also serves the whole
+// input when vec is off.
+func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][]types.Value) error {
+	ne := len(n.Exprs)
+	serial := func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if err := ctx.Tick(i - lo); err != nil {
+				return err
+			}
+			row := make(schema.Row, ne)
+			for j, f := range n.Exprs {
+				v, err := f.Eval(in[i])
+				if err != nil {
+					return err
+				}
+				row[j] = v
+			}
+			out[i] = row
+		}
+		return nil
+	}
+	if !vec {
+		return serial(0, len(in))
+	}
+	return ctx.forBatches(0, len(in), func(b, e int) error {
+		chunk := in[b:e]
+		if n.ords == nil && !tryBatchAll(n.Exprs, chunk, cols) {
+			return serial(b, e)
+		}
+		flat := make([]types.Value, len(chunk)*ne)
+		for i, r := range chunk {
+			row := flat[i*ne : (i+1)*ne : (i+1)*ne]
+			if n.ords != nil {
+				for j, ord := range n.ords {
+					row[j] = r[ord]
+				}
+			} else {
+				for j := range row {
+					row[j] = cols[j][i]
+				}
+			}
+			out[b+i] = row
+		}
+		return nil
+	})
+}
+
 // Execute implements Node. Workers write disjoint output positions, so
-// projection parallelizes with no ordering concern at all. The vector
-// path evaluates each expression over a whole chunk into column vectors,
-// then assembles output rows from one flat backing array per chunk.
+// projection parallelizes with no ordering concern at all.
 func (n *ProjectNode) Execute(ctx *Ctx) (*Result, error) {
 	in, err := Run(ctx, n.Input)
 	if err != nil {
@@ -134,44 +199,8 @@ func (n *ProjectNode) Execute(ctx *Ctx) (*Result, error) {
 	vec := ctx.useVector(n.Exprs...)
 	ctx.noteEval(n, vec, len(in.Rows))
 	out := make([]schema.Row, len(in.Rows))
-	projectSerial := func(b, e int) error {
-		for i := b; i < e; i++ {
-			if err := ctx.Tick(i - b); err != nil {
-				return err
-			}
-			r := in.Rows[i]
-			row := make(schema.Row, ne)
-			for j, f := range n.Exprs {
-				v, err := f.Eval(r)
-				if err != nil {
-					return err
-				}
-				row[j] = v
-			}
-			out[i] = row
-		}
-		return nil
-	}
 	err = ctx.parallelFor(len(in.Rows), workers, func(_, _, lo, hi int) error {
-		if !vec {
-			return projectSerial(lo, hi)
-		}
-		cols := evalScratch(ne, MorselSize)
-		return ctx.forBatches(lo, hi, func(b, e int) error {
-			chunk := in.Rows[b:e]
-			if !tryBatchAll(n.Exprs, chunk, cols) {
-				return projectSerial(b, e)
-			}
-			flat := make([]types.Value, len(chunk)*ne)
-			for i := range chunk {
-				row := flat[i*ne : (i+1)*ne : (i+1)*ne]
-				for j := 0; j < ne; j++ {
-					row[j] = cols[j][i]
-				}
-				out[b+i] = row
-			}
-			return nil
-		})
+		return n.project(ctx, in.Rows[lo:hi], out[lo:hi], vec, n.scratch(vec))
 	})
 	if err != nil {
 		return nil, err

@@ -45,8 +45,10 @@ func newMorselPump(ctx *Ctx, nm, workers int, fn func(m int) ([]schema.Row, erro
 	return p
 }
 
-// next returns the next morsel's output in order ((nil, nil) after the
-// last morsel). Outputs may be empty slices — the caller skips those.
+// next returns the next non-empty morsel output in order, and (nil, nil)
+// only after the last morsel: a morsel that produced no row (a fused
+// predicate that matched nothing in it) is skipped here, so it can never
+// read as end of stream downstream.
 func (p *morselPump) next() ([]schema.Row, error) {
 	if p.workers <= 1 {
 		return p.nextSerial()
@@ -76,6 +78,9 @@ func (p *morselPump) next() ([]schema.Row, error) {
 			p.deliver++
 			// The window moved: wake workers parked on the claim bound.
 			p.cond.Broadcast()
+			if len(out) == 0 {
+				continue
+			}
 			return out, nil
 		}
 		p.cond.Wait()
@@ -83,19 +88,21 @@ func (p *morselPump) next() ([]schema.Row, error) {
 }
 
 func (p *morselPump) nextSerial() ([]schema.Row, error) {
-	if p.serialNext >= p.nm {
-		return nil, nil
+	for p.serialNext < p.nm {
+		if err := p.ctx.Canceled(); err != nil {
+			return nil, err
+		}
+		m := p.serialNext
+		p.serialNext++
+		// Panics (including the WorkerPanic injection) propagate to the
+		// opStream recover, matching the serial materializing path where
+		// they reach Run's recover.
+		p.ctx.res.MaybePanic()
+		if out, err := p.fn(m); err != nil || len(out) > 0 {
+			return out, err
+		}
 	}
-	if err := p.ctx.Canceled(); err != nil {
-		return nil, err
-	}
-	m := p.serialNext
-	p.serialNext++
-	// Panics (including the WorkerPanic injection) propagate to the
-	// opStream recover, matching the serial materializing path where
-	// they reach Run's recover.
-	p.ctx.res.MaybePanic()
-	return p.fn(m)
+	return nil, nil
 }
 
 func (p *morselPump) worker() {

@@ -148,9 +148,10 @@ func runStream(ctx *Ctx, n Node) Stream {
 
 // source is one operator's streaming engine behind an opStream: open
 // prepares state (and may start workers), step produces the next output
-// batch ((nil, nil) = exhausted; empty batches are allowed and skipped
-// by the wrapper), close stops workers and releases reservations. close
-// is called exactly once, possibly without open having run.
+// batch, close stops workers and releases reservations. A nil batch from
+// step means exhausted and nothing else; a batch that happens to hold no
+// row must be empty and non-nil, and the wrapper keeps pulling past it.
+// close is called exactly once, possibly without open having run.
 type source interface {
 	open(c *Ctx) error
 	step(c *Ctx) ([]schema.Row, error)
@@ -432,9 +433,8 @@ func (f *filterSource) close(c *Ctx) {
 
 // ---- Project ----
 
-// projectSource computes output columns batch-at-a-time; the vector path
-// assembles rows from one flat backing array per chunk, exactly like
-// ProjectNode.Execute, so adopted rows stay disjoint.
+// projectSource computes output columns batch-at-a-time through
+// ProjectNode.project, the loop the materializing path runs per morsel.
 type projectSource struct {
 	n       *ProjectNode
 	child   Stream
@@ -446,9 +446,7 @@ type projectSource struct {
 
 func (p *projectSource) open(c *Ctx) error {
 	p.vec = c.useVector(p.n.Exprs...)
-	if p.vec {
-		p.cols = evalScratch(len(p.n.Exprs), MorselSize)
-	}
+	p.cols = p.n.scratch(p.vec)
 	return nil
 }
 
@@ -462,53 +460,14 @@ func (p *projectSource) step(c *Ctx) ([]schema.Row, error) {
 		return nil, nil
 	}
 	p.rowsIn += len(b)
-	ne := len(p.n.Exprs)
-	bytes := int64(len(b)) * (rowHdrBytes + int64(ne)*valueBytes)
+	bytes := int64(len(b)) * (rowHdrBytes + int64(len(p.n.Exprs))*valueBytes)
 	if err := c.reserveOrCharge(bytes); err != nil {
 		return nil, err
 	}
 	p.charged += bytes
 	out := make([]schema.Row, len(b))
-	serial := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := c.Tick(i - lo); err != nil {
-				return err
-			}
-			row := make(schema.Row, ne)
-			for j, f := range p.n.Exprs {
-				v, err := f.Eval(b[i])
-				if err != nil {
-					return err
-				}
-				row[j] = v
-			}
-			out[i] = row
-		}
-		return nil
-	}
-	if !p.vec {
-		if err := serial(0, len(b)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	for lo := 0; lo < len(b); lo += MorselSize {
-		hi := min(lo+MorselSize, len(b))
-		chunk := b[lo:hi]
-		if !tryBatchAll(p.n.Exprs, chunk, p.cols) {
-			if err := serial(lo, hi); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		flat := make([]types.Value, len(chunk)*ne)
-		for i := range chunk {
-			row := flat[i*ne : (i+1)*ne : (i+1)*ne]
-			for j := 0; j < ne; j++ {
-				row[j] = p.cols[j][i]
-			}
-			out[lo+i] = row
-		}
+	if err := p.n.project(c, b, out, p.vec, p.cols); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -73,6 +73,16 @@ func streamPlans(tab *storage.Table) map[string]func() Node {
 	}
 	return map[string]func() Node{
 		"fused-scan": func() Node { return fusedEvenScan(tab) },
+		// Matches rows in the last morsels only: every earlier morsel
+		// yields no row, which must not read as end of stream.
+		"sparse-fused-scan": func() Node {
+			s := NewScanNode(tab, "t")
+			s.Pred = eval.FromFunc(func(r schema.Row) (types.Value, error) {
+				return types.NewBool(r[0].Int() >= 19990 || r[0].Int() == 9000), nil
+			})
+			s.PredDesc = "a>=19990 or a=9000"
+			return s
+		},
 		"plain-scan": func() Node { return NewScanNode(tab, "t") },
 		"filter": func() Node {
 			return NewFilterNode(NewScanNode(tab, "t"), evenPred(), "a%2=0")
@@ -160,6 +170,16 @@ func TestStreamEarlyCloseReleasesMemory(t *testing.T) {
 	tab := streamTable(t, 20000)
 	plans := map[string]func() Node{
 		"fused-scan": func() Node { return fusedEvenScan(tab) },
+		// Matches rows in the last morsels only: every earlier morsel
+		// yields no row, which must not read as end of stream.
+		"sparse-fused-scan": func() Node {
+			s := NewScanNode(tab, "t")
+			s.Pred = eval.FromFunc(func(r schema.Row) (types.Value, error) {
+				return types.NewBool(r[0].Int() >= 19990 || r[0].Int() == 9000), nil
+			})
+			s.PredDesc = "a>=19990 or a=9000"
+			return s
+		},
 		"project-chain": func() Node {
 			f := NewFilterNode(NewScanNode(tab, "t"), evenPred(), "a%2=0")
 			return NewProjectNode(f, intSchema("a", "b"), []*eval.Compiled{colFn(0), colFn(1)})

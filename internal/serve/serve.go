@@ -118,7 +118,7 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	sessions *sessionTable
-	httpReqs *obs.CounterVec2 // repro_http_requests_total{route,status}; nil without telemetry
+	metrics  *httpMetrics // nil without telemetry
 
 	httpSrv *http.Server
 	lis     net.Listener
@@ -153,7 +153,7 @@ func New(cfg Config) *Server {
 	if cfg.ChunkRows <= 0 {
 		cfg.ChunkRows = 256
 	}
-	s := &Server{cfg: cfg, sessions: newSessionTable(cfg.SessionIdleTimeout), httpReqs: requestCounter(cfg.DB)}
+	s := &Server{cfg: cfg, sessions: newSessionTable(cfg.SessionIdleTimeout), metrics: newHTTPMetrics(cfg.DB)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.counted("/v1/query", s.governed(s.handleQuery)))
 	mux.HandleFunc("POST /v1/ingest", s.counted("/v1/ingest", s.governed(s.handleIngest)))
@@ -186,44 +186,68 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// requestCounter registers the server's route/status request-counter
-// family on the DB's metrics registry, so it shows up on /metrics next to
-// the engine's families. nil (counting off) when the DB was opened
-// WithoutTelemetry. A second Server over the same DB would re-register
-// the family — the registry treats duplicate names as bugs — so that
-// server serves uncounted instead of panicking.
-func requestCounter(db *repro.DB) (v *obs.CounterVec2) {
+// httpMetrics is the server's own metric families.
+type httpMetrics struct {
+	requests *obs.CounterVec2 // repro_http_requests_total{route,status}
+	bytes    *obs.CounterVec  // repro_http_response_bytes_total{route}
+	encode   *obs.Histogram   // repro_http_encode_seconds
+}
+
+// newHTTPMetrics registers the server's families on the DB's metrics
+// registry, so they show up on /metrics next to the engine's. nil
+// (metrics off) when the DB was opened WithoutTelemetry. A second Server
+// over the same DB would re-register the families — the registry treats
+// duplicate names as bugs — so that server serves unmetered instead of
+// panicking.
+func newHTTPMetrics(db *repro.DB) (m *httpMetrics) {
 	reg := db.Metrics()
 	if reg == nil {
 		return nil
 	}
-	defer func() { _ = recover() }()
-	return reg.CounterVec2("repro_http_requests_total",
-		"HTTP requests served, by route pattern and response status code.",
-		"route", "status")
+	defer func() {
+		if recover() != nil {
+			m = nil
+		}
+	}()
+	return &httpMetrics{
+		requests: reg.CounterVec2("repro_http_requests_total",
+			"HTTP requests served, by route pattern and response status code.",
+			"route", "status"),
+		bytes: reg.CounterVec("repro_http_response_bytes_total",
+			"Response body bytes written, by route pattern.",
+			"route"),
+		encode: reg.Histogram("repro_http_encode_seconds",
+			"Time spent encoding and writing result row chunks, per streamed response.",
+			obs.DefLatencyBuckets),
+	}
 }
 
 // counted wraps a handler to record one repro_http_requests_total sample
-// per request, labeled by the route pattern and the final status code.
-// The wrapper keeps the response writer's Flusher behavior, which the
-// NDJSON streamer depends on.
+// per request, labeled by the route pattern and the final status code,
+// and the response's body bytes. The wrapper keeps the response writer's
+// Flusher behavior, which the NDJSON streamer depends on.
 func (s *Server) counted(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.httpReqs == nil {
+		if s.metrics == nil {
 			h(w, r)
 			return
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw.flusher, _ = w.(http.Flusher)
 		h(sw, r)
-		s.httpReqs.With(route, strconv.Itoa(sw.status)).Inc()
+		s.metrics.requests.With(route, strconv.Itoa(sw.status)).Inc()
+		s.metrics.bytes.With(route).Add(sw.bytes)
 	}
 }
 
-// statusWriter captures the status code a handler commits to. Implicit
-// 200s (a body written without WriteHeader) keep the initial value.
+// statusWriter captures the status code a handler commits to and counts
+// the body bytes it writes. Implicit 200s (a body written without
+// WriteHeader) keep the initial value.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
+	flusher http.Flusher // nil when the underlying writer cannot flush
+	status  int
+	bytes   int64
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -231,11 +255,17 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+func (w *statusWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.bytes += int64(n)
+	return n, err
+}
+
 // Flush forwards to the underlying writer so streamed responses keep
 // their per-chunk delivery.
 func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
+	if w.flusher != nil {
+		w.flusher.Flush()
 	}
 }
 

@@ -11,10 +11,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -639,5 +643,113 @@ func TestHTTPRequestMetricsOffWithoutTelemetry(t *testing.T) {
 	_, hs := newTestServer(t, db, nil)
 	if resp, _ := post(t, hs.URL+"/v1/query", queryRequest{SQL: "select a from t"}); resp.StatusCode != 200 {
 		t.Fatalf("query without telemetry = %d", resp.StatusCode)
+	}
+}
+
+// TestNonFiniteFloatsStream: JSON has no NaN or infinity, and the old
+// marshaller failed the whole chunk on one — which the server took for a
+// hang-up, stalling two seconds and ending the response with no footer.
+// They travel as strings now and the stream ends normally.
+func TestNonFiniteFloatsStream(t *testing.T) {
+	db := repro.Open()
+	if err := db.CreateTable("f", repro.ColumnDef{Name: "x", Kind: repro.KindFloat}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("f",
+		[]repro.Value{repro.NewFloat(1.5)}, []repro.Value{repro.NewFloat(math.NaN())},
+		[]repro.Value{repro.NewFloat(math.Inf(1))}, []repro.Value{repro.NewFloat(math.Inf(-1))},
+	); err != nil {
+		t.Fatal(err)
+	}
+	_, hs := newTestServer(t, db, nil)
+	began := time.Now()
+	resp, payload := post(t, hs.URL+"/v1/query", queryRequest{SQL: "select x from f"})
+	if took := time.Since(began); took > time.Second {
+		t.Fatalf("response took %v: the stream stalled", took)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, payload)
+	}
+	objs := ndjson(t, payload)
+	if foot := objs[len(objs)-1]; foot["status"] != "ok" || foot["row_count"] != float64(4) {
+		t.Fatalf("footer = %v", foot)
+	}
+	want := []any{[]any{1.5}, []any{"NaN"}, []any{"+Inf"}, []any{"-Inf"}}
+	if got := objs[1]["rows"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows = %v, want %v", got, want)
+	}
+}
+
+// TestEncodeTelemetry checks what the running server reports about its
+// encoder: one repro_http_encode_seconds sample per streamed response,
+// body bytes per route, and an encode span on the query's trace —
+// delivered complete, although the trace's query finished before the last
+// chunk was written.
+func TestEncodeTelemetry(t *testing.T) {
+	db := newTestDB(t, 10)
+	var mu sync.Mutex
+	var traces []*repro.Trace
+	_, hs := newTestServer(t, db, func(c *Config) {
+		c.ChunkRows = 4
+		c.QueryOptions = []repro.QueryOption{repro.WithTrace(func(tr *repro.Trace) {
+			mu.Lock()
+			traces = append(traces, tr)
+			mu.Unlock()
+		})}
+	})
+	resp, payload := post(t, hs.URL+"/v1/query", queryRequest{SQL: "select a, s from t"})
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, payload)
+	}
+	chunkBytes := 0
+	for _, line := range bytes.SplitAfter(payload, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(`{"rows":`)) {
+			chunkBytes += len(line)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(traces) != 1 || traces[0] == nil {
+		t.Fatalf("got %d traces by the time the footer arrived, want 1", len(traces))
+	}
+	sp := traces[0].Find("encode")
+	if sp == nil {
+		t.Fatalf("trace has no encode span:\n%s", traces[0])
+	}
+	for key, want := range map[string]string{"rows": "10", "chunks": "3", "bytes": strconv.Itoa(chunkBytes)} {
+		if got, _ := sp.Attr(key); got != want {
+			t.Errorf("encode span %s = %q, want %q", key, got, want)
+		}
+	}
+	if sp.Dur <= 0 {
+		t.Errorf("encode span duration = %v", sp.Dur)
+	}
+	if n, sum, ok := db.Metrics().HistogramStats("repro_http_encode_seconds", ""); !ok || n != 1 || sum <= 0 {
+		t.Errorf("repro_http_encode_seconds = count %d sum %v ok %v, want one positive sample", n, sum, ok)
+	}
+	if v, ok := db.Metrics().CounterValue("repro_http_response_bytes_total", "/v1/query"); !ok || v != float64(len(payload)) {
+		t.Errorf("repro_http_response_bytes_total = %v, want %d", v, len(payload))
+	}
+}
+
+// TestSparsePredicateStreamsEveryMatch: a filter that matches nothing in
+// the first morsels of a scan must still deliver the matches further on —
+// an empty morsel is not the end of the stream.
+func TestSparsePredicateStreamsEveryMatch(t *testing.T) {
+	db := newTestDB(t, 10000)
+	_, hs := newTestServer(t, db, nil)
+	const q = "select a from t where a >= 9990"
+	want, err := db.Query(q)
+	if err != nil || len(want.Data) != 10 {
+		t.Fatalf("eager rows = %v, err %v", want, err)
+	}
+	resp, payload := post(t, hs.URL+"/v1/query", queryRequest{SQL: q})
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, payload)
+	}
+	objs := ndjson(t, payload)
+	if foot := objs[len(objs)-1]; foot["status"] != "ok" || foot["row_count"] != float64(10) {
+		t.Fatalf("footer = %v, want 10 rows", foot)
 	}
 }

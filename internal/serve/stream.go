@@ -7,7 +7,6 @@ import (
 
 	"repro"
 	"repro/internal/obs"
-	"repro/internal/types"
 )
 
 // The streaming result format is newline-delimited JSON (NDJSON,
@@ -31,11 +30,6 @@ type streamHeader struct {
 	Columns []string `json:"columns"`
 }
 
-// streamChunk carries one batch of rows.
-type streamChunk struct {
-	Rows [][]any `json:"rows"`
-}
-
 // streamFooter terminates a successful stream.
 type streamFooter struct {
 	Status    string  `json:"status"` // always "ok"
@@ -55,32 +49,9 @@ type errorBody struct {
 	QueryID string `json:"query_id,omitempty"`
 }
 
-// encodeValue maps one engine value onto its JSON representation:
-// NULL→null, BOOL→bool, INT→number, FLOAT→number, STRING→string,
-// TIME→RFC3339Nano string (UTC), INTERVAL→microseconds as a number.
-func encodeValue(v repro.Value) any {
-	switch v.Kind() {
-	case types.KindNull:
-		return nil
-	case types.KindBool:
-		return v.Bool()
-	case types.KindInt:
-		return v.Int()
-	case types.KindFloat:
-		return v.Float()
-	case types.KindString:
-		return v.Str()
-	case types.KindTime:
-		return time.UnixMicro(v.TimeUsec()).UTC().Format(time.RFC3339Nano)
-	case types.KindInterval:
-		return v.IntervalUsec()
-	default:
-		return v.String()
-	}
-}
-
 // writeNDJSON encodes one object followed by a newline and flushes when
-// the writer supports it.
+// the writer supports it. It serves the once-per-response objects —
+// header, footer, error; row chunks go through chunkEncoder.flush.
 func writeNDJSON(w http.ResponseWriter, obj any) error {
 	b, err := json.Marshal(obj)
 	if err != nil {
@@ -99,72 +70,21 @@ func writeNDJSON(w http.ResponseWriter, obj any) error {
 // streamLive pulls rows from a streaming result and writes them as an
 // NDJSON stream, chunkRows rows per chunk, while the engine is still
 // producing: each chunk is flushed as soon as it fills, so a client
-// reads the first rows before the scan finishes. The HTTP status and
-// stream header are deferred until the first row (or a clean empty
-// result), so an engine error that strikes before any row — a crossed
-// memory budget at a sort's reservation, a bad plan — still maps to its
-// real HTTP status. Past the header the status is committed; a failure
-// then terminates the stream with an errorBody object instead of the
-// footer. Write errors mean the client hung up: the stream is abandoned
-// after a bounded wait for the request context to cancel, so the
-// query's recorded outcome is "canceled", not "ok".
+// reads the first rows before the scan finishes. Rows are gathered by
+// reference and a full chunk goes through the append encoder (encode.go)
+// into one pooled buffer, then out in one Write and one Flush — nothing
+// is allocated per row or per cell. The response's encoding account is
+// published and the stream closed, which delivers the query's trace,
+// before the footer goes out: a client that has read the footer finds
+// the query fully recorded.
 func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, qid obs.QueryID, rows *repro.Rows, start time.Time) {
-	defer rows.Close()
-	headerSent := false
-	sendHeader := func() bool {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Query-Id", qid.String())
-		if err := writeNDJSON(w, streamHeader{QueryID: qid.String(), Columns: rows.Columns}); err != nil {
-			awaitDisconnect(r)
-			return false
-		}
-		headerSent = true
-		return true
-	}
-	count := 0
-	chunk := streamChunk{Rows: make([][]any, 0, s.cfg.ChunkRows)}
-	flushChunk := func() bool {
-		if len(chunk.Rows) == 0 {
-			return true
-		}
-		if err := writeNDJSON(w, chunk); err != nil {
-			awaitDisconnect(r)
-			return false
-		}
-		chunk.Rows = chunk.Rows[:0]
-		return true
-	}
-	for rows.Next() {
-		if !headerSent && !sendHeader() {
-			return
-		}
-		row := rows.Row()
-		enc := make([]any, len(row))
-		for i, v := range row {
-			enc[i] = encodeValue(v)
-		}
-		chunk.Rows = append(chunk.Rows, enc)
-		count++
-		if len(chunk.Rows) >= s.cfg.ChunkRows && !flushChunk() {
-			return
-		}
-	}
-	if err := rows.Err(); err != nil {
-		if !headerSent {
-			s.writeErr(w, qid, err)
-			return
-		}
-		code := repro.Code(err)
-		if statusOf(code, err) >= 500 {
-			s.cfg.Logger.Error("query failed mid-stream", "query_id", qid, "code", code, "err", err)
-		}
-		_ = writeNDJSON(w, errorBody{Status: "error", Code: code, Error: err.Error(), QueryID: qid.String()})
-		return
-	}
-	if !headerSent && !sendHeader() {
-		return
-	}
-	if !flushChunk() {
+	defer rows.Close() // a panic below must not strand the query's slot and locks
+	enc := chunkEncoders.Get().(*chunkEncoder)
+	ok := s.streamRows(w, r, qid, rows, enc)
+	count := enc.settle(s.metrics)
+	rows.Close()
+	enc.release()
+	if !ok {
 		return
 	}
 	s.cfg.Logger.Debug("query", "query_id", qid, "rows", count, "elapsed", time.Since(start))
@@ -175,6 +95,61 @@ func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, qid obs.Quer
 		CacheHit:  rows.Rewrite.CacheHit,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	})
+}
+
+// streamRows writes the stream up to the footer and reports whether the
+// footer is due. The HTTP status and stream header are deferred until
+// the first row (or a clean empty result), so an engine error that
+// strikes before any row — a crossed memory budget at a sort's
+// reservation, a bad plan — still maps to its real HTTP status. Past the
+// header the status is committed; a failure then terminates the stream
+// with an errorBody object instead of the footer. Write errors mean the
+// client hung up: the stream is abandoned after a bounded wait for the
+// request context to cancel, so the query's recorded outcome is
+// "canceled", not "ok".
+func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, qid obs.QueryID, rows *repro.Rows, enc *chunkEncoder) bool {
+	flusher, _ := w.(http.Flusher)
+	headerSent := false
+	sendHeader := func() bool {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("X-Query-Id", qid.String())
+		if err := writeNDJSON(w, streamHeader{QueryID: qid.String(), Columns: rows.Columns}); err != nil {
+			awaitDisconnect(r)
+			return false
+		}
+		headerSent = true
+		enc.span = rows.StartSpan("encode")
+		return true
+	}
+	flushChunk := func() bool {
+		if err := enc.flush(w, flusher); err != nil {
+			awaitDisconnect(r)
+			return false
+		}
+		return true
+	}
+	for rows.Next() {
+		if !headerSent && !sendHeader() {
+			return false
+		}
+		enc.rows = append(enc.rows, rows.Row())
+		if len(enc.rows) >= s.cfg.ChunkRows && !flushChunk() {
+			return false
+		}
+	}
+	if err := rows.Err(); err != nil {
+		if !headerSent {
+			s.writeErr(w, qid, err)
+			return false
+		}
+		code := repro.Code(err)
+		if statusOf(code, err) >= 500 {
+			s.cfg.Logger.Error("query failed mid-stream", "query_id", qid, "code", code, "err", err)
+		}
+		_ = writeNDJSON(w, errorBody{Status: "error", Code: code, Error: err.Error(), QueryID: qid.String()})
+		return false
+	}
+	return (headerSent || sendHeader()) && flushChunk()
 }
 
 // awaitDisconnect blocks, bounded, until net/http observes the dropped

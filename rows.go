@@ -295,8 +295,25 @@ func (r *Rows) Err() error {
 func (r *Rows) Close() error {
 	if r.src != nil {
 		r.src.finish(r, nil, true)
+		r.src.tel.release()
 	}
 	return nil
+}
+
+// StartSpan opens a child span on a streaming result's trace for work
+// the consumer does with the rows — the HTTP front end's NDJSON encoding
+// — and returns it for the consumer to fill in (Dur, attributes). It
+// returns nil when the query is not traced, on an eager Rows, and once
+// the stream has finished. Consumer work outlasts the engine's, so while
+// such a span is open the trace is held back: the WithTrace hook, the
+// slow-query log and the trace exporter receive it at Close instead of
+// at end of stream.
+func (r *Rows) StartSpan(name string) *Span {
+	if r.src == nil || r.src.finished || r.src.tel == nil || r.src.tel.trace == nil {
+		return nil
+	}
+	r.src.tel.held = true
+	return r.src.tel.trace.Root.StartChild(name)
 }
 
 // Scan copies the current row into dest, one target per column:

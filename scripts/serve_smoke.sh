@@ -3,17 +3,19 @@
 # the rfidbench load generator (open-loop arrivals at a target QPS),
 # asserts zero 5xx / transport / stream errors and a live /metrics
 # exposition, then SIGTERM-drains the server and requires a clean exit.
-# The service-level result (served QPS, p50/p95/p99 latency) is written
-# to BENCH_PR6.json. CI runs this via `make serve-smoke`.
+# The load generator prints its service-level result (served QPS,
+# p50/p95/p99 latency); its JSON report goes to a temp file unless OUT
+# names a path to keep. This is a smoke test — benchmark/run.sh is what
+# measures the service. CI runs this via `make serve-smoke`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QPS="${QPS:-20}"
 DUR="${DUR:-3s}"
 SCALE="${SCALE:-1}"
-OUT="${OUT:-BENCH_PR6.json}"
 
 tmp=$(mktemp -d)
+OUT="${OUT:-$tmp/loadgen.json}"
 SERVER_PID=""
 cleanup() {
   [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
@@ -53,4 +55,4 @@ if kill -0 "$SERVER_PID" 2>/dev/null; then
 fi
 wait "$SERVER_PID"
 SERVER_PID=""
-echo "serve_smoke: ok; result in $OUT"
+echo "serve_smoke: ok"

@@ -127,23 +127,74 @@ func TestQueryStreamCorpusMatchesEager(t *testing.T) {
 					if serr != nil {
 						t.Fatalf("par=%d: stream error: %v", par, serr)
 					}
-					if len(got) != len(want.Data) {
-						t.Fatalf("par=%d: stream rows = %d, eager rows = %d", par, len(got), len(want.Data))
-					}
-					for i := range got {
-						for j := range got[i] {
-							va, vb := want.Data[i][j], got[i][j]
-							if !va.Equal(vb) || va.IsNull() != vb.IsNull() {
-								t.Fatalf("par=%d: row %d col %d: eager %s vs stream %s", par, i, j, va.SQL(), vb.SQL())
-							}
-						}
-					}
+					requireSameRows(t, fmt.Sprintf("par=%d", par), want.Data, got)
 					if stream.Mem.Peak <= 0 {
 						t.Fatalf("par=%d: streaming Rows has no memory accounting", par)
 					}
 				}
 			})
 		}
+	}
+}
+
+// requireSameRows fails the test unless the streamed rows equal the
+// eager ones, value for value and in order.
+func requireSameRows(t *testing.T, label string, eager, stream [][]repro.Value) {
+	t.Helper()
+	if len(stream) != len(eager) {
+		t.Fatalf("%s: stream rows = %d, eager rows = %d", label, len(stream), len(eager))
+	}
+	for i := range stream {
+		for j := range stream[i] {
+			va, vb := eager[i][j], stream[i][j]
+			if !va.Equal(vb) || va.IsNull() != vb.IsNull() {
+				t.Fatalf("%s: row %d col %d: eager %s vs stream %s", label, i, j, va.SQL(), vb.SQL())
+			}
+		}
+	}
+}
+
+// TestStreamSparsePredicateMatchesEager streams a fused-predicate scan
+// whose matches are few and far apart — the reads of the least busy
+// reader — so whole morsels yield no row. An empty morsel is not the end
+// of the stream: the streamed result must equal the eager one at every
+// parallelism and under row-at-a-time evaluation. CI's tiny-segment
+// streaming step runs it with 64-row morsels, where almost every morsel
+// is empty.
+func TestStreamSparsePredicateMatchesEager(t *testing.T) {
+	e, err := bench.Load(20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rare, err := e.DB.Query(`SELECT reader, count(*) AS c FROM caser GROUP BY reader ORDER BY c, reader LIMIT 1`,
+		repro.WithStrategy(repro.Dirty))
+	if err != nil || len(rare.Data) != 1 {
+		t.Fatalf("least busy reader: rows=%v err=%v", rare, err)
+	}
+	q := fmt.Sprintf(`SELECT rtime FROM caser WHERE reader = '%s'`, rare.Data[0][0].Str())
+	variants := map[string][]repro.QueryOption{
+		"par=1":    {repro.WithParallelism(1)},
+		"par=4":    {repro.WithParallelism(4)},
+		"row-eval": {repro.WithRowEval()},
+	}
+	for label, opts := range variants {
+		opts = append(opts, repro.WithStrategy(repro.Dirty))
+		want, err := e.DB.Query(q, opts...)
+		if err != nil {
+			t.Fatalf("%s: Query: %v", label, err)
+		}
+		if int64(len(want.Data)) != rare.Data[0][1].Int() {
+			t.Fatalf("%s: eager rows = %d, reader has %d reads", label, len(want.Data), rare.Data[0][1].Int())
+		}
+		stream, err := e.DB.QueryStream(q, opts...)
+		if err != nil {
+			t.Fatalf("%s: QueryStream: %v", label, err)
+		}
+		got, serr := drainStream(stream)
+		if serr != nil {
+			t.Fatalf("%s: stream error: %v", label, serr)
+		}
+		requireSameRows(t, label, want.Data, got)
 	}
 }
 
@@ -412,4 +463,69 @@ func TestWithTraceSampling(t *testing.T) {
 			t.Fatalf("traced = %d at fraction 1, want 6", traced)
 		}
 	})
+}
+
+// TestRowsStartSpanHoldsTraceUntilClose: a consumer span opened on a
+// streaming result keeps the trace back past end of stream — the engine
+// is done, the consumer is not — and Close delivers it, once, with the
+// span in it. Without a consumer span the trace goes out at end of
+// stream as before; an eager or untraced Rows has no span to give.
+func TestRowsStartSpanHoldsTraceUntilClose(t *testing.T) {
+	db := newGovernDB(t)
+	var delivered []*repro.Trace
+	hook := repro.WithTrace(func(tr *repro.Trace) { delivered = append(delivered, tr) })
+
+	stream, err := db.QueryStream(spillGroupQuery, hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := stream.StartSpan("encode")
+	if sp == nil {
+		t.Fatal("StartSpan on a traced stream returned nil")
+	}
+	for stream.Next() {
+	}
+	if err := stream.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(delivered) != 0 {
+		t.Fatal("trace delivered at end of stream while a consumer span was open")
+	}
+	sp.SetAttr("rows", "all")
+	stream.Close()
+	stream.Close()
+	if len(delivered) != 1 || delivered[0].Find("encode") != sp {
+		t.Fatalf("after Close: %d traces delivered, encode span present = %v",
+			len(delivered), len(delivered) == 1 && delivered[0].Find("encode") == sp)
+	}
+	if stream.StartSpan("late") != nil {
+		t.Fatal("StartSpan after the stream finished returned a span")
+	}
+
+	plain, err := db.QueryStream(spillGroupQuery, hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for plain.Next() {
+	}
+	if len(delivered) != 2 {
+		t.Fatalf("without a consumer span the trace must go out at end of stream; delivered = %d", len(delivered))
+	}
+	plain.Close()
+
+	eager, err := db.Query(spillGroupQuery, hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eager.StartSpan("encode") != nil {
+		t.Fatal("StartSpan on an eager Rows returned a span")
+	}
+	untraced, err := db.QueryStream(spillGroupQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer untraced.Close()
+	if untraced.StartSpan("encode") != nil {
+		t.Fatal("StartSpan on an untraced stream returned a span")
+	}
 }

@@ -240,6 +240,12 @@ type qtel struct {
 	cacheHit bool
 	firstRow time.Duration
 	mem      MemStats
+
+	// held is set while a streaming consumer has a span open on the trace
+	// (Rows.StartSpan): finish then parks the trace's delivery in deliver,
+	// and Rows.Close runs it once the consumer's span is complete.
+	held    bool
+	deliver func()
 }
 
 // dbTelemetry is the DB's observability state: the registry-backed metric
@@ -544,6 +550,27 @@ func (q *qtel) finish(rows *Rows, err error) {
 			rows.trace = q.trace
 		}
 	}
+	if q.held {
+		q.deliver = func() { q.deliverTrace(dur, oc) }
+		return
+	}
+	q.deliverTrace(dur, oc)
+}
+
+// release delivers a held trace once its query has finished; a no-op
+// otherwise and after the first delivery.
+func (q *qtel) release() {
+	if q == nil || q.deliver == nil {
+		return
+	}
+	deliver := q.deliver
+	q.deliver = nil
+	deliver()
+}
+
+// deliverTrace hands the finished trace to its consumers: the slow-query
+// log, the OTLP exporter, and the WithTrace hook.
+func (q *qtel) deliverTrace(dur time.Duration, oc string) {
 	if lg := q.db.slowLogger; lg != nil && dur >= q.db.slowThreshold {
 		q.m.slowQ.Inc()
 		attrs := []slog.Attr{
