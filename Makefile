@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify soak crash-soak perf bench bench-all bench-serving serve-smoke clean
+.PHONY: all build vet test race verify soak crash-soak perf bench bench-all bench-serving serve-smoke loc clean
 
 all: verify
 
@@ -74,6 +74,12 @@ serve-smoke:
 # Just the serving-layer benchmarks: cache amortization + parallel clients.
 bench-serving:
 	$(GO) test -run XXX -bench 'BenchmarkPlanCache|BenchmarkConcurrentClients' -benchmem .
+
+# Go lines per package, non-test and test (root, internal/*, cmd/*,
+# benchmark). Each PR pastes this table for the parent and for the
+# change into CHANGES.md.
+loc:
+	@./scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

@@ -232,15 +232,13 @@ func (db *DB) IngestContext(ctx context.Context, table string, rows ...[]Value) 
 	if err := ctx.Err(); err != nil {
 		return wrapCanceled(err)
 	}
-	var it *itel
-	if db.tel != nil {
-		// Like queries, an observed ingest gets a private cancellation
-		// layer so DB.Kill can stop it while it waits for the write lock.
-		var kill context.CancelFunc
-		ctx, kill = context.WithCancel(ctx)
-		defer kill()
-		it = db.startIngest(table, len(rows), kill)
-	}
+	// Like a query, an ingest gets a private cancellation layer and a
+	// registry entry holding it, so DB.Kill can stop it while it waits for
+	// the write lock. The rest of the statement lifecycle does not fit: an
+	// ingest takes the write lock, no admission slot, plan or budget.
+	ctx, kill := context.WithCancel(ctx)
+	defer kill()
+	it := db.startIngest(table, len(rows), kill)
 	srows := make([]schema.Row, len(rows))
 	for i, r := range rows {
 		srows[i] = schema.Row(r)

@@ -1,8 +1,9 @@
 // Tests for the resource-governance layer as the public API exposes it:
 // memory budgets that degrade to spilling with bit-identical answers,
-// clean ErrResourceExhausted failures when spilling is off, plan-cache
-// eviction after budget failures, panic isolation between concurrent
-// queries, spill-file cleanup under cancellation, and admission control.
+// panic isolation between concurrent queries, spill-file cleanup under
+// cancellation, and admission control. Budget failures with spilling off
+// and the plan-cache eviction that follows are rows of
+// TestStatementLifecycle (statement_test.go).
 package repro_test
 
 import (
@@ -74,61 +75,6 @@ func TestExplainAnalyzeAnnotatesSpill(t *testing.T) {
 	}
 	if !strings.Contains(out, "-- mem: peak=") || !strings.Contains(out, "limit=32.0 KiB") {
 		t.Errorf("EXPLAIN ANALYZE missing mem trailer:\n%s", out)
-	}
-}
-
-func TestSpillDisabledFailsWithResourceExhausted(t *testing.T) {
-	db := newGovernDB(t)
-	_, err := db.Query(spillSortQuery, repro.WithMemoryLimit(32<<10), repro.WithoutSpill())
-	if !errors.Is(err, repro.ErrResourceExhausted) {
-		t.Fatalf("err = %v, want ErrResourceExhausted", err)
-	}
-	// The engine must keep serving: the same query, unbudgeted, succeeds.
-	if _, err := db.Query(spillSortQuery); err != nil {
-		t.Fatalf("engine broken after budget failure: %v", err)
-	}
-}
-
-func TestExhaustedQueryEvictsCacheEntry(t *testing.T) {
-	db := newGovernDB(t)
-	db.ResetPlanCache()
-	_, err := db.Query(spillGroupQuery, repro.WithMemoryLimit(16<<10), repro.WithoutSpill())
-	if !errors.Is(err, repro.ErrResourceExhausted) {
-		t.Fatalf("err = %v, want ErrResourceExhausted", err)
-	}
-	if st := db.PlanCacheStats(); st.Entries != 0 {
-		t.Fatalf("failed query's plan still cached (%d entries); raising the limit would be pinned to it", st.Entries)
-	}
-	// A retry under a raised limit replans (cache miss) and succeeds.
-	rows, err := db.Query(spillGroupQuery, repro.WithMemoryLimit(64<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Rewrite.CacheHit {
-		t.Error("retry after eviction reported a cache hit")
-	}
-}
-
-func TestExhaustedPreparedRunEvictsCacheEntry(t *testing.T) {
-	db := newGovernDB(t)
-	db.ResetPlanCache()
-	p, err := db.Prepare(spillGroupQuery, repro.WithMemoryLimit(16<<10), repro.WithoutSpill())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); !errors.Is(err, repro.ErrResourceExhausted) {
-		t.Fatalf("err = %v, want ErrResourceExhausted", err)
-	}
-	if st := db.PlanCacheStats(); st.Entries != 0 {
-		t.Fatalf("exhausted prepared run left its plan cached (%d entries)", st.Entries)
-	}
-	// Re-preparing under a workable budget succeeds.
-	p2, err := db.Prepare(spillGroupQuery, repro.WithMemoryLimit(64<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -78,16 +78,6 @@ type Result struct {
 	Phases Phases
 }
 
-// OpenStream opens the rewritten plan as a pull-based batch iterator
-// under ctx: execution starts lazily at the first Next, and the first
-// batches leave the engine while upstream morsels are still being
-// claimed. Results, errors, and resource accounting are identical to
-// materializing the plan with exec.Run; a Result may be executed many
-// times, but one exec.Ctx serves one execution.
-func (r *Result) OpenStream(ctx *exec.Ctx) exec.Stream {
-	return exec.Open(ctx, r.Plan)
-}
-
 // Phases is the compilation-time breakdown of one rewrite: parsing the
 // SQL, generating and costing rewrite candidates, and physical planning
 // (the Planner.Plan calls, which candidate costing interleaves with

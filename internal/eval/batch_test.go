@@ -285,17 +285,17 @@ func TestEvalPredicateBatchMatchesRow(t *testing.T) {
 // a per-row multiplication.
 func TestConstantFolding(t *testing.T) {
 	folds := map[string]types.Value{
-		"1000 * 60":                              types.NewInt(60000),
-		"(2 + 3) * 4":                            types.NewInt(20),
-		"- (5 - 7)":                              types.NewInt(2),
-		"case when 1 < 2 then 'x' else 'y' end":  types.NewString("x"),
-		"'ab' like 'a%'":                         types.NewBool(true),
-		"3 in (1, 2, 3)":                         types.NewBool(true),
-		"upper('ab')":                            types.NewString("AB"),
-		"length(substr('abcdef', 2, 3))":         types.NewInt(3),
-		"coalesce(null, 42)":                     types.NewInt(42),
-		"1 = 1 and 2 > 1":                        types.NewBool(true),
-		"null is null":                           types.NewBool(true),
+		"1000 * 60":                             types.NewInt(60000),
+		"(2 + 3) * 4":                           types.NewInt(20),
+		"- (5 - 7)":                             types.NewInt(2),
+		"case when 1 < 2 then 'x' else 'y' end": types.NewString("x"),
+		"'ab' like 'a%'":                        types.NewBool(true),
+		"3 in (1, 2, 3)":                        types.NewBool(true),
+		"upper('ab')":                           types.NewString("AB"),
+		"length(substr('abcdef', 2, 3))":        types.NewInt(3),
+		"coalesce(null, 42)":                    types.NewInt(42),
+		"1 = 1 and 2 > 1":                       types.NewBool(true),
+		"null is null":                          types.NewBool(true),
 		"interval '1' minute + interval '2' second": types.NewInterval(62_000_000),
 	}
 	for src, want := range folds {

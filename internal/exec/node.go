@@ -117,12 +117,7 @@ func NewCtxWith(ctx context.Context) *Ctx {
 }
 
 // NewAnalyzeCtx returns a context that records per-operator statistics.
-func NewAnalyzeCtx() *Ctx { return NewAnalyzeCtxWith(context.Background()) }
-
-// NewAnalyzeCtxWith is NewAnalyzeCtx governed by a context.Context.
-func NewAnalyzeCtxWith(ctx context.Context) *Ctx {
-	return NewCtxWith(ctx).EnableStats()
-}
+func NewAnalyzeCtx() *Ctx { return NewCtx().EnableStats() }
 
 // EnableStats switches on per-operator statistics collection for this
 // execution. The serving layer enables it for every telemetry-observed

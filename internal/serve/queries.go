@@ -14,14 +14,14 @@ const CodeNoQuery = "query_not_found"
 
 // activeQueryJSON is one entry of GET /v1/queries.
 type activeQueryJSON struct {
-	QueryID   string           `json:"query_id"`
-	Kind      string           `json:"kind"`
-	SQL       string           `json:"sql"`
-	Phase     string           `json:"phase"`
-	ElapsedMS int64            `json:"elapsed_ms"`
-	MemBytes  int64            `json:"mem_bytes,omitempty"`
-	Killed    bool             `json:"killed,omitempty"`
-	Operators []activeOpJSON   `json:"operators,omitempty"`
+	QueryID   string         `json:"query_id"`
+	Kind      string         `json:"kind"`
+	SQL       string         `json:"sql"`
+	Phase     string         `json:"phase"`
+	ElapsedMS int64          `json:"elapsed_ms"`
+	MemBytes  int64          `json:"mem_bytes,omitempty"`
+	Killed    bool           `json:"killed,omitempty"`
+	Operators []activeOpJSON `json:"operators,omitempty"`
 }
 
 type activeOpJSON struct {

@@ -245,6 +245,68 @@ func TestKillReleasesEverything(t *testing.T) {
 	}
 }
 
+// TestKillByStreamHeaderID: the query_id a client reads from the stream
+// header (and X-Query-Id) is the engine's statement ID, so it is the
+// handle DELETE /v1/queries/{id} accepts.
+func TestKillByStreamHeaderID(t *testing.T) {
+	db := newWideTestDB(t, 20000)
+	_, hs := newTestServer(t, db, func(c *Config) { c.ChunkRows = 16 })
+
+	// Wide rows overflow the socket buffers, so a client that stops
+	// reading after the header wedges the query mid-stream.
+	resp, err := http.Post(hs.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"sql":"SELECT a, s FROM t ORDER BY s"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatalf("read stream header: %v", err)
+	}
+	var head streamHeader
+	if err := json.Unmarshal([]byte(line), &head); err != nil || head.QueryID == "" {
+		t.Fatalf("stream header %q: %v", line, err)
+	}
+	if got := resp.Header.Get("X-Query-Id"); got != head.QueryID {
+		t.Fatalf("X-Query-Id = %q, header line query_id = %q", got, head.QueryID)
+	}
+
+	req, err := http.NewRequest("DELETE", hs.URL+"/v1/queries/"+head.QueryID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var killBody struct {
+		Status string `json:"status"`
+	}
+	err = json.NewDecoder(dresp.Body).Decode(&killBody)
+	dresp.Body.Close()
+	if err != nil || dresp.StatusCode != 200 || killBody.Status != "killed" {
+		t.Fatalf("kill by header id %s = %d %+v (%v)", head.QueryID, dresp.StatusCode, killBody, err)
+	}
+
+	// The stream ends in an error line carrying the same id.
+	var last string
+	for {
+		l, err := br.ReadString('\n')
+		if strings.TrimSpace(l) != "" {
+			last = l
+		}
+		if err != nil {
+			break
+		}
+	}
+	var tail errorBody
+	if err := json.Unmarshal([]byte(last), &tail); err != nil || tail.Status != "error" || tail.QueryID != head.QueryID {
+		t.Fatalf("stream tail after kill = %q (%v), want an error line with query_id %s", last, err, head.QueryID)
+	}
+}
+
 // TestKillUnknownAndMalformedIDs pins the error contract of the kill
 // endpoint.
 func TestKillUnknownAndMalformedIDs(t *testing.T) {

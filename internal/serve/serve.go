@@ -456,14 +456,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeCode(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
 		return
 	}
-	qid := obs.NextQueryID()
 	start := time.Now()
 	rows, err := s.cfg.DB.QueryStreamContext(r.Context(), req.SQL, opts...)
 	if err != nil {
-		s.writeErr(w, qid, err)
+		s.writeErr(w, obs.NextQueryID(), err)
 		return
 	}
-	s.streamLive(w, r, qid, rows, start)
+	s.streamLive(w, r, rows, start)
 }
 
 // prepareResponse is the body of a successful /v1/prepare.
@@ -529,14 +528,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeCode(w, http.StatusNotFound, CodeNoStatement, "no such statement: "+r.PathValue("stmt"), 0)
 		return
 	}
-	qid := obs.NextQueryID()
 	start := time.Now()
 	rows, err := p.StreamContext(r.Context())
 	if err != nil {
-		s.writeErr(w, qid, err)
+		s.writeErr(w, obs.NextQueryID(), err)
 		return
 	}
-	s.streamLive(w, r, qid, rows, start)
+	s.streamLive(w, r, rows, start)
 }
 
 // sessionInfo is the body of GET /v1/sessions/{id}.

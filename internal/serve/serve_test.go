@@ -524,6 +524,36 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestPreparedHonorsTimeout: a timeout_ms given to /v1/prepare bounds
+// every run of the statement, failing it with 504 canceled. The server's
+// base options slow every operator well past the deadline.
+func TestPreparedHonorsTimeout(t *testing.T) {
+	db := newTestDB(t, 8)
+	_, hs := newTestServer(t, db, func(c *Config) {
+		c.QueryOptions = []repro.QueryOption{
+			repro.WithFaults(repro.FaultInjection{SlowOp: 2 * time.Second}),
+		}
+	})
+	resp, payload := post(t, hs.URL+"/v1/prepare", map[string]any{
+		"sql": "SELECT a FROM t ORDER BY a", "timeout_ms": 40,
+	})
+	if resp.StatusCode != 200 {
+		t.Fatalf("prepare = %d (body %s)", resp.StatusCode, payload)
+	}
+	var prep prepareResponse
+	if err := json.Unmarshal(payload, &prep); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, payload = post(t, fmt.Sprintf("%s/v1/sessions/%s/run/%s", hs.URL, prep.Session, prep.Statement), map[string]any{})
+	if resp.StatusCode != http.StatusGatewayTimeout || errCode(t, payload) != repro.CodeCanceled {
+		t.Fatalf("run past its prepare-time timeout = %d %s, want 504 canceled", resp.StatusCode, payload)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("run took %v; the 40ms timeout did not bound it", d)
+	}
+}
+
 // TestSessionIdleEviction proves the janitor evicts an idle session and
 // the wire reports it as 404 session_not_found.
 func TestSessionIdleEviction(t *testing.T) {

@@ -76,9 +76,16 @@ func writeNDJSON(w http.ResponseWriter, obj any) error {
 // is allocated per row or per cell. The response's encoding account is
 // published and the stream closed, which delivers the query's trace,
 // before the footer goes out: a client that has read the footer finds
-// the query fully recorded.
-func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, qid obs.QueryID, rows *repro.Rows, start time.Time) {
+// the query fully recorded. The query_id on the wire is the engine's
+// statement ID — the one /v1/queries lists and DELETE /v1/queries/{id}
+// accepts; only a DB without telemetry, which has none, gets a
+// server-minted one.
+func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, rows *repro.Rows, start time.Time) {
 	defer rows.Close() // a panic below must not strand the query's slot and locks
+	qid := rows.QueryID()
+	if qid == 0 {
+		qid = obs.NextQueryID()
+	}
 	enc := chunkEncoders.Get().(*chunkEncoder)
 	ok := s.streamRows(w, r, qid, rows, enc)
 	count := enc.settle(s.metrics)

@@ -700,16 +700,6 @@ func (db *DB) resources(o *queryOpts) *govern.Resources {
 	return govern.NewResources(limit, !o.noSpill, db.spillDir, o.faults)
 }
 
-// admitQuery passes one query through admission control, tagging
-// queue-wait cancellations with ErrCanceled.
-func (db *DB) admitQuery(ctx context.Context) (func(), error) {
-	release, err := db.admit.Acquire(ctx)
-	if err != nil {
-		return nil, wrapCanceled(err)
-	}
-	return release, nil
-}
-
 // deadline applies the WithTimeout option, if any, to ctx.
 func (o *queryOpts) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if o.timeout > 0 {
@@ -734,8 +724,10 @@ type Rows struct {
 	// On a streaming Rows it is populated when the stream finishes.
 	Mem MemStats
 
-	// trace is the query's span tree when one was collected; Trace reads it.
+	// trace is the query's span tree when one was collected; Trace reads
+	// it. id is the engine's statement ID; QueryID reads it.
 	trace *Trace
+	id    QueryID
 
 	// pos/cur are the cursor over Data (eager) or the current streamed
 	// row; src is the live executor stream, nil on eager results.
@@ -768,78 +760,7 @@ func (db *DB) Query(sql string, opts ...QueryOption) (*Rows, error) {
 // expiry stops execution cooperatively mid-operator, and the query fails
 // with an error matching ErrCanceled and the context's own error.
 func (db *DB) QueryContext(ctx context.Context, sql string, opts ...QueryOption) (*Rows, error) {
-	o := applyOpts(opts)
-	ctx, cancel := o.deadline(ctx)
-	defer cancel()
-	tel := db.startQuery(sql, o)
-	if tel != nil {
-		// A private cancellation layer under the caller's context so
-		// DB.Kill can stop exactly this query; the registry entry holds
-		// the cancel func.
-		var kill context.CancelFunc
-		ctx, kill = context.WithCancel(ctx)
-		defer kill()
-		tel.activate("query", kill)
-		tel.setPhase("queued")
-	}
-	admitStart := time.Now()
-	release, err := db.admitQuery(ctx)
-	if err != nil {
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	defer release()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rows, err := db.queryLocked(ctx, sql, o, tel)
-	tel.finish(rows, err)
-	return rows, err
-}
-
-// queryLocked runs one governed query under an already-held read lock.
-// tel, when non-nil, observes the run (phase spans, per-operator stats,
-// memory accounting); the caller finishes it.
-func (db *DB) queryLocked(ctx context.Context, sql string, o *queryOpts, tel *qtel) (*Rows, error) {
-	key := newCacheKey(sql, o, db.Catalog.Epoch())
-	var compileStart time.Time
-	if tel != nil {
-		tel.setPhase("compile")
-		compileStart = time.Now()
-	}
-	res, inf, err := db.rewriteCached(sql, o)
-	if err != nil {
-		return nil, err
-	}
-	tel.notePhases(res.Phases, inf.CacheHit, compileStart)
-	grs := db.resources(o)
-	defer grs.Close()
-	ectx := o.execCtx(ctx).SetResources(grs)
-	var execStart time.Time
-	if tel != nil {
-		ectx.EnableStats()
-		tel.attachExec(ectx, grs)
-		tel.setPhase("execute")
-		execStart = time.Now()
-	}
-	out, err := exec.Run(ectx, res.Plan)
-	db.totals.note(grs.Stats(), err != nil && grs.Exhausted())
-	if tel != nil {
-		tel.noteMem(grs.Stats())
-		tel.noteExec(res.Plan, ectx, execStart, time.Since(execStart))
-	}
-	if err != nil {
-		if grs.Exhausted() {
-			// Drop the cached plan so a retry under a raised limit (or with
-			// spilling re-enabled) replans instead of being pinned to the
-			// entry that just failed.
-			db.cache.evict(key)
-		}
-		return nil, wrapCanceled(err)
-	}
-	rows := newRows(out, res.Plan, inf)
-	rows.Mem = grs.Stats()
-	return rows, nil
+	return (&statement{db: db, sql: sql, o: applyOpts(opts)}).run(ctx)
 }
 
 // Rewrite returns the rewritten SQL without executing it.
@@ -897,11 +818,11 @@ type Prepared struct {
 	sql  string
 	plan exec.Node
 	info RewriteInfo
-	// opts are the Prepare-time query options (parallelism, row-eval,
-	// memory limit, spill, faults), applied to every Run.
+	// opts are the Prepare-time query options (timeout, parallelism,
+	// row-eval, memory limit, spill, faults), applied to every run.
 	opts *queryOpts
-	// key is the plan-cache entry this Prepared was resolved through;
-	// RunContext evicts it when a run exhausts its memory budget.
+	// key is the plan-cache entry this Prepared was resolved through; a
+	// run that exhausts its memory budget evicts it.
 	key cacheKey
 }
 
@@ -910,8 +831,11 @@ func (db *DB) Prepare(sql string, opts ...QueryOption) (*Prepared, error) {
 	return db.PrepareContext(context.Background(), sql, opts...)
 }
 
-// PrepareContext is Prepare governed by a context; a WithTimeout option
-// is ignored here (apply it per-run via RunContext deadlines instead).
+// PrepareContext is Prepare governed by a context, checked before work
+// starts. A WithTimeout option does not bound Prepare itself: it is kept
+// with the statement and bounds every Run and Stream, each run getting a
+// fresh deadline that starts when the run does (admission wait included)
+// and composes with the run's own context.
 func (db *DB) PrepareContext(ctx context.Context, sql string, opts ...QueryOption) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCanceled(err)
@@ -937,57 +861,17 @@ func (p *Prepared) Run() (*Rows, error) {
 
 // RunContext executes the prepared plan under a context; cancellation
 // stops execution cooperatively, as in QueryContext. Runs pass through
-// admission control and are governed by the Prepare-time memory options;
-// a run that exhausts its budget also evicts the plan's cache entry, so
-// a later Query or Prepare under a raised limit replans fresh.
+// admission control and are governed by the Prepare-time timeout and
+// memory options; a run that exhausts its budget also evicts the plan's
+// cache entry, so a later Query or Prepare under a raised limit replans
+// fresh.
 func (p *Prepared) RunContext(ctx context.Context) (*Rows, error) {
-	tel := p.db.startQuery(p.sql, p.opts)
-	if tel != nil {
-		var kill context.CancelFunc
-		ctx, kill = context.WithCancel(ctx)
-		defer kill()
-		tel.activate("query", kill)
-		tel.setPhase("queued")
-	}
-	admitStart := time.Now()
-	release, err := p.db.admitQuery(ctx)
-	if err != nil {
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	defer release()
-	p.db.mu.RLock()
-	defer p.db.mu.RUnlock()
-	tel.notePrepared(p.info.CacheHit)
-	grs := p.db.resources(p.opts)
-	defer grs.Close()
-	ectx := p.opts.execCtx(ctx).SetResources(grs).EnableBuildReuse(p.db.Catalog.Epoch())
-	var execStart time.Time
-	if tel != nil {
-		ectx.EnableStats()
-		tel.attachExec(ectx, grs)
-		tel.setPhase("execute")
-		execStart = time.Now()
-	}
-	out, err := exec.Run(ectx, p.plan)
-	p.db.totals.note(grs.Stats(), err != nil && grs.Exhausted())
-	if tel != nil {
-		tel.noteMem(grs.Stats())
-		tel.noteExec(p.plan, ectx, execStart, time.Since(execStart))
-	}
-	if err != nil {
-		if grs.Exhausted() {
-			p.db.cache.evict(p.key)
-		}
-		err = wrapCanceled(err)
-		tel.finish(nil, err)
-		return nil, err
-	}
-	rows := newRows(out, p.plan, p.info)
-	rows.Mem = grs.Stats()
-	tel.finish(rows, nil)
-	return rows, nil
+	return p.statement().run(ctx)
+}
+
+// statement is one governed run of the prepared plan.
+func (p *Prepared) statement() *statement {
+	return &statement{db: p.db, sql: p.sql, o: p.opts, prep: p}
 }
 
 // ExplainAnalyze rewrites and executes the query, returning the plan
@@ -1002,66 +886,18 @@ func (db *DB) ExplainAnalyze(sql string, opts ...QueryOption) (string, error) {
 // operators that spilled are annotated with their run counts, and a
 // trailer line reports the query's peak memory and spill volume.
 func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string, opts ...QueryOption) (string, error) {
-	o := applyOpts(opts)
-	ctx, cancel := o.deadline(ctx)
-	defer cancel()
-	tel := db.startQuery(sql, o)
-	if tel != nil {
-		var kill context.CancelFunc
-		ctx, kill = context.WithCancel(ctx)
-		defer kill()
-		tel.activate("query", kill)
-		tel.setPhase("queued")
-	}
-	admitStart := time.Now()
-	release, err := db.admitQuery(ctx)
-	if err != nil {
-		tel.finish(nil, err)
+	st := &statement{db: db, sql: sql, o: applyOpts(opts), analyze: true}
+	if err := st.begin(ctx); err != nil {
 		return "", err
 	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	defer release()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	key := newCacheKey(sql, o, db.Catalog.Epoch())
-	var compileStart time.Time
-	if tel != nil {
-		tel.setPhase("compile")
-		compileStart = time.Now()
-	}
-	res, inf, err := db.rewriteCached(sql, o)
-	if err != nil {
-		tel.finish(nil, err)
+	_, err := st.execute()
+	if err := st.finish(nil, err); err != nil {
 		return "", err
 	}
-	tel.notePhases(res.Phases, inf.CacheHit, compileStart)
-	grs := db.resources(o)
-	defer grs.Close()
-	ectx := exec.NewAnalyzeCtxWith(ctx).SetParallelism(o.parallelism).SetVectorize(!o.rowEval).SetResources(grs)
-	if tel != nil {
-		tel.attachExec(ectx, grs)
-		tel.setPhase("execute")
-	}
-	execStart := time.Now()
-	_, runErr := exec.Run(ectx, res.Plan)
-	db.totals.note(grs.Stats(), runErr != nil && grs.Exhausted())
-	if tel != nil {
-		tel.noteMem(grs.Stats())
-		tel.noteExec(res.Plan, ectx, execStart, time.Since(execStart))
-	}
-	if runErr != nil {
-		if grs.Exhausted() {
-			db.cache.evict(key)
-		}
-		runErr = wrapCanceled(runErr)
-		tel.finish(nil, runErr)
-		return "", runErr
-	}
-	tel.finish(nil, nil)
 	var b strings.Builder
-	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n", res.Strategy, res.EstCost)
-	b.WriteString(exec.ExplainAnalyze(res.Plan, ectx))
-	m := grs.Stats()
+	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n", st.info.Strategy, st.info.EstCost)
+	b.WriteString(exec.ExplainAnalyze(st.plan, st.ectx))
+	m := st.mem
 	fmt.Fprintf(&b, "-- mem: peak=%s", FormatBytes(m.Peak))
 	if m.Limit > 0 {
 		fmt.Fprintf(&b, " limit=%s", FormatBytes(m.Limit))
@@ -1203,11 +1039,16 @@ func (db *DB) DryRunRuleContext(ctx context.Context, ruleName string, limit int)
 		return nil, err
 	}
 	colList := strings.Join(inCols, ", ")
-	rawRows, err := db.queryLocked(ctx, "SELECT "+colList+" FROM "+reg.Rule.From, applyOpts([]QueryOption{WithStrategy(Dirty)}), nil)
+	// Both executions are nested statements: they run under the read lock
+	// held here, so the rule's input and output are one consistent state.
+	sub := func(sql string, opts ...QueryOption) (*Rows, error) {
+		return (&statement{db: db, sql: sql, o: applyOpts(opts), nested: true}).run(ctx)
+	}
+	rawRows, err := sub("SELECT "+colList+" FROM "+reg.Rule.From, WithStrategy(Dirty))
 	if err != nil {
 		return nil, err
 	}
-	cleanRows, err := db.queryLocked(ctx, "SELECT "+colList+" FROM "+reg.Rule.On, applyOpts([]QueryOption{WithStrategy(Naive), WithRules(ruleName)}), nil)
+	cleanRows, err := sub("SELECT "+colList+" FROM "+reg.Rule.On, WithStrategy(Naive), WithRules(ruleName))
 	if err != nil {
 		return nil, err
 	}
@@ -1281,8 +1122,9 @@ type ResourceStats struct {
 	// Admission is the admission controller's snapshot (zeros when no
 	// concurrency limit is configured).
 	Admission AdmissionStats
-	// Queries counts governed executions (Query, ExplainAnalyze,
-	// Prepared.Run and their Context variants).
+	// Queries counts governed executions: Query, ExplainAnalyze,
+	// QueryStream, Prepared.Run and Prepared.Stream (and their Context
+	// variants), plus DryRunRule's two internal runs.
 	Queries int64
 	// SpilledQueries counts executions in which at least one operator went
 	// to disk; SpillRuns and SpillBytes accumulate their volume.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/govern"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -39,56 +38,7 @@ func (db *DB) QueryStream(sql string, opts ...QueryOption) (*Rows, error) {
 // everything, making a later Close a no-op). Canceling ctx aborts the
 // stream cooperatively with an error matching ErrCanceled.
 func (db *DB) QueryStreamContext(ctx context.Context, sql string, opts ...QueryOption) (*Rows, error) {
-	o := applyOpts(opts)
-	queryStart := time.Now()
-	dctx, cancelDeadline := o.deadline(ctx)
-	// Every stream gets a private cancel so Close can stop in-flight
-	// engine work promptly, whether or not a deadline was set.
-	qctx, cancelQuery := context.WithCancel(dctx)
-	cancel := func() { cancelQuery(); cancelDeadline() }
-	tel := db.startQuery(sql, o)
-	// The stream's private cancel is exactly what Kill needs: it stops
-	// in-flight engine work and the consumer sees ErrCanceled from Next.
-	tel.activate("query", cancelQuery)
-	tel.setPhase("queued")
-	admitStart := time.Now()
-	release, err := db.admitQuery(qctx)
-	if err != nil {
-		cancel()
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	db.mu.RLock()
-	key := newCacheKey(sql, o, db.Catalog.Epoch())
-	var compileStart time.Time
-	if tel != nil {
-		tel.setPhase("compile")
-		compileStart = time.Now()
-	}
-	res, inf, err := db.rewriteCached(sql, o)
-	if err != nil {
-		db.mu.RUnlock()
-		release()
-		cancel()
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.notePhases(res.Phases, inf.CacheHit, compileStart)
-	grs := db.resources(o)
-	ectx := o.execCtx(qctx).SetResources(grs)
-	if tel != nil {
-		ectx.EnableStats()
-		tel.attachExec(ectx, grs)
-		tel.setPhase("stream")
-	}
-	return newStreamingRows(db, res.OpenStream(ectx), res.Plan, ectx, grs, tel, key, inf, streamHandles{
-		qctx:       qctx,
-		cancel:     cancel,
-		unlock:     db.mu.RUnlock,
-		release:    release,
-		queryStart: queryStart,
-	}), nil
+	return (&statement{db: db, sql: sql, o: applyOpts(opts)}).stream(ctx)
 }
 
 // Stream begins executing the prepared plan incrementally; see
@@ -102,101 +52,47 @@ func (p *Prepared) Stream() (*Rows, error) {
 // the same per-run governance as RunContext, including build-side reuse
 // for CacheBuild joins.
 func (p *Prepared) StreamContext(ctx context.Context) (*Rows, error) {
-	queryStart := time.Now()
-	qctx, cancel := context.WithCancel(ctx)
-	tel := p.db.startQuery(p.sql, p.opts)
-	tel.activate("query", cancel)
-	tel.setPhase("queued")
-	admitStart := time.Now()
-	release, err := p.db.admitQuery(qctx)
-	if err != nil {
-		cancel()
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	p.db.mu.RLock()
-	tel.notePrepared(p.info.CacheHit)
-	grs := p.db.resources(p.opts)
-	ectx := p.opts.execCtx(qctx).SetResources(grs).EnableBuildReuse(p.db.Catalog.Epoch())
-	if tel != nil {
-		ectx.EnableStats()
-		tel.attachExec(ectx, grs)
-		tel.setPhase("stream")
-	}
-	return newStreamingRows(p.db, exec.Open(ectx, p.plan), p.plan, ectx, grs, tel, p.key, p.info, streamHandles{
-		qctx:       qctx,
-		cancel:     cancel,
-		unlock:     p.db.mu.RUnlock,
-		release:    release,
-		queryStart: queryStart,
-	}), nil
+	return p.statement().stream(ctx)
 }
 
-// streamHandles bundles the per-query lifecycle obligations a streaming
-// Rows must discharge exactly once when it finishes.
-type streamHandles struct {
-	qctx       context.Context
-	cancel     context.CancelFunc
-	unlock     func()
-	release    func()
-	queryStart time.Time
-}
-
-// rowsStream is the live half of a streaming Rows: the executor
-// iterator plus everything finish must settle — telemetry, resource
-// accounting, the catalog read lock, and the admission slot.
+// rowsStream is the live half of a streaming Rows: the executor iterator
+// and the statement it runs under, which the cursor finishes when the
+// stream ends.
 type rowsStream struct {
-	db     *DB
-	stream exec.Stream
-	plan   exec.Node
-	ectx   *exec.Ctx
-	grs    *govern.Resources
-	tel    *qtel
-	key    cacheKey
-	owned  bool
-	streamHandles
-	execStart time.Time
-	gotFirst  bool
-	finished  bool
-	err       error
-	batch     []schema.Row
-	bi        int
+	st       *statement
+	stream   exec.Stream
+	owned    bool
+	gotFirst bool
+	batch    []schema.Row
+	bi       int
 }
 
-func newStreamingRows(db *DB, stream exec.Stream, plan exec.Node, ectx *exec.Ctx, grs *govern.Resources, tel *qtel, key cacheKey, inf RewriteInfo, h streamHandles) *Rows {
-	rows := &Rows{Rewrite: inf}
+func newStreamingRows(st *statement, stream exec.Stream) *Rows {
+	rows := &Rows{Rewrite: st.info, id: st.tel.queryID()}
 	sch := stream.Schema()
 	rows.Columns = make([]string, len(sch.Columns))
 	for i, c := range sch.Columns {
 		rows.Columns[i] = c.Name
 	}
-	rows.src = &rowsStream{
-		db: db, stream: stream, plan: plan, ectx: ectx, grs: grs, tel: tel,
-		key: key, owned: exec.OwnsRows(plan), streamHandles: h, execStart: time.Now(),
-	}
+	rows.src = &rowsStream{st: st, stream: stream, owned: exec.OwnsRows(st.plan)}
 	return rows
 }
 
 // next advances the cursor by one row, pulling the next executor batch
 // when the current one is drained.
 func (s *rowsStream) next(r *Rows) bool {
-	if s.finished {
+	if s.st.finished {
 		return false
 	}
 	for s.bi >= len(s.batch) {
 		b, err := s.stream.Next()
-		if err != nil {
-			s.finish(r, err, false)
-			return false
-		}
-		if b == nil {
-			s.finish(r, nil, false)
+		if err != nil || b == nil {
+			s.finish(r, err)
 			return false
 		}
 		if !s.gotFirst {
 			s.gotFirst = true
-			s.tel.noteFirstRow(time.Since(s.queryStart))
+			s.st.tel.noteFirstRow(time.Since(s.st.start))
 		}
 		s.batch, s.bi = b, 0
 	}
@@ -212,46 +108,15 @@ func (s *rowsStream) next(r *Rows) bool {
 	return true
 }
 
-// finish settles the stream exactly once: it stops engine work, joins
-// worker goroutines, records telemetry and resource totals, and gives
-// back the catalog lock and admission slot. closing marks an explicit
-// Close, where a canceled query context (the client hung up mid-stream)
-// is surfaced as the query's outcome instead of a silent "ok".
-func (s *rowsStream) finish(r *Rows, err error, closing bool) {
-	if s.finished {
+// finish stops engine work, joins the worker goroutines and settles the
+// statement with err as the stream's outcome; a no-op once settled.
+func (s *rowsStream) finish(r *Rows, err error) {
+	if s.st.finished {
 		return
 	}
-	s.finished = true
-	if closing && err == nil {
-		if cerr := s.qctx.Err(); cerr != nil {
-			err = cerr
-		}
-	}
-	s.cancel()
+	s.st.cancel()
 	_ = s.stream.Close()
-	mem := s.grs.Stats()
-	r.Mem = mem
-	s.db.totals.note(mem, err != nil && s.grs.Exhausted())
-	if s.tel != nil {
-		s.tel.noteMem(mem)
-		s.tel.noteExec(s.plan, s.ectx, s.execStart, time.Since(s.execStart))
-	}
-	if err != nil {
-		if s.grs.Exhausted() {
-			// Same policy as the materializing path: drop the cached plan
-			// so a retry under a raised limit replans fresh.
-			s.db.cache.evict(s.key)
-		}
-		s.err = wrapCanceled(err)
-	}
-	s.grs.Close()
-	if s.err != nil {
-		s.tel.finish(nil, s.err)
-	} else {
-		s.tel.finish(r, nil)
-	}
-	s.unlock()
-	s.release()
+	s.st.finish(r, err)
 }
 
 // Next advances to the next row, returning false at the end of the
@@ -281,7 +146,7 @@ func (r *Rows) Row() []Value { return r.cur }
 // ErrResourceExhausted, ErrInternal, ...).
 func (r *Rows) Err() error {
 	if r.src != nil {
-		return r.src.err
+		return r.src.st.err
 	}
 	return nil
 }
@@ -293,12 +158,20 @@ func (r *Rows) Err() error {
 // the query's recorded outcome is canceled, even when the consumer
 // stopped reading first.
 func (r *Rows) Close() error {
-	if r.src != nil {
-		r.src.finish(r, nil, true)
-		r.src.tel.release()
+	if s := r.src; s != nil {
+		// The context is read before finish cancels it: a stream closed
+		// after its client hung up (or its deadline passed) is a canceled
+		// query, not a silent "ok".
+		s.finish(r, s.st.ctx.Err())
+		s.st.tel.release()
 	}
 	return nil
 }
+
+// QueryID returns the ID the engine ran this query under — the one
+// ActiveQueries, Kill, the slow-query log and exported traces use. It is
+// zero on a DB opened with WithoutTelemetry.
+func (r *Rows) QueryID() QueryID { return r.id }
 
 // StartSpan opens a child span on a streaming result's trace for work
 // the consumer does with the rows — the HTTP front end's NDJSON encoding
@@ -309,11 +182,11 @@ func (r *Rows) Close() error {
 // slow-query log and the trace exporter receive it at Close instead of
 // at end of stream.
 func (r *Rows) StartSpan(name string) *Span {
-	if r.src == nil || r.src.finished || r.src.tel == nil || r.src.tel.trace == nil {
+	if r.src == nil || r.src.st.finished || r.src.st.tel == nil || r.src.st.tel.trace == nil {
 		return nil
 	}
-	r.src.tel.held = true
-	return r.src.tel.trace.Root.StartChild(name)
+	r.src.st.tel.held = true
+	return r.src.st.tel.trace.Root.StartChild(name)
 }
 
 // Scan copies the current row into dest, one target per column:

@@ -1,6 +1,7 @@
-// Tests for the serving layer: context cancellation, the WithTimeout
-// option, concurrent queries racing catalog mutations, the rewrite/plan
-// cache and its epoch-based invalidation, and the sentinel errors.
+// Tests for the serving layer: context cancellation, concurrent queries
+// racing catalog mutations, the rewrite/plan cache and its epoch-based
+// invalidation, and the sentinel errors. The WithTimeout option is the
+// timeout row of TestStatementLifecycle (statement_test.go).
 package repro_test
 
 import (
@@ -16,9 +17,9 @@ import (
 
 // newServingDB builds a small reads table (epc, rtime, biz_loc) with n
 // rows in one partition, spaced a minute apart.
-func newServingDB(t testing.TB, n int) *repro.DB {
+func newServingDB(t testing.TB, n int, opts ...repro.Option) *repro.DB {
 	t.Helper()
-	db := repro.Open()
+	db := repro.Open(opts...)
 	if err := db.CreateTable("reads",
 		repro.ColumnDef{Name: "epc", Kind: repro.KindString},
 		repro.ColumnDef{Name: "rtime", Kind: repro.KindTime},
@@ -63,20 +64,6 @@ func TestQueryContextCancelsMidWindow(t *testing.T) {
 	// return promptly, not after finishing the remaining 90M-fold work.
 	if elapsed > 5*time.Second {
 		t.Errorf("canceled query took %v to return", elapsed)
-	}
-}
-
-func TestWithTimeoutDeadline(t *testing.T) {
-	db := newServingDB(t, 30000)
-	_, err := db.Query(longWindowQuery, repro.WithTimeout(20*time.Millisecond))
-	if err == nil {
-		t.Fatal("query past its timeout returned no error")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("errors.Is(err, context.DeadlineExceeded) = false; err = %v", err)
-	}
-	if !errors.Is(err, repro.ErrCanceled) {
-		t.Errorf("errors.Is(err, repro.ErrCanceled) = false; err = %v", err)
 	}
 }
 

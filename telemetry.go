@@ -321,6 +321,14 @@ func (q *qtel) activate(kind string, cancel func()) {
 	q.entry = q.db.active.Register(q.id, kind, q.sql, q.start, cancel)
 }
 
+// queryID is the statement's ID; zero on an unobserved query.
+func (q *qtel) queryID() obs.QueryID {
+	if q == nil {
+		return 0
+	}
+	return q.id
+}
+
 // setPhase publishes the query's current stage to the registry.
 func (q *qtel) setPhase(phase string) {
 	if q == nil || q.entry == nil {
@@ -425,19 +433,21 @@ func (q *qtel) notePrepared(hit bool) {
 	}
 }
 
-// noteExec publishes per-operator metrics from an execution's recorded
-// NodeStats and, in a trace, builds the operator span subtree under an
-// "execute" span mirroring the plan tree.
+// noteExec records a finished execution: its final memory accounting
+// (published by finish), per-operator metrics from the recorded NodeStats
+// and, in a trace, the operator span subtree under an "execute" span
+// mirroring the plan tree.
 //
 // Metrics iterate the stats snapshot — one entry per distinct plan node —
 // so a shared subtree (a CTE referenced from several tree positions)
 // counts its rows once. The span tree instead mirrors the plan shape, so
 // a shared node appears at every position it is referenced from, with a
 // cached=N attribute past the first execution.
-func (q *qtel) noteExec(plan exec.Node, ectx *exec.Ctx, start time.Time, d time.Duration) {
+func (q *qtel) noteExec(plan exec.Node, ectx *exec.Ctx, mem MemStats, start time.Time, d time.Duration) {
 	if q == nil {
 		return
 	}
+	q.mem = mem
 	snap := ectx.StatsSnapshot()
 	for n, st := range snap {
 		kind := exec.Kind(n)
@@ -504,14 +514,6 @@ func (q *qtel) noteFirstRow(d time.Duration) {
 	}
 }
 
-// noteMem records the query's final memory accounting for finish.
-func (q *qtel) noteMem(m MemStats) {
-	if q == nil {
-		return
-	}
-	q.mem = m
-}
-
 // finish closes the query's telemetry: outcome and latency metrics, spill
 // and memory accounting, the slow-query log, and trace delivery (to the
 // WithTrace hook and, on success, the Rows). It is called exactly once
@@ -521,17 +523,7 @@ func (q *qtel) finish(rows *Rows, err error) {
 		return
 	}
 	dur := time.Since(q.start)
-	oc := outcomeOf(err)
-	// A killed query unwinds through the cancellation machinery and
-	// arrives here as "canceled"; the registry entry knows Kill was the
-	// cause. Only a query that actually failed is reclassified — a kill
-	// racing a successful finish stays "ok".
-	if q.entry != nil {
-		if err != nil && q.entry.Killed() {
-			oc = "killed"
-		}
-		q.db.active.Remove(q.id)
-	}
+	oc := q.db.settle(q.id, q.entry, err)
 	q.m.queries.With(oc).Inc()
 	q.m.queryDur.With(oc).Observe(dur.Seconds())
 	if q.mem.Peak > 0 || oc == "ok" {
@@ -546,9 +538,9 @@ func (q *qtel) finish(rows *Rows, err error) {
 		q.trace.Root.Dur = dur
 		q.trace.Root.SetAttr("outcome", oc)
 		q.trace.Root.SetAttr("plan_cache_hit", strconv.FormatBool(q.cacheHit))
-		if rows != nil {
-			rows.trace = q.trace
-		}
+	}
+	if rows != nil {
+		rows.trace, rows.id = q.trace, q.id
 	}
 	if q.held {
 		q.deliver = func() { q.deliverTrace(dur, oc) }
@@ -571,8 +563,7 @@ func (q *qtel) release() {
 // deliverTrace hands the finished trace to its consumers: the slow-query
 // log, the OTLP exporter, and the WithTrace hook.
 func (q *qtel) deliverTrace(dur time.Duration, oc string) {
-	if lg := q.db.slowLogger; lg != nil && dur >= q.db.slowThreshold {
-		q.m.slowQ.Inc()
+	summary := func() []slog.Attr {
 		attrs := []slog.Attr{
 			slog.String("query_id", q.id.String()),
 			slog.String("sql", q.sql),
@@ -588,20 +579,50 @@ func (q *qtel) deliverTrace(dur time.Duration, oc string) {
 		if q.firstRow > 0 {
 			attrs = append(attrs, slog.Duration("first_row", q.firstRow))
 		}
+		return attrs
+	}
+	if q.db.deliver("slow query", q.trace, dur, summary) {
+		q.m.slowQ.Inc()
+	}
+	if q.hook != nil {
+		q.hook(q.trace)
+	}
+}
+
+// settle closes a finished statement's registry entry — query or ingest —
+// and classifies its outcome. A killed statement unwinds through the
+// cancellation machinery and arrives as "canceled"; the entry knows Kill
+// was the cause. Only a statement that actually failed is reclassified —
+// a kill racing a successful finish stays "ok".
+func (t *dbTelemetry) settle(id obs.QueryID, e *obs.ActiveEntry, err error) string {
+	oc := outcomeOf(err)
+	if err != nil && e.Killed() {
+		oc = "killed"
+	}
+	t.active.Remove(id)
+	return oc
+}
+
+// deliver is the tail of every finished statement, query or ingest: a
+// slow-log entry when it ran at or over the threshold — the caller's
+// summary fields plus the three slowest spans by self time — then the
+// OTLP export. It reports whether the statement was logged as slow.
+func (t *dbTelemetry) deliver(msg string, tr *obs.Trace, dur time.Duration, summary func() []slog.Attr) bool {
+	slow := t.slowLogger != nil && dur >= t.slowThreshold
+	if slow {
+		attrs := summary()
 		// Under WithTraceSampling the trace may have been sampled away; the
 		// entry then carries the summary fields but no spans.
-		for i, sp := range q.trace.SlowestSpans(3) {
+		for i, sp := range tr.SlowestSpans(3) {
 			attrs = append(attrs, slog.String(
 				fmt.Sprintf("span_%d", i+1),
 				fmt.Sprintf("%s=%s", sp.Name, sp.Exclusive().Round(time.Microsecond)),
 			))
 		}
-		lg.LogAttrs(context.Background(), slog.LevelWarn, "slow query", attrs...)
+		t.slowLogger.LogAttrs(context.Background(), slog.LevelWarn, msg, attrs...)
 	}
-	q.db.export(q.trace)
-	if q.hook != nil {
-		q.hook(q.trace)
-	}
+	t.export(tr)
+	return slow
 }
 
 // export serializes one finished trace to the OTLP exporter, counting
@@ -695,17 +716,13 @@ func (q *itel) finish(err error) {
 		return
 	}
 	dur := time.Since(q.start)
-	oc := outcomeOf(err)
-	if err != nil && q.entry.Killed() {
-		oc = "killed"
-	}
-	q.db.active.Remove(q.id)
+	oc := q.db.settle(q.id, q.entry, err)
 	q.m.ingestDur.Observe(dur.Seconds())
 	if q.trace != nil {
 		q.trace.Root.Dur = dur
 		q.trace.Root.SetAttr("outcome", oc)
 	}
-	if lg := q.db.slowLogger; lg != nil && dur >= q.db.slowThreshold {
+	q.db.deliver("slow ingest", q.trace, dur, func() []slog.Attr {
 		attrs := []slog.Attr{
 			slog.String("query_id", q.id.String()),
 			slog.Duration("duration", dur),
@@ -714,15 +731,8 @@ func (q *itel) finish(err error) {
 		if q.trace != nil {
 			attrs = append(attrs, slog.String("sql", q.trace.SQL))
 		}
-		for i, sp := range q.trace.SlowestSpans(3) {
-			attrs = append(attrs, slog.String(
-				fmt.Sprintf("span_%d", i+1),
-				fmt.Sprintf("%s=%s", sp.Name, sp.Exclusive().Round(time.Microsecond)),
-			))
-		}
-		lg.LogAttrs(context.Background(), slog.LevelWarn, "slow ingest", attrs...)
-	}
-	q.db.export(q.trace)
+		return attrs
+	})
 }
 
 // ActiveQueries reports every query and ingest running right now, sorted
