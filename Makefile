@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify soak crash-soak perf bench bench-all bench-serving serve-smoke loc clean
+.PHONY: all build vet test race verify soak crash-soak perf bench bench-all serve-smoke loc clean
 
 all: verify
 
@@ -64,16 +64,12 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Serving smoke: boots rfidserve on a random port, drives it with the
-# rfidbench load generator (open-loop arrivals), asserts zero 5xx and a
-# live /metrics scrape, then SIGTERM-drains it cleanly. It is a liveness
+# Serving smoke: boots rfidserve on a random port, runs two queries whose
+# NDJSON footer must be ok with row_count equal to the rows received,
+# scrapes /metrics, then SIGTERM-drains it cleanly. It is a liveness
 # check; served throughput and latency are measured by `make perf`.
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-# Just the serving-layer benchmarks: cache amortization + parallel clients.
-bench-serving:
-	$(GO) test -run XXX -bench 'BenchmarkPlanCache|BenchmarkConcurrentClients' -benchmem .
 
 # Go lines per package, non-test and test (root, internal/*, cmd/*,
 # benchmark). Each PR pastes this table for the parent and for the

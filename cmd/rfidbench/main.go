@@ -1,23 +1,15 @@
 // Command rfidbench regenerates every table and figure of the paper's
 // evaluation section (§6) against the embedded engine and prints
 // paper-style series as markdown. EXPERIMENTS.md is produced from this
-// tool's output.
+// tool's output. The repository's benchmark — the one a performance
+// claim is measured with, served QPS and latency included — is
+// benchmark/run.sh.
 //
 //	rfidbench -scale 12 -exp all
 //	rfidbench -scale 40 -exp fig7a -reps 5
-//
-// It also carries the load generator behind scripts/serve_smoke.sh:
-// -exp loadgen drives a running rfidserve with open-loop arrivals at a
-// target QPS and reports served-QPS and p50/p95/p99 latency, writing
-// machine-readable JSON with -out. The repository's benchmark — the one
-// a performance claim is measured with — is benchmark/run.sh.
-//
-//	rfidbench -exp loadgen -url http://127.0.0.1:8080 -qps 200 -dur 5s -out loadgen.json
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,29 +23,12 @@ import (
 
 var (
 	scale = flag.Int("scale", 12, "RFIDGen scale factor s (caseR ≈ s*1500 rows)")
-	exp   = flag.String("exp", "all", "experiment: all,table1,fig7a,fig7d,fig8,fig9a,fig9b,fig9c,fig9d,plans,telemetry,loadgen")
+	exp   = flag.String("exp", "all", "experiment: all,table1,fig7a,fig7d,fig8,fig9a,fig9b,fig9c,fig9d,plans,telemetry")
 	reps  = flag.Int("reps", 5, "repetitions per cell (median reported)")
-
-	// loadgen flags (only read with -exp loadgen).
-	url       = flag.String("url", "http://127.0.0.1:8080", "loadgen: base URL of a running rfidserve")
-	qps       = flag.Float64("qps", 100, "loadgen: open-loop target arrival rate")
-	dur       = flag.Duration("dur", 5*time.Second, "loadgen: load duration")
-	strat     = flag.String("strategy", "", "loadgen: rewrite strategy for every request (default auto)")
-	out       = flag.String("out", "", "loadgen: write the JSON result to this file (stdout gets markdown either way)")
-	failOn5xx = flag.Bool("fail-on-5xx", false, "loadgen: exit nonzero when any 5xx, transport, or stream error occurred or the metrics scrape failed")
 )
 
 func main() {
 	flag.Parse()
-	if *exp == "loadgen" {
-		// The load generator talks to a remote server; it neither builds a
-		// local database nor belongs in the "all" sweep.
-		if err := loadgen(); err != nil {
-			fmt.Fprintf(os.Stderr, "rfidbench: loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	run := func(name string, f func() error) {
 		if *exp != "all" && *exp != name {
 			return
@@ -302,78 +277,6 @@ func telemetry() error {
 	}
 	fmt.Printf("```\n")
 	return nil
-}
-
-// loadgenQueries is the default query mix: an aggregate, a group-by with
-// ordering, and a dirty-read baseline — small enough to sustain high QPS
-// at modest scale, varied enough to exercise rewrite, the plan cache,
-// and parallel execution on every arrival.
-var loadgenQueries = []string{
-	`SELECT COUNT(*) FROM caser`,
-	`SELECT biz_loc, COUNT(*) c FROM caser GROUP BY biz_loc ORDER BY c DESC LIMIT 10`,
-	`SELECT COUNT(DISTINCT epc) FROM caser`,
-}
-
-// loadgen runs the open-loop load generator against a running rfidserve
-// and reports service-level numbers (served QPS, latency percentiles),
-// optionally as JSON (-out).
-func loadgen() error {
-	st, err := bench.RunLoad(context.Background(), bench.LoadConfig{
-		BaseURL:  strings.TrimRight(*url, "/"),
-		Queries:  loadgenQueries,
-		Strategy: *strat,
-		QPS:      *qps,
-		Duration: *dur,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("## Load generator — %s (target %.0f QPS for %s)\n\n", *url, *qps, *dur)
-	fmt.Printf("| metric | value |\n|---|---|\n")
-	fmt.Printf("| sent / done / dropped | %d / %d / %d |\n", st.Sent, st.Done, st.Dropped)
-	for _, code := range sortedKeys(st.Status) {
-		fmt.Printf("| status %s | %d |\n", code, st.Status[code])
-	}
-	fmt.Printf("| transport / stream errors | %d / %d |\n", st.TransportErrors, st.StreamErrors)
-	fmt.Printf("| served QPS | %.1f |\n", st.ServedQPS)
-	fmt.Printf("| latency p50 / p95 / p99 / max (ms) | %.2f / %.2f / %.2f / %.2f |\n",
-		st.P50ms, st.P95ms, st.P99ms, st.MaxMs)
-	fmt.Printf("| rows returned | %d |\n", st.RowsReturned)
-	fmt.Printf("| metrics scrape | ok=%v |\n", st.MetricsScrapeOK)
-	if *out != "" {
-		b, err := json.MarshalIndent(st, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", *out)
-	}
-	if *failOn5xx {
-		switch {
-		case st.Status5xx > 0:
-			return fmt.Errorf("%d responses were 5xx", st.Status5xx)
-		case st.TransportErrors > 0:
-			return fmt.Errorf("%d requests failed below HTTP", st.TransportErrors)
-		case st.StreamErrors > 0:
-			return fmt.Errorf("%d streams were cut before their terminal object", st.StreamErrors)
-		case !st.MetricsScrapeOK:
-			return fmt.Errorf("the /metrics scrape failed")
-		case st.Done == 0:
-			return fmt.Errorf("no requests completed")
-		}
-	}
-	return nil
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func shorten(s string) string {

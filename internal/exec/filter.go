@@ -16,6 +16,13 @@ type FilterNode struct {
 	base
 	Input Node
 	Pred  *eval.Compiled
+	// Bind, when set, compiles the predicate per execution at open
+	// instead — for a predicate with uncorrelated IN/EXISTS subqueries,
+	// whose plans (Subplans, listed among the children for EXPLAIN) it
+	// runs through Run. Planning never executes anything, so the values
+	// those subqueries produce exist only once a statement runs.
+	Bind     func(ctx *Ctx) (*eval.Compiled, error)
+	Subplans []Node
 	// Desc describes the predicate for EXPLAIN.
 	Desc string
 }
@@ -32,67 +39,53 @@ func NewFilterNode(child Node, pred *eval.Compiled, desc string) *FilterNode {
 func (n *FilterNode) Label() string { return "Filter(" + n.Desc + ")" }
 
 // Children implements Node.
-func (n *FilterNode) Children() []Node { return []Node{n.Input} }
+func (n *FilterNode) Children() []Node { return append([]Node{n.Input}, n.Subplans...) }
 
-// Execute implements Node. Morsels filter into per-morsel output slices
-// that concatenate in morsel order, preserving the serial row order. On
-// the vector path the predicate evaluates per chunk into a selection
-// vector; only the selected row references are gathered.
-func (n *FilterNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
-	if err != nil {
-		return nil, err
-	}
-	// Worst case every row passes; the output holds row references only.
-	if err := ctx.reserveOrCharge(int64(len(in.Rows)) * rowHdrBytes); err != nil {
-		return nil, err
-	}
-	workers := ctx.workersFor(len(in.Rows))
-	ctx.noteWorkers(n, workers)
-	vec := ctx.useVector(n.Pred)
-	ctx.noteEval(n, vec, len(in.Rows))
-	outs := make([][]schema.Row, morselCount(len(in.Rows), workers))
-	err = ctx.parallelFor(len(in.Rows), workers, func(_, m, lo, hi int) error {
-		out := make([]schema.Row, 0, (hi-lo)/4+1)
-		if vec {
-			sel := make([]int, 0, MorselSize)
-			err := ctx.forBatches(lo, hi, func(b, e int) error {
-				var perr error
-				sel, perr = eval.EvalPredicateBatch(n.Pred, in.Rows[b:e], nil, sel[:0])
-				if perr != nil {
-					return perr
-				}
-				for _, i := range sel {
-					out = append(out, in.Rows[b+i])
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			outs[m] = out
-			return nil
+// open binds the filter as a pipeline stage. Each morsel reserves a row
+// reference per input row (the worst case, every row passes). On the
+// vector path the predicate evaluates per chunk into a selection vector
+// and only the selected row references are gathered; the row path
+// serves the whole morsel when vectorization is off.
+func (n *FilterNode) open(c *Ctx) (*level, error) {
+	pred := n.Pred
+	if n.Bind != nil {
+		var err error
+		if pred, err = n.Bind(c); err != nil {
+			return nil, err
 		}
-		for i := lo; i < hi; i++ {
-			if err := ctx.Tick(i - lo); err != nil {
-				return err
-			}
-			r := in.Rows[i]
-			ok, err := eval.EvalPredicate(n.Pred, r)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &Result{Schema: n.schema, Rows: concatMorsels(outs)}, nil
+	vec := c.useVector(pred)
+	sels := make([][]int, c.par)
+	return &level{node: n, inBytes: rowHdrBytes, eval: evalMode(vec), parallel: true,
+		run: func(w int, in []schema.Row) ([]schema.Row, error) {
+			out := make([]schema.Row, 0, len(in)/4+1)
+			if vec {
+				// A probe's morsel can exceed MorselSize; keep kernel chunks
+				// at the scratch width.
+				err := c.forBatches(0, len(in), func(b, e int) error {
+					sel, err := eval.EvalPredicateBatch(pred, in[b:e], nil, sels[w][:0])
+					sels[w] = sel
+					for _, i := range sel {
+						out = append(out, in[b+i])
+					}
+					return err
+				})
+				return out, err
+			}
+			for i, r := range in {
+				if err := c.Tick(i); err != nil {
+					return nil, err
+				}
+				ok, err := eval.EvalPredicate(pred, r)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					out = append(out, r)
+				}
+			}
+			return out, nil
+		}}, nil
 }
 
 // ProjectNode computes output columns from input rows.
@@ -129,9 +122,8 @@ func (n *ProjectNode) scratch(vec bool) [][]types.Value {
 	return evalScratch(len(n.Exprs), MorselSize)
 }
 
-// project computes out[i] from in[i] for every input row — the one
-// projection loop behind Execute and the streaming projectSource. The
-// vector path works a MorselSize chunk at a time and assembles the
+// project computes out[i] from in[i] for every input row. The vector
+// path works a MorselSize chunk at a time and assembles the
 // chunk's output rows in one flat backing array, so rows stay disjoint
 // and cost one allocation per chunk: a pure column selection copies the
 // cells straight from the input rows, anything else evaluates each
@@ -183,29 +175,19 @@ func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][
 	})
 }
 
-// Execute implements Node. Workers write disjoint output positions, so
-// projection parallelizes with no ordering concern at all.
-func (n *ProjectNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
-	if err != nil {
-		return nil, err
-	}
-	ne := len(n.Exprs)
-	if err := ctx.reserveOrCharge(int64(len(in.Rows)) * (rowHdrBytes + int64(ne)*valueBytes)); err != nil {
-		return nil, err
-	}
-	workers := ctx.workersFor(len(in.Rows))
-	ctx.noteWorkers(n, workers)
-	vec := ctx.useVector(n.Exprs...)
-	ctx.noteEval(n, vec, len(in.Rows))
-	out := make([]schema.Row, len(in.Rows))
-	err = ctx.parallelFor(len(in.Rows), workers, func(_, _, lo, hi int) error {
-		return n.project(ctx, in.Rows[lo:hi], out[lo:hi], vec, n.scratch(vec))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: n.schema, Rows: out}, nil
+// open binds the projection as a pipeline stage: each morsel reserves
+// its output rows and projects through the worker's own scratch.
+func (n *ProjectNode) open(c *Ctx) *level {
+	vec := c.useVector(n.Exprs...)
+	cols := make([][][]types.Value, c.par)
+	return &level{node: n, inBytes: rowHdrBytes + int64(len(n.Exprs))*valueBytes, eval: evalMode(vec), parallel: true,
+		run: func(w int, in []schema.Row) ([]schema.Row, error) {
+			if cols[w] == nil {
+				cols[w] = n.scratch(vec)
+			}
+			out := make([]schema.Row, len(in))
+			return out, n.project(c, in, out, vec, cols[w])
+		}}
 }
 
 // SortNode orders rows by compiled key expressions.
@@ -431,7 +413,9 @@ func compareForSort(a, b types.Value) int {
 }
 
 // LimitNode skips Offset rows then truncates to N (N < 0 means no limit,
-// offset only).
+// offset only). It is the cut of the pipeline it tops: the consumer
+// applies it to the delivered morsels and stops the pump once it is
+// reached, so upstream work ends without draining the rest of the input.
 type LimitNode struct {
 	base
 	Input  Node
@@ -457,26 +441,6 @@ func (n *LimitNode) Label() string {
 
 // Children implements Node.
 func (n *LimitNode) Children() []Node { return []Node{n.Input} }
-
-// Execute implements Node.
-func (n *LimitNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
-	if err != nil {
-		return nil, err
-	}
-	rows := in.Rows
-	if n.Offset > 0 {
-		if int64(len(rows)) <= n.Offset {
-			rows = nil
-		} else {
-			rows = rows[n.Offset:]
-		}
-	}
-	if n.N >= 0 && int64(len(rows)) > n.N {
-		rows = rows[:n.N]
-	}
-	return &Result{Schema: n.schema, Rows: rows}, nil
-}
 
 // DistinctNode removes duplicate rows (all columns), keeping first
 // occurrences in input order.

@@ -15,12 +15,12 @@ import (
 // Right (build) on equality keys, with an optional residual predicate over
 // the concatenated row.
 //
-// Both phases are morsel-parallel: build keys are evaluated in parallel,
-// then the hash table is partitioned by key hash into per-worker
-// sub-tables each built by one goroutine (rows land in input order, as in
-// the serial build); probe morsels write per-morsel output slices that
-// concatenate in morsel order, so the output is bit-identical to serial
-// execution. The two inputs themselves execute concurrently.
+// The build runs when the join's pipeline opens: build keys are evaluated
+// morsel-parallel, then the hash table is partitioned by key hash into
+// per-worker sub-tables each built by one goroutine (rows land in input
+// order, as in the serial build). The probe is a stage of the pipeline
+// over Left, so probe morsels run on the pump's workers and are delivered
+// in morsel order: the output is bit-identical to serial execution.
 type HashJoinNode struct {
 	base
 	Left, Right Node
@@ -246,86 +246,71 @@ func buildJoinTable(ctx *Ctx, rows []schema.Row, keys []*eval.Compiled, workers 
 	return jt, nil
 }
 
-// Execute implements Node.
-func (n *HashJoinNode) Execute(ctx *Ctx) (*Result, error) {
-	build, buildRows := n.cachedTable(ctx)
-	var l, r *Result
-	var err error
-	if build != nil {
-		// Cache hit: the build input isn't run at all — the whole point
-		// for a prepared statement probing a static dimension table.
-		l, err = Run(ctx, n.Left)
-	} else {
-		l, r, err = runPair(ctx, n.Left, n.Right)
-		if err == nil {
-			buildRows = len(r.Rows)
+// open binds the join as a probe stage: the build table comes from the
+// cache or from Run(Right), and its working set stays reserved until the
+// pipeline closes; each probe morsel charges its joined output rows. A
+// refused reservation degrades the join to a breaker when spilling is
+// enabled: the grace-hash path runs both inputs through Run and its
+// result (non-nil) becomes the pipeline's source.
+func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
+	lv := &level{node: n}
+	build, buildRows := n.cachedTable(c)
+	var r *Result
+	if build == nil {
+		var err error
+		if r, err = Run(c, n.Right); err != nil {
+			return lv, nil, err
 		}
+		buildRows = len(r.Rows)
 	}
-	if err != nil {
-		return nil, err
-	}
-	// Reserve the build table and probe-key working set; a refused
-	// reservation degrades to the grace-hash path when spilling is
-	// enabled (running the build input first if the cache had skipped
-	// it, exactly as a cold run would).
-	work := joinWorkBytes(len(l.Rows), buildRows)
-	if err := ctx.res.Reserve(work); err != nil {
-		if !ctx.res.CanSpill() {
-			return nil, err
+	work := joinWorkBytes(0, buildRows)
+	if err := c.res.Reserve(work); err != nil {
+		if !c.res.CanSpill() {
+			return lv, nil, err
 		}
 		if r == nil {
-			if r, err = Run(ctx, n.Right); err != nil {
-				return nil, err
+			// The cache had skipped the build input; run it as a cold
+			// run would.
+			if r, err = Run(c, n.Right); err != nil {
+				return lv, nil, err
 			}
 		}
-		return n.graceExecute(ctx, l, r)
-	}
-	defer ctx.res.Release(work)
-	workers := ctx.workersFor(max(len(l.Rows), buildRows))
-	ctx.noteWorkers(n, workers)
-	vecProbe := ctx.useVector(n.LeftKeys...) && ctx.useVector(n.Residual)
-	ctx.noteEval(n, ctx.useVector(n.RightKeys...) && vecProbe, len(l.Rows)+buildRows)
-
-	if build == nil {
-		build, err = buildJoinTable(ctx, r.Rows, n.RightKeys, workers)
+		l, err := Run(c, n.Left)
 		if err != nil {
-			return nil, err
+			return lv, nil, err
+		}
+		res, err := n.graceExecute(c, l, r)
+		return lv, res, err
+	}
+	lv.reserved = work
+	if build == nil {
+		workers := c.workersFor(buildRows)
+		c.noteWorkers(n, workers)
+		var err error
+		if build, err = buildJoinTable(c, r.Rows, n.RightKeys, workers); err != nil {
+			return lv, nil, err
 		}
 		n.builds.Add(1)
 		// Only a complete in-memory build is cached — the grace path
 		// returned above, and errors never reach here.
-		n.storeTable(ctx, build, buildRows)
+		n.storeTable(c, build, buildRows)
 	}
-
-	probeWorkers := workers
-	if w := ctx.workersFor(len(l.Rows)); probeWorkers > w {
-		probeWorkers = w
-	}
-	outs := make([][]schema.Row, morselCount(len(l.Rows), probeWorkers))
-	pss := make([]*probeState, probeWorkers)
-	for w := range pss {
-		pss[w] = newProbeState(n, build, vecProbe)
-	}
-	err = ctx.parallelFor(len(l.Rows), probeWorkers, func(w, m, lo, hi int) error {
-		out, err := pss[w].probeRange(ctx, l.Rows, lo, hi, make([]schema.Row, 0, hi-lo))
-		if err != nil {
-			return err
+	vecProbe := c.useVector(n.LeftKeys...) && c.useVector(n.Residual)
+	pss := make([]*probeState, c.par)
+	lv.outBytes = rowHdrBytes + int64(n.schema.Len())*valueBytes
+	lv.eval, lv.batchRows, lv.parallel = evalMode(c.useVector(n.RightKeys...) && vecProbe), buildRows, true
+	lv.run = func(w int, in []schema.Row) ([]schema.Row, error) {
+		if pss[w] == nil {
+			pss[w] = newProbeState(n, build, vecProbe)
 		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return pss[w].probeRange(c, in, make([]schema.Row, 0, len(in)))
 	}
-	rows := concatMorsels(outs)
-	ctx.res.Charge(int64(len(rows)) * (rowHdrBytes + int64(n.schema.Len())*valueBytes))
-	return &Result{Schema: n.schema, Rows: rows}, nil
+	return lv, nil, nil
 }
 
 // probeState is the reusable per-worker state of a hash-join probe: the
 // key encoder and, in vector mode, the evaluation scratch. One instance
-// serves one goroutine at a time — the materializing Execute keeps one
-// per pool worker, the streaming joinSource keeps one for its consumer.
+// serves one pump worker.
 type probeState struct {
 	n          *HashJoinNode
 	build      *joinTable
@@ -347,9 +332,9 @@ func newProbeState(n *HashJoinNode, build *joinTable, vec bool) *probeState {
 	return ps
 }
 
-// probeRange probes rows[lo:hi] against the build table, appending the
-// joined output to out in the serial probe order and returning it.
-func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, lo, hi int, out []schema.Row) ([]schema.Row, error) {
+// probeRange probes rows against the build table, appending the joined
+// output to out in the serial probe order and returning it.
+func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, out []schema.Row) ([]schema.Row, error) {
 	n := ps.n
 	probeSerial := func(b, e int) error {
 		for i := b; i < e; i++ {
@@ -385,14 +370,14 @@ func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, lo, hi int, out []
 		return nil
 	}
 	if !ps.vec {
-		err := probeSerial(lo, hi)
+		err := probeSerial(0, len(rows))
 		return out, err
 	}
 	// Vector probe: batch-evaluate the probe keys, gather every
 	// candidate joined row of the chunk with per-left-row ranges, run
 	// the residual once over all candidates, then emit survivors (and
 	// left-join padding) in the serial order.
-	err := ctx.forBatches(lo, hi, func(b, e int) error {
+	err := ctx.forBatches(0, len(rows), func(b, e int) error {
 		chunk := rows[b:e]
 		if !tryBatchAll(n.LeftKeys, chunk, ps.cols) {
 			return probeSerial(b, e)

@@ -4,15 +4,18 @@
 // set operations, and the SQL/OLAP window operator with ROWS and RANGE
 // frames that the paper's cleansing templates compile into.
 //
-// Operators are batch-at-a-time: Execute materializes the full result.
-// At the scales this reproduction targets (hundreds of thousands to a few
-// million reads in memory) this is simpler and faster than an iterator
-// protocol, and it keeps per-operator timing honest in benchmarks.
+// Scans, Values, filters, projections, requalifications, limits and the
+// hash-join probe are pipelined (see stream.go): one morsel pipeline per
+// chain of them, which Open streams and Run drains. The breakers — sort,
+// aggregation, window, distinct, set operations, the nested-loop join —
+// materialize their output in Execute, consuming their inputs whole
+// through Run.
 //
-// Within a query, operators are morsel-parallel (see parallel.go): hot
-// loops fan out over a worker pool sized by the Parallelism knob while
-// preserving the exact serial output, and independent plan children (the
-// two inputs of a join or set operation) execute concurrently.
+// Within a query, operators are morsel-parallel (see parallel.go and
+// pump.go): pipelines and the breakers' hot loops fan out over a worker
+// pool sized by the Parallelism knob while preserving the exact serial
+// output, and the independent inputs of a set operation or nested-loop
+// join execute concurrently.
 package exec
 
 import (
@@ -57,6 +60,9 @@ type Ctx struct {
 
 	mu    sync.Mutex
 	cache map[Node]*inflight
+	// refs counts each node's parent edges from the statement roots this
+	// context has executed; a node with more than one is shared.
+	refs map[Node]int
 	// stats, when non-nil, collects per-operator runtime statistics —
 	// rows, elapsed time, worker fan-out, eval mode, spill activity — in
 	// one map. This is the engine's single stats path: EXPLAIN ANALYZE,
@@ -78,9 +84,12 @@ type inflight struct {
 type NodeStats struct {
 	// Rows is the actual output cardinality.
 	Rows int
-	// Start is when the operator's Execute began.
-	Start time.Time
-	// Elapsed is cumulative wall time of Execute, including children.
+	// Start is when the operator began; Elapsed is its time including its
+	// inputs'. A breaker's is the wall time of its Execute. A pipelined
+	// operator's nests inside its consumer's: the open time of it and the
+	// levels below it plus the morsel work through it (divided by the
+	// pump's workers), so its self time is its own work.
+	Start   time.Time
 	Elapsed time.Duration
 	// Hits counts cache hits beyond the first execution (shared CTEs).
 	Hits int
@@ -113,7 +122,7 @@ func NewCtx() *Ctx { return NewCtxWith(context.Background()) }
 // poll it cooperatively (every cancelCheckInterval rows in their hot
 // loops) and abort with ctx.Err() once it is done.
 func NewCtxWith(ctx context.Context) *Ctx {
-	return &Ctx{ctx: ctx, par: defaultParallelism(), vec: Vectorize, res: govern.Unbounded(), cache: map[Node]*inflight{}}
+	return &Ctx{ctx: ctx, par: defaultParallelism(), vec: Vectorize, res: govern.Unbounded(), cache: map[Node]*inflight{}, refs: map[Node]int{}}
 }
 
 // NewAnalyzeCtx returns a context that records per-operator statistics.
@@ -138,8 +147,8 @@ func (c *Ctx) CollectingStats() bool { return c.stats != nil }
 // StatsSnapshot returns the per-operator statistics recorded so far, one
 // entry per distinct plan node (shared subtrees appear once, however
 // many tree positions reference them — iterating this map never double
-// counts an operator's rows). The returned map is a copy; the NodeStats
-// values are shared and must not be mutated.
+// counts an operator's rows). Map and NodeStats are copies, so a
+// snapshot of a running stream stays consistent while it advances.
 func (c *Ctx) StatsSnapshot() map[Node]*NodeStats {
 	if c.stats == nil {
 		return nil
@@ -148,7 +157,8 @@ func (c *Ctx) StatsSnapshot() map[Node]*NodeStats {
 	defer c.mu.Unlock()
 	out := make(map[Node]*NodeStats, len(c.stats))
 	for n, st := range c.stats {
-		out[n] = st
+		cp := *st
+		out[n] = &cp
 	}
 	return out
 }
@@ -215,8 +225,8 @@ func (c *Ctx) Stats(n Node) *NodeStats {
 
 // statLocked returns (creating if needed) the node's stats entry. The
 // caller must hold c.mu and have checked c.stats != nil. Notes recorded
-// mid-Execute land in the same entry Run finalizes with rows and timing,
-// so each operator's numbers exist exactly once.
+// mid-execution land in the same entry Run or the pipeline finalizes
+// with rows and timing, so each operator's numbers exist exactly once.
 func (c *Ctx) statLocked(n Node) *NodeStats {
 	st := c.stats[n]
 	if st == nil {
@@ -235,24 +245,6 @@ func (c *Ctx) noteWorkers(n Node, workers int) {
 	c.mu.Lock()
 	if st := c.statLocked(n); workers > st.Workers {
 		st.Workers = workers
-	}
-	c.mu.Unlock()
-}
-
-// noteStreamRows publishes a streaming operator's running row count, so
-// a live stats snapshot (the active-query registry) shows progress while
-// the stream is still being consumed. The stream's cleanup overwrites
-// the entry with the authoritative final numbers. Called once per output
-// batch, never per row.
-func (c *Ctx) noteStreamRows(n Node, rows int, start time.Time) {
-	if c.stats == nil {
-		return
-	}
-	c.mu.Lock()
-	st := c.statLocked(n)
-	st.Rows = rows
-	if st.Start.IsZero() {
-		st.Start = start
 	}
 	c.mu.Unlock()
 }
@@ -278,13 +270,13 @@ func (c *Ctx) noteEval(n Node, vectorized bool, rows int) {
 	if c.stats == nil {
 		return
 	}
-	mode, batches := "row", 0
+	batches := 0
 	if vectorized {
-		mode, batches = "vector", batchCount(rows)
+		batches = batchCount(rows)
 	}
 	c.mu.Lock()
 	st := c.statLocked(n)
-	st.EvalMode, st.Batches = mode, batches
+	st.EvalMode, st.Batches = evalMode(vectorized), batches
 	c.mu.Unlock()
 }
 
@@ -309,6 +301,48 @@ const cancelCheckInterval = 4096
 // Canceled returns the governing context's error, if it is done.
 func (c *Ctx) Canceled() error { return c.ctx.Err() }
 
+// slowOp applies the SlowOp fault injection — a per-operator delay that
+// still honors cancellation.
+func (c *Ctx) slowOp() error {
+	if d := c.res.SlowOp(); d > 0 {
+		select {
+		case <-time.After(d):
+		case <-c.ctx.Done():
+			return c.ctx.Err()
+		}
+	}
+	return nil
+}
+
+// countRefsLocked counts parent edges below a statement root the first
+// time the context meets it, so a node reached along more than one edge
+// (a CTE body referenced twice, a repeated subquery) is known to be
+// shared: it runs once, through Run, instead of inline in every pipeline
+// that reads it. The caller holds c.mu.
+func (c *Ctx) countRefsLocked(root Node) {
+	if c.refs[root] > 0 {
+		return
+	}
+	var walk func(Node)
+	walk = func(n Node) {
+		c.refs[n]++
+		if c.refs[n] > 1 {
+			return
+		}
+		for _, ch := range n.Children() {
+			walk(ch)
+		}
+	}
+	walk(root)
+}
+
+// shared reports whether n has more than one parent edge.
+func (c *Ctx) shared(n Node) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.refs[n] > 1
+}
+
 // Tick is the cooperative cancellation check for operator hot loops: it
 // polls the governing context every cancelCheckInterval iterations (i is
 // the loop counter) and reports its error once done.
@@ -332,9 +366,6 @@ type Node interface {
 	Schema() *schema.Schema
 	// Children returns input operators, for EXPLAIN.
 	Children() []Node
-	// Execute materializes the output. Implementations must route child
-	// execution through Run so shared subtrees are cached.
-	Execute(ctx *Ctx) (*Result, error)
 	// Label names the operator for EXPLAIN output.
 	Label() string
 
@@ -346,13 +377,22 @@ type Node interface {
 	Ordering() []OrderCol
 }
 
-// Run executes a node through the context cache. Nodes shared between
-// plan subtrees (CTEs) therefore execute exactly once per statement,
-// even when two plan children racing through runPair reach the shared
-// subtree at the same time — the second caller blocks on the first
-// execution and reuses its result.
+// breaker is an operator that consumes its inputs whole before producing
+// any output. Execute materializes the output and must reach its inputs
+// through Run, so shared subtrees are cached.
+type breaker interface {
+	Execute(ctx *Ctx) (*Result, error)
+}
+
+// Run executes a node through the context cache: a pipelined node drains
+// its pipeline, a breaker runs its Execute. Nodes shared between plan
+// subtrees (CTEs) therefore execute exactly once per statement, even
+// when two plan children racing through runPair reach the shared subtree
+// at the same time — the second caller blocks on the first execution and
+// reuses its result.
 func Run(ctx *Ctx, n Node) (*Result, error) {
 	ctx.mu.Lock()
+	ctx.countRefsLocked(n)
 	f, hit := ctx.cache[n]
 	if !hit {
 		f = &inflight{}
@@ -372,19 +412,20 @@ func Run(ctx *Ctx, n Node) (*Result, error) {
 			f.err = err
 			return
 		}
-		if d := ctx.res.SlowOp(); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.ctx.Done():
-				f.err = ctx.ctx.Err()
-				return
-			}
+		if f.err = ctx.slowOp(); f.err != nil {
+			return
+		}
+		b, ok := n.(breaker)
+		if !ok {
+			// The pipeline records every level's stats itself.
+			f.res, f.err = drain(ctx, n)
+			return
 		}
 		var start time.Time
 		if ctx.stats != nil {
 			start = time.Now()
 		}
-		f.res, f.err = n.Execute(ctx)
+		f.res, f.err = b.Execute(ctx)
 		if ctx.stats != nil && f.err == nil {
 			elapsed := time.Since(start)
 			ctx.mu.Lock()
@@ -512,42 +553,50 @@ func (s *ScanNode) Label() string {
 // Children implements Node.
 func (s *ScanNode) Children() []Node { return nil }
 
-// Execute implements Node.
-func (s *ScanNode) Execute(ctx *Ctx) (*Result, error) {
-	if s.IndexOrd >= 0 {
+// open binds the scan as its pipeline's source. An index scan gathers
+// the rows of a MorselSize range of matched ids per morsel; a fused scan
+// evaluates its predicate per segment-local morsel; a plain scan slices
+// the table's (memoized, shared) rows — downstream operators never
+// mutate input rows. The index and fused scans reserve their output's
+// row references up front.
+func (s *ScanNode) open(c *Ctx) (*level, source, error) {
+	lv := &level{node: s, parallel: true}
+	switch {
+	case s.IndexOrd >= 0:
 		ix := s.Table.IndexByOrdinal(s.IndexOrd)
 		if ix == nil {
-			return nil, fmt.Errorf("exec: plan expects index on %s column %d but none exists", s.Table.Name, s.IndexOrd)
+			return lv, source{}, fmt.Errorf("exec: plan expects index on %s column %d but none exists", s.Table.Name, s.IndexOrd)
 		}
 		ids := ix.Scan(s.Bounds)
-		if err := ctx.reserveOrCharge(int64(len(ids)) * rowHdrBytes); err != nil {
-			return nil, err
+		bytes := int64(len(ids)) * rowHdrBytes
+		if err := c.reserveOrCharge(bytes); err != nil {
+			return lv, source{}, err
 		}
-		rows := make([]schema.Row, len(ids))
-		// The gather loop writes disjoint positions, so morsels of the
-		// matched-id range fan out across workers.
-		workers := ctx.workersFor(len(ids))
-		ctx.noteWorkers(s, workers)
-		err := ctx.parallelFor(len(ids), workers, func(_, _, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if err := ctx.Tick(i - lo); err != nil {
-					return err
+		return lv, source{nm: (len(ids) + MorselSize - 1) / MorselSize, rows: len(ids), charged: bytes,
+			morsel: func(m int) ([]schema.Row, error) {
+				lo := m * MorselSize
+				out := make([]schema.Row, min(MorselSize, len(ids)-lo))
+				for i := range out {
+					if err := c.Tick(i); err != nil {
+						return nil, err
+					}
+					out[i] = s.Table.RowAt(int(ids[lo+i]))
 				}
-				rows[i] = s.Table.RowAt(int(ids[i]))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+				return out, nil
+			}}, nil
+	case s.Pred != nil:
+		vec := c.useVector(s.Pred)
+		morsels, total := s.planFilteredMorsels(c, vec)
+		bytes := int64(total) * rowHdrBytes
+		if err := c.reserveOrCharge(bytes); err != nil {
+			return lv, source{}, err
 		}
-		return &Result{Schema: s.schema, Rows: rows}, nil
+		lv.eval, lv.batchRows = evalMode(vec), total
+		return lv, source{nm: len(morsels), rows: total, charged: bytes,
+			morsel: func(m int) ([]schema.Row, error) { return s.filterMorsel(c, morsels[m], vec) }}, nil
 	}
-	if s.Pred != nil {
-		return s.executeFiltered(ctx)
-	}
-	// Sequential scan shares the table's (memoized) row materialization;
-	// downstream operators never mutate input rows.
-	return &Result{Schema: s.schema, Rows: s.Table.AllRows()}, nil
+	lv.parallel = false
+	return lv, sliceSource(s.Table.AllRows()), nil
 }
 
 // scanMorsel is one segment-local unit of fused-scan work; it never
@@ -563,8 +612,7 @@ type scanMorsel struct {
 // the row path reads every segment and is the pruning correctness
 // baseline) and splits the surviving segments into segment-local
 // morsels, recording the pruning outcome. It returns the morsels and
-// their total row count. Shared by the materializing executeFiltered
-// and the streaming scanSource.
+// their total row count.
 func (s *ScanNode) planFilteredMorsels(ctx *Ctx, vec bool) ([]scanMorsel, int) {
 	segs := s.Table.Segments()
 	considered := len(segs)
@@ -646,34 +694,6 @@ func (s *ScanNode) filterMorsel(ctx *Ctx, mo scanMorsel, vec bool) ([]schema.Row
 	return out, nil
 }
 
-// executeFiltered runs a sequential scan with the fused predicate: zone
-// maps prune whole segments, then segment-local morsels evaluate in
-// parallel into per-morsel output slices that concatenate in morsel
-// order.
-func (s *ScanNode) executeFiltered(ctx *Ctx) (*Result, error) {
-	vec := ctx.useVector(s.Pred)
-	morsels, total := s.planFilteredMorsels(ctx, vec)
-	if err := ctx.reserveOrCharge(int64(total) * rowHdrBytes); err != nil {
-		return nil, err
-	}
-	workers := min(ctx.workersFor(total), len(morsels))
-	ctx.noteWorkers(s, workers)
-	ctx.noteEval(s, vec, total)
-	outs := make([][]schema.Row, len(morsels))
-	err := ctx.parallelMorsels(len(morsels), workers, func(_, m int) error {
-		out, err := s.filterMorsel(ctx, morsels[m], vec)
-		if err != nil {
-			return err
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: s.schema, Rows: concatMorsels(outs)}, nil
-}
-
 // ValuesNode serves literal rows; used for planned constants and tests.
 type ValuesNode struct {
 	base
@@ -693,13 +713,9 @@ func (n *ValuesNode) Label() string { return fmt.Sprintf("Values(%d)", len(n.Row
 // Children implements Node.
 func (n *ValuesNode) Children() []Node { return nil }
 
-// Execute implements Node.
-func (n *ValuesNode) Execute(*Ctx) (*Result, error) {
-	return &Result{Schema: n.schema, Rows: n.RowsData}, nil
-}
-
 // RequalifyNode renames the qualifier of its child's schema without
-// touching rows; it gives a shared CTE body a per-reference alias.
+// touching rows; it gives a shared CTE body a per-reference alias. In a
+// pipeline it is a stage that passes morsels through.
 type RequalifyNode struct {
 	base
 	Input Node
@@ -720,12 +736,3 @@ func (n *RequalifyNode) Label() string { return "Requalify" }
 
 // Children implements Node.
 func (n *RequalifyNode) Children() []Node { return []Node{n.Input} }
-
-// Execute implements Node.
-func (n *RequalifyNode) Execute(ctx *Ctx) (*Result, error) {
-	r, err := Run(ctx, n.Input)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: n.schema, Rows: r.Rows}, nil
-}

@@ -19,9 +19,9 @@ import (
 )
 
 // Parallelism is the default worker-pool width for intra-query
-// parallelism: morsel-parallel scans, filters, projections, join
-// build/probe, sort, aggregation, window partitions, and concurrent
-// execution of independent plan children. Set to 1 to force serial
+// parallelism: the morsel pipelines (scans, filters, projections, join
+// probes), join builds, sort, aggregation, window partitions, and
+// concurrent execution of independent plan children. Set to 1 to force serial
 // execution process-wide; individual executions override it with
 // Ctx.SetParallelism (the repro.WithParallelism query option).
 var Parallelism = runtime.NumCPU()
@@ -119,61 +119,6 @@ func (c *Ctx) parallelFor(n, workers int, fn func(worker, morsel, lo, hi int) er
 	return firstError(errs)
 }
 
-// parallelMorsels dispatches nm pre-built work units — segment-local
-// scan morsels that never straddle a segment boundary — to workers
-// claiming indices off a shared counter. fn(worker, m) processes morsel
-// m under the same rules as parallelFor's fn: writes confined to
-// worker- or morsel-owned state, first error (or cancellation) aborts.
-// With workers <= 1 the morsels run in order on the calling goroutine.
-func (c *Ctx) parallelMorsels(nm, workers int, fn func(worker, m int) error) error {
-	if nm == 0 {
-		return nil
-	}
-	if workers <= 1 {
-		c.res.MaybePanic()
-		for m := 0; m < nm; m++ {
-			if err := c.Canceled(); err != nil {
-				return err
-			}
-			if err := fn(0, m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[w] = govern.Internalize(rec)
-				}
-			}()
-			for {
-				if err := c.Canceled(); err != nil {
-					errs[w] = err
-					return
-				}
-				m := int(next.Add(1)) - 1
-				if m >= nm {
-					return
-				}
-				c.res.MaybePanic()
-				if err := fn(w, m); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstError(errs)
-}
-
 func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -183,9 +128,8 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// concatMorsels flattens per-morsel output slices in morsel order — the
-// step that restores the serial row order after a parallel filter or
-// probe.
+// concatMorsels flattens per-morsel output slices in morsel order — how
+// Run drains a pipeline's batches into one result.
 func concatMorsels(outs [][]schema.Row) []schema.Row {
 	if len(outs) == 1 {
 		return outs[0]
@@ -202,8 +146,8 @@ func concatMorsels(outs [][]schema.Row) []schema.Row {
 }
 
 // runPair executes two independent plan children, concurrently when the
-// context allows more than one worker — the two inputs of a join or set
-// operation share no state, so their subtrees (each possibly fanning out
+// context allows more than one worker — the two inputs of a set operation
+// or nested-loop join share no state, so their subtrees (each possibly fanning out
 // its own morsel workers) overlap freely; the scheduler multiplexes the
 // combined goroutines onto GOMAXPROCS threads. Run's inflight tracking
 // makes a subtree shared between both sides execute exactly once.

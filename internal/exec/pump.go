@@ -4,27 +4,28 @@ import (
 	"sync"
 
 	"repro/internal/govern"
-	"repro/internal/schema"
 )
 
-// morselPump runs a morsel function over nm pre-built work units and
-// delivers the per-morsel outputs strictly in morsel order — the
-// streaming counterpart of parallelMorsels + concatMorsels. With more
+// morselPump runs a pipeline's morsel function over nm work units and
+// delivers the per-morsel outputs strictly in morsel order. With more
 // than one worker, a pool claims morsels off a shared cursor bounded by
 // a small look-ahead window (so an unread stream never materializes the
 // whole input); with one worker the morsels run on the consuming
-// goroutine. Workers start lazily on the first next call and carry the
-// same per-morsel contract as the materializing pool: a cancellation
-// poll before each claim, the WorkerPanic injection, and panic
-// containment via govern.Internalize. The first error is sticky and
-// aborts the remaining morsels.
+// goroutine. The consumer also runs the first morsel itself before the
+// pool starts, so the first batch costs one morsel of work rather than
+// however much of the window the pool gets through before the consumer
+// is scheduled. Every morsel carries the same contract: a cancellation
+// poll before it, the WorkerPanic injection, and panic containment (via
+// govern.Internalize in a worker, the caller's recover on the consuming
+// goroutine). The first error is sticky and aborts the remaining morsels.
 type morselPump struct {
 	ctx     *Ctx
 	nm      int
 	workers int
 	// window bounds how far claims may run ahead of delivery.
 	window int
-	fn     func(m int) ([]schema.Row, error)
+	// fn runs morsel m on behalf of worker w (0 ≤ w < workers).
+	fn func(w, m int) (morselOut, error)
 
 	started    bool
 	serialNext int
@@ -35,32 +36,31 @@ type morselPump struct {
 	err     error
 	claim   int
 	deliver int
-	pending map[int][]schema.Row
+	pending map[int]morselOut
 	wg      sync.WaitGroup
 }
 
-func newMorselPump(ctx *Ctx, nm, workers int, fn func(m int) ([]schema.Row, error)) *morselPump {
+func newMorselPump(ctx *Ctx, nm, workers int, fn func(w, m int) (morselOut, error)) *morselPump {
 	p := &morselPump{ctx: ctx, nm: nm, workers: workers, window: 2 * workers, fn: fn}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// next returns the next non-empty morsel output in order, and (nil, nil)
-// only after the last morsel: a morsel that produced no row (a fused
-// predicate that matched nothing in it) is skipped here, so it can never
-// read as end of stream downstream.
-func (p *morselPump) next() ([]schema.Row, error) {
-	if p.workers <= 1 {
+// next returns the next morsel's output in order — empty ones included,
+// so the consumer accounts every morsel — and ok=false after the last.
+func (p *morselPump) next() (morselOut, bool, error) {
+	if p.workers <= 1 || p.serialNext == 0 {
 		return p.nextSerial()
 	}
 	if !p.started {
 		p.started = true
-		p.pending = make(map[int][]schema.Row, p.window)
+		p.claim, p.deliver = p.serialNext, p.serialNext
+		p.pending = make(map[int]morselOut, p.window)
 		for w := 0; w < p.workers; w++ {
 			p.wg.Add(1)
 			go func() {
 				defer p.wg.Done()
-				p.worker()
+				p.worker(w)
 			}()
 		}
 	}
@@ -68,44 +68,39 @@ func (p *morselPump) next() ([]schema.Row, error) {
 	defer p.mu.Unlock()
 	for {
 		if p.err != nil {
-			return nil, p.err
+			return morselOut{}, false, p.err
 		}
 		if p.deliver >= p.nm {
-			return nil, nil
+			return morselOut{}, false, nil
 		}
 		if out, ok := p.pending[p.deliver]; ok {
 			delete(p.pending, p.deliver)
 			p.deliver++
 			// The window moved: wake workers parked on the claim bound.
 			p.cond.Broadcast()
-			if len(out) == 0 {
-				continue
-			}
-			return out, nil
+			return out, true, nil
 		}
 		p.cond.Wait()
 	}
 }
 
-func (p *morselPump) nextSerial() ([]schema.Row, error) {
-	for p.serialNext < p.nm {
-		if err := p.ctx.Canceled(); err != nil {
-			return nil, err
-		}
-		m := p.serialNext
-		p.serialNext++
-		// Panics (including the WorkerPanic injection) propagate to the
-		// opStream recover, matching the serial materializing path where
-		// they reach Run's recover.
-		p.ctx.res.MaybePanic()
-		if out, err := p.fn(m); err != nil || len(out) > 0 {
-			return out, err
-		}
+func (p *morselPump) nextSerial() (morselOut, bool, error) {
+	if p.serialNext >= p.nm {
+		return morselOut{}, false, nil
 	}
-	return nil, nil
+	if err := p.ctx.Canceled(); err != nil {
+		return morselOut{}, false, err
+	}
+	m := p.serialNext
+	p.serialNext++
+	// Panics (including the WorkerPanic injection) propagate to the
+	// caller's recover: Run's, or the stream's around every batch.
+	p.ctx.res.MaybePanic()
+	out, err := p.fn(0, m)
+	return out, err == nil, err
 }
 
-func (p *morselPump) worker() {
+func (p *morselPump) worker(w int) {
 	for {
 		p.mu.Lock()
 		for !p.closed && p.err == nil && p.claim < p.nm && p.claim >= p.deliver+p.window {
@@ -122,7 +117,7 @@ func (p *morselPump) worker() {
 			p.fail(err)
 			return
 		}
-		out, err := p.runMorsel(m)
+		out, err := p.runMorsel(w, m)
 		if err != nil {
 			p.fail(err)
 			return
@@ -135,14 +130,14 @@ func (p *morselPump) worker() {
 }
 
 // runMorsel executes one morsel with the pool's panic containment.
-func (p *morselPump) runMorsel(m int) (out []schema.Row, err error) {
+func (p *morselPump) runMorsel(w, m int) (out morselOut, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			out, err = nil, govern.Internalize(rec)
+			out, err = morselOut{}, govern.Internalize(rec)
 		}
 	}()
 	p.ctx.res.MaybePanic()
-	return p.fn(m)
+	return p.fn(w, m)
 }
 
 func (p *morselPump) fail(err error) {
@@ -156,7 +151,7 @@ func (p *morselPump) fail(err error) {
 
 // close stops the pump: parked workers wake and exit, in-flight morsels
 // finish, and the pool joins before close returns — no goroutine
-// outlives the stream.
+// outlives the pipeline.
 func (p *morselPump) close() {
 	p.mu.Lock()
 	p.closed = true

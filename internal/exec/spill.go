@@ -28,8 +28,8 @@
 //     serial probe order exactly.
 //
 // Only row indexes and evaluated key values go to disk; the input rows
-// themselves are already materialized by the child (the engine is
-// batch-at-a-time), so spilling bounds each operator's own working state —
+// themselves are already materialized (a breaker's input arrives whole
+// through Run), so spilling bounds each operator's own working state —
 // sort-key arrays, hash tables — which is what a budget below the working
 // set actually constrains.
 package exec
@@ -74,8 +74,9 @@ const (
 )
 
 // reserveOrCharge is the accounting call for operators that cannot shrink
-// their footprint by spilling (filters, projections, windows — their
-// output must be materialized in memory either way in a batch engine).
+// their footprint by spilling (scans, filter and project stages per
+// morsel, windows, distinct, set operations — their output lives in
+// memory either way).
 // When the query cannot degrade to disk the budget is enforced: the
 // reservation fails with ErrResourceExhausted. When spilling is enabled
 // the bytes are charged without failing, preserving the contract that a

@@ -1,35 +1,47 @@
-// Pull-based streaming execution. Open compiles a plan into a tree of
-// batch iterators: scans, filters, projections, limits, and hash-join
-// probes stream morsel-sized row batches downstream while upstream
-// morsels are still being claimed, so the first rows leave the engine
-// long before the last segment is read. Pipeline breakers — sort, hash
-// aggregation, window, set operations, the join build side — keep their
-// materializing (bit-identical, spill-capable) Execute internally and
-// expose the same iterator surface over the finished result.
+// Morsel pipelines: the one execution path of the pipelined operators.
+// A plan splits at its breakers into pipelines. Each pipeline has a
+// source of numbered morsels — a fused scan's zone-pruned, segment-local
+// morsels, an index scan's row ids, or resident rows (a plain scan,
+// Values, a breaker's or shared subtree's finished result) cut into
+// MorselSize ranges — the stages that map a morsel's rows through the
+// pipelined operators above it (filter, project, requalify, hash-join
+// probe), and an optional limit cut the consumer applies. The morsel pump
+// runs source and stages per morsel, in parallel once the input is large
+// enough, and delivers the outputs strictly in morsel order.
 //
-// The streaming path preserves the engine's execution contract exactly:
-//   - Results and row order are byte-identical to Run at any parallelism
-//     (the parallel scan pump delivers morsels strictly in claim order).
-//   - Errors are the same sentinels: cooperative cancellation between
-//     batches, memory-budget reservations with the same accounting
-//     constants, panic containment per batch (govern.Internalize), and
-//     the SlowOp/WorkerPanic fault injections at the same points.
-//   - Shared subtrees (CTEs referenced from more than one parent edge)
-//     materialize through Run so they still execute exactly once.
+// A pipeline is consumed one of two ways, and nothing else produces a
+// pipelined operator's output: Open streams it batch by batch, so the
+// first rows leave the engine while the scan is still running, and Run
+// drains it into a Result. Breakers — sort, aggregation, window,
+// distinct, set operations, the nested-loop join, and a hash join whose
+// build reservation is refused (the grace path) — materialize through
+// their Execute and reach their inputs through Run.
+//
+// Either way the execution contract is the same:
+//   - Results and row order are byte-identical at any parallelism.
+//   - Errors are the same sentinels: cooperative cancellation per morsel,
+//     memory charged per morsel with the executor's accounting constants,
+//     panic containment (govern.Internalize), and the SlowOp/WorkerPanic
+//     fault injections.
+//   - Shared subtrees (a node reached along more than one parent edge
+//     from the statement root) run once, through Run's inflight cache.
+//   - Every operator of a pipeline records its NodeStats from the morsels
+//     delivered, so a Run and an Open-and-drain of one plan record the
+//     same rows, workers, eval mode, batches and segments.
 //
 // Closing a stream early — before exhaustion — shuts down its worker
-// goroutines and releases every memory reservation its operators hold;
+// goroutines and releases every memory reservation the pipeline holds;
 // spill files remain owned by govern.Resources and are removed by its
-// Close, as on the materializing path.
+// Close.
 package exec
 
 import (
+	"fmt"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/govern"
 	"repro/internal/schema"
-	"repro/internal/types"
 )
 
 // Stream is a pull-based batch iterator over an executing plan. Next
@@ -57,21 +69,10 @@ type Stream interface {
 // SetParallelism / SetResources / EnableStats before Open, and a node
 // must not be both Run and Opened under one Ctx.
 func Open(ctx *Ctx, n Node) Stream {
-	// Count parent edges: a node reachable more than once (a shared CTE
-	// body) must go through Run so its subtree executes exactly once.
-	refs := map[Node]int{}
-	var walk func(Node)
-	walk = func(n Node) {
-		refs[n]++
-		if refs[n] > 1 {
-			return
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
-	return buildStream(ctx, n, refs)
+	ctx.mu.Lock()
+	ctx.countRefsLocked(n)
+	ctx.mu.Unlock()
+	return &pipeStream{p: compile(ctx, n)}
 }
 
 // OwnsRows reports whether the rows a plan produces are freshly
@@ -104,93 +105,436 @@ func OwnsRows(n Node) bool {
 	}
 }
 
-// buildStream dispatches one node to its streaming source. Operators
-// without a streaming implementation — the pipeline breakers — fall back
-// to runSource, which materializes through Run and slices the result.
-func buildStream(ctx *Ctx, n Node, refs map[Node]int) Stream {
-	if refs[n] > 1 {
-		return runStream(ctx, n)
-	}
+// streamedInput is the input a pipelined operator consumes morsel by
+// morsel; nil for sources.
+func streamedInput(n Node) Node {
 	switch t := n.(type) {
-	case *ScanNode:
-		if t.IndexOrd < 0 && t.Pred != nil {
-			return newOpStream(ctx, t, t.schema, &scanSource{scan: t}, false)
-		}
-		// Index and plain sequential scans materialize in one step (the
-		// gather is small or the row cache is shared); stream the slices.
-		return newOpStream(ctx, t, t.Schema(), &materialSource{get: t.Execute}, false)
-	case *ValuesNode:
-		return newOpStream(ctx, t, t.schema, &materialSource{get: t.Execute}, false)
 	case *FilterNode:
-		return newOpStream(ctx, t, t.schema, &filterSource{n: t, child: buildStream(ctx, t.Input, refs)}, false)
+		return t.Input
 	case *ProjectNode:
-		return newOpStream(ctx, t, t.schema, &projectSource{n: t, child: buildStream(ctx, t.Input, refs)}, false)
-	case *LimitNode:
-		return newOpStream(ctx, t, t.schema, &limitSource{n: t, child: buildStream(ctx, t.Input, refs)}, false)
+		return t.Input
 	case *RequalifyNode:
-		return newOpStream(ctx, t, t.schema, &passSource{child: buildStream(ctx, t.Input, refs)}, false)
+		return t.Input
 	case *HashJoinNode:
-		return newOpStream(ctx, t, t.schema, &joinSource{n: t, child: buildStream(ctx, t.Left, refs)}, false)
-	default:
-		return runStream(ctx, n)
+		return t.Left
+	case *LimitNode:
+		return t.Input
+	}
+	return nil
+}
+
+// pipeline is the compiled form of n's output: chain holds n and the
+// pipelined operators below it, top down, and leaf (when set) is the node
+// whose Run result the source slices — a breaker, a shared subtree, or a
+// Limit below the top (a limit cuts the pipeline it tops, so one further
+// down ends the chain). Operators are bound to the execution at open.
+type pipeline struct {
+	ctx   *Ctx
+	sch   *schema.Schema
+	chain []Node
+	leaf  Node
+	// keep leaves the per-morsel output charges in place at close: Run's
+	// result holds the rows, exactly as a materialized operator's would.
+	keep  bool
+	stats bool
+
+	src     source
+	levels  []*level // bottom up: levels[0] is the source
+	cut     *LimitNode
+	skip    int64 // cut: offset rows still to drop
+	left    int64 // cut: rows still to emit; negative means no limit
+	workers int
+	pump    *morselPump
+	charged atomic.Int64
+	start   time.Time
+	done    bool
+	closed  bool
+}
+
+// source is where a pipeline's morsels come from.
+type source struct {
+	nm, rows int // morsel count, input rows (they size the fan-out)
+	morsel   func(m int) ([]schema.Row, error)
+	// all holds the resident rows the morsels slice (nil for a scan that
+	// builds its morsels), which a drain with no row-changing stage
+	// returns as is.
+	all []schema.Row
+	// charged is the output reservation the source took at open.
+	charged int64
+}
+
+// sliceSource cuts resident rows into MorselSize morsels.
+func sliceSource(rows []schema.Row) source {
+	return source{
+		nm: (len(rows) + MorselSize - 1) / MorselSize, rows: len(rows), all: rows,
+		morsel: func(m int) ([]schema.Row, error) {
+			lo := m * MorselSize
+			hi := min(lo+MorselSize, len(rows))
+			return rows[lo:hi:hi], nil
+		},
 	}
 }
 
-// runStream materializes n through Run (breakers, shared subtrees,
-// external operators) and streams the finished result in morsel-sized
-// slices. Run applies the SlowOp injection and records the node's stats
-// itself, so the wrapper does neither.
-func runStream(ctx *Ctx, n Node) Stream {
-	return newOpStream(ctx, nil, n.Schema(), &materialSource{get: func(c *Ctx) (*Result, error) {
-		return Run(c, n)
-	}}, true)
-}
+// level is one operator of an open pipeline — the source, a stage, or
+// the cut — with what its NodeStats need.
+type level struct {
+	// node records this level's NodeStats; nil when Run records them (a
+	// materialized input).
+	node Node
+	// run maps one morsel's rows through a stage for pump worker w, whose
+	// scratch it may use; nil passes them through (the source, Requalify,
+	// the cut).
+	run func(w int, in []schema.Row) ([]schema.Row, error)
+	// inBytes is reserved per input row before run, outBytes charged per
+	// output row after it — the executor's accounting constants.
+	inBytes, outBytes int64
+	// reserved is working memory held until close (a join's build table).
+	reserved int64
+	// eval is "vector", "row", or "" for an operator with no expressions;
+	// batchRows adds to the rows its batches= covers (a join's build
+	// side, a fused scan's input).
+	eval      string
+	batchRows int
+	// parallel records the pump's fan-out as the operator's Workers.
+	parallel bool
 
-// source is one operator's streaming engine behind an opStream: open
-// prepares state (and may start workers), step produces the next output
-// batch, close stops workers and releases reservations. A nil batch from
-// step means exhausted and nothing else; a batch that happens to hold no
-// row must be empty and non-nil, and the wrapper keeps pulling past it.
-// close is called exactly once, possibly without open having run.
-type source interface {
-	open(c *Ctx) error
-	step(c *Ctx) ([]schema.Row, error)
-	close(c *Ctx)
-}
-
-// opStream adapts a source to the Stream interface and carries the
-// per-operator execution contract: lazy open with the cancellation check
-// and SlowOp injection Run performs, panic containment around every
-// batch, sticky errors, once-only cleanup, and NodeStats recording.
-type opStream struct {
-	ctx *Ctx
-	// node receives NodeStats on cleanup; nil when the source runs
-	// through Run, which records them itself.
-	node     Node
-	sch      *schema.Schema
-	src      source
-	skipSlow bool
-	opened   bool
-	done     bool
-	closed   bool
-	err      error
-	rows     int
+	open     time.Duration
 	start    time.Time
+	cum      time.Duration // open time of this level and those below it
+	rows, in int
+	busy     time.Duration
 }
 
-func newOpStream(ctx *Ctx, node Node, sch *schema.Schema, src source, skipSlow bool) *opStream {
-	return &opStream{ctx: ctx, node: node, sch: sch, src: src, skipSlow: skipSlow}
+// morselOut is one morsel's result; n and busy (rows out of, and time
+// spent through, each level) are filled only when stats are collected.
+type morselOut struct {
+	rows []schema.Row
+	n    []int
+	busy []time.Duration
+}
+
+// compile lays out the pipeline producing n's output. Every operator
+// that is not a breaker is pipelined.
+func compile(c *Ctx, n Node) *pipeline {
+	p := &pipeline{ctx: c, sch: n.Schema(), stats: c.stats != nil}
+	for n != nil {
+		if _, brk := n.(breaker); brk || len(p.chain) > 0 && (c.shared(n) || isLimit(n)) {
+			p.leaf = n
+			break
+		}
+		p.chain = append(p.chain, n)
+		n = streamedInput(n)
+	}
+	return p
+}
+
+func isLimit(n Node) bool {
+	_, ok := n.(*LimitNode)
+	return ok
+}
+
+// open binds the operators to the execution top down — a join's build
+// and a filter's subqueries run before the input they will see — then
+// sizes the fan-out and starts the pump.
+func (p *pipeline) open() error {
+	c := p.ctx
+	p.start = time.Now()
+	found := false
+	for _, n := range p.chain {
+		t0 := time.Now()
+		var lv *level
+		var err error
+		switch t := n.(type) {
+		case *LimitNode:
+			p.cut, p.skip, p.left = t, t.Offset, t.N
+			lv = &level{node: t}
+		case *ScanNode:
+			lv, p.src, err = t.open(c)
+			found = err == nil
+		case *ValuesNode:
+			lv, p.src, found = &level{node: t}, sliceSource(t.RowsData), true
+		case *FilterNode:
+			lv, err = t.open(c)
+		case *ProjectNode:
+			lv = t.open(c)
+		case *RequalifyNode:
+			lv = &level{node: t}
+		case *HashJoinNode:
+			var grace *Result
+			lv, grace, err = t.open(c)
+			if grace != nil {
+				p.src, found = sliceSource(grace.Rows), true
+			}
+		default:
+			err = fmt.Errorf("exec: %T is neither a breaker nor a pipelined operator", n)
+		}
+		if lv != nil {
+			lv.open = time.Since(t0)
+			p.levels = append([]*level{lv}, p.levels...)
+		}
+		if err != nil {
+			return err
+		}
+		if found {
+			break
+		}
+	}
+	if !found {
+		t0 := time.Now()
+		r, err := Run(c, p.leaf)
+		if err != nil {
+			return err
+		}
+		p.src = sliceSource(r.Rows)
+		p.levels = append([]*level{{open: time.Since(t0)}}, p.levels...)
+	}
+	p.workers = max(1, min(c.workersFor(p.src.rows), p.src.nm))
+	p.pump = newMorselPump(c, p.src.nm, p.workers, p.morsel)
+	if p.stats {
+		p.publishOpen()
+	}
+	return nil
+}
+
+// publishOpen lays the levels out in time for the stats — level i starts
+// once the levels above it have opened and lasts its own and its inputs'
+// open time plus the morsel work through it — and records what open
+// decided: fan-out and eval mode.
+func (p *pipeline) publishOpen() {
+	c := p.ctx
+	var cum time.Duration
+	for _, lv := range p.levels {
+		cum += lv.open
+		lv.cum = cum
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	at := p.start
+	for i := len(p.levels) - 1; i >= 0; i-- {
+		lv := p.levels[i]
+		lv.start = at
+		at = at.Add(lv.open)
+		if lv.node == nil {
+			continue
+		}
+		st := c.statLocked(lv.node)
+		if lv.parallel && p.workers > st.Workers && p.workers > 1 {
+			st.Workers = p.workers
+		}
+		st.EvalMode = lv.eval
+		p.publishLocked(lv)
+	}
+}
+
+// publishLocked writes a level's running numbers into its NodeStats;
+// the caller holds ctx.mu.
+func (p *pipeline) publishLocked(lv *level) {
+	if lv.node == nil {
+		return
+	}
+	st := p.ctx.statLocked(lv.node)
+	st.Rows, st.Start = lv.rows, lv.start
+	st.Elapsed = lv.cum + lv.busy/time.Duration(p.workers)
+	if lv.eval == "vector" {
+		st.Batches = batchCount(lv.in + lv.batchRows)
+	}
+}
+
+// morsel runs morsel m through the source and every stage on behalf of
+// pump worker w.
+func (p *pipeline) morsel(w, m int) (morselOut, error) {
+	c := p.ctx
+	var out morselOut
+	var t0 time.Time
+	if p.stats {
+		t0 = time.Now()
+		out.n = make([]int, len(p.levels))
+		out.busy = make([]time.Duration, len(p.levels))
+	}
+	rows, err := p.src.morsel(m)
+	if err != nil {
+		return out, err
+	}
+	for i, lv := range p.levels {
+		if lv.inBytes > 0 {
+			b := int64(len(rows)) * lv.inBytes
+			if err := c.reserveOrCharge(b); err != nil {
+				return out, err
+			}
+			p.charged.Add(b)
+		}
+		if lv.run != nil {
+			if rows, err = lv.run(w, rows); err != nil {
+				return out, err
+			}
+		}
+		if lv.outBytes > 0 {
+			b := int64(len(rows)) * lv.outBytes
+			c.res.Charge(b)
+			p.charged.Add(b)
+		}
+		if p.stats {
+			out.n[i], out.busy[i] = len(rows), time.Since(t0)
+		}
+	}
+	out.rows = rows
+	return out, nil
+}
+
+// next returns the next non-empty output batch in morsel order, or nil at
+// the end of the input or once the cut is reached.
+func (p *pipeline) next() ([]schema.Row, error) {
+	for !p.done {
+		if p.left == 0 && p.cut != nil {
+			p.done = true
+			break
+		}
+		mo, ok, err := p.pump.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			p.done = true
+			break
+		}
+		rows := mo.rows
+		if p.cut != nil {
+			rows = p.applyCut(rows)
+		}
+		if p.stats {
+			p.account(mo, len(rows))
+		}
+		if len(rows) > 0 {
+			return rows, nil
+		}
+	}
+	return nil, nil
+}
+
+// applyCut skips the limit's offset, then passes at most its count.
+func (p *pipeline) applyCut(rows []schema.Row) []schema.Row {
+	if p.skip > 0 {
+		if int64(len(rows)) <= p.skip {
+			p.skip -= int64(len(rows))
+			return rows[:0]
+		}
+		rows = rows[p.skip:]
+		p.skip = 0
+	}
+	if p.left >= 0 {
+		rows = rows[:min(int64(len(rows)), p.left)]
+		p.left -= int64(len(rows))
+	}
+	return rows
+}
+
+// account adds one delivered morsel to every level's stats; cut is the
+// number of rows the cut let through.
+func (p *pipeline) account(mo morselOut, cut int) {
+	c := p.ctx
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, lv := range p.levels {
+		n := mo.n[i]
+		if i == len(p.levels)-1 && p.cut != nil {
+			n = cut
+		}
+		lv.rows += n
+		if i > 0 {
+			lv.in += mo.n[i-1]
+		}
+		lv.busy += mo.busy[i]
+		p.publishLocked(lv)
+	}
+}
+
+// resident returns the source's rows as the whole output when no stage
+// changes them — a plain scan, Values, or a materialized input under at
+// most renames — so draining them costs no copy.
+func (p *pipeline) resident() ([]schema.Row, bool) {
+	if p.src.all == nil || p.cut != nil {
+		return nil, false
+	}
+	for _, lv := range p.levels {
+		if lv.run != nil {
+			return nil, false
+		}
+	}
+	p.done = true
+	if p.stats {
+		mo := morselOut{n: make([]int, len(p.levels)), busy: make([]time.Duration, len(p.levels))}
+		for i := range mo.n {
+			mo.n[i] = len(p.src.all)
+		}
+		p.account(mo, len(p.src.all))
+	}
+	return p.src.all, true
+}
+
+// close stops the pump — no worker outlives it — and releases the
+// stages' working memory and, unless the output is kept, the per-morsel
+// charges.
+func (p *pipeline) close() {
+	if p.closed {
+		return
+	}
+	p.closed = true
+	if p.pump != nil {
+		p.pump.close()
+	}
+	res := p.ctx.res
+	for _, lv := range p.levels {
+		res.Release(lv.reserved)
+	}
+	if !p.keep {
+		res.Release(p.charged.Load() + p.src.charged)
+	}
+}
+
+// drain is Run for a pipelined node: the pipeline's batches, in order,
+// as one Result.
+func drain(c *Ctx, n Node) (*Result, error) {
+	p := compile(c, n)
+	p.keep = true
+	defer p.close()
+	if err := p.open(); err != nil {
+		return nil, err
+	}
+	if rows, ok := p.resident(); ok {
+		return &Result{Schema: p.sch, Rows: rows}, nil
+	}
+	var outs [][]schema.Row
+	for {
+		b, err := p.next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return &Result{Schema: p.sch, Rows: concatMorsels(outs)}, nil
+		}
+		outs = append(outs, b)
+	}
+}
+
+// pipeStream is Open's Stream: lazy open with the cancellation check and
+// SlowOp injection Run performs, panic containment around every batch,
+// sticky errors, and once-only cleanup.
+type pipeStream struct {
+	p      *pipeline
+	opened bool
+	closed bool
+	err    error
 }
 
 // Schema implements Stream.
-func (s *opStream) Schema() *schema.Schema { return s.sch }
+func (s *pipeStream) Schema() *schema.Schema { return s.p.sch }
 
 // Next implements Stream.
-func (s *opStream) Next() (batch []schema.Row, err error) {
+func (s *pipeStream) Next() (batch []schema.Row, err error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if s.done {
+	if s.closed {
 		return nil, nil
 	}
 	// Panics escaping any batch of work become this query's error
@@ -202,444 +546,51 @@ func (s *opStream) Next() (batch []schema.Row, err error) {
 			s.fail(err)
 		}
 	}()
+	c := s.p.ctx
 	// Poll cancellation on every pull, so a canceled consumer (a client
 	// that hung up) stops the stream even when upstream work already
 	// finished.
-	if err := s.ctx.Canceled(); err != nil {
+	if err := c.Canceled(); err != nil {
 		s.fail(err)
 		return nil, err
 	}
 	if !s.opened {
 		s.opened = true
-		s.start = time.Now()
-		if !s.skipSlow {
-			if d := s.ctx.res.SlowOp(); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-s.ctx.ctx.Done():
-					err := s.ctx.ctx.Err()
-					s.fail(err)
-					return nil, err
-				}
+		// Run applies the injection itself to a breaker at the top.
+		if len(s.p.chain) > 0 {
+			if err := c.slowOp(); err != nil {
+				s.fail(err)
+				return nil, err
 			}
 		}
-		if err := s.src.open(s.ctx); err != nil {
+		if err := s.p.open(); err != nil {
 			s.fail(err)
 			return nil, err
 		}
 	}
-	for {
-		b, err := s.src.step(s.ctx)
-		if err != nil {
-			s.fail(err)
-			return nil, err
-		}
-		if b == nil {
-			s.done = true
-			s.cleanup()
-			return nil, nil
-		}
-		if len(b) == 0 {
-			continue
-		}
-		s.rows += len(b)
-		// Publish the running row count so an active-query snapshot shows
-		// live progress; cleanup still writes the authoritative final
-		// stats. One mutex acquisition per batch, not per row.
-		if s.node != nil && s.ctx.stats != nil {
-			s.ctx.noteStreamRows(s.node, s.rows, s.start)
-		}
-		return b, nil
-	}
-}
-
-// Close implements Stream.
-func (s *opStream) Close() error {
-	s.done = true
-	s.cleanup()
-	return nil
-}
-
-func (s *opStream) fail(err error) {
-	if s.err == nil {
-		s.err = err
-	}
-	s.cleanup()
-}
-
-// cleanup runs exactly once per stream: it closes the source (stopping
-// workers and releasing reservations) and finalizes the operator's
-// NodeStats with the rows actually delivered.
-func (s *opStream) cleanup() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.src.close(s.ctx)
-	if s.node != nil && s.ctx.stats != nil && s.opened {
-		elapsed := time.Since(s.start)
-		s.ctx.mu.Lock()
-		st := s.ctx.statLocked(s.node)
-		st.Rows, st.Start, st.Elapsed = s.rows, s.start, elapsed
-		s.ctx.mu.Unlock()
-	}
-}
-
-// ---- Materialized sources ----
-
-// materialSource executes a node's materializing path once at open and
-// serves the result in morsel-sized slices.
-type materialSource struct {
-	get  func(c *Ctx) (*Result, error)
-	rows []schema.Row
-	off  int
-}
-
-func (m *materialSource) open(c *Ctx) error {
-	r, err := m.get(c)
+	b, err := s.p.next()
 	if err != nil {
-		return err
-	}
-	m.rows = r.Rows
-	return nil
-}
-
-func (m *materialSource) step(*Ctx) ([]schema.Row, error) {
-	if m.off >= len(m.rows) {
-		return nil, nil
-	}
-	lo := m.off
-	hi := min(lo+MorselSize, len(m.rows))
-	m.off = hi
-	return m.rows[lo:hi:hi], nil
-}
-
-func (m *materialSource) close(*Ctx) { m.rows = nil }
-
-// ---- Scan ----
-
-// scanSource streams a fused-predicate sequential scan: zone maps prune
-// segments at open, then segment-local morsels are evaluated — in
-// parallel by the morsel pump when the input is large enough — and
-// delivered strictly in morsel order, so the batch sequence concatenates
-// to exactly executeFiltered's output.
-type scanSource struct {
-	scan    *ScanNode
-	pump    *morselPump
-	charged int64
-}
-
-func (s *scanSource) open(c *Ctx) error {
-	vec := c.useVector(s.scan.Pred)
-	morsels, total := s.scan.planFilteredMorsels(c, vec)
-	bytes := int64(total) * rowHdrBytes
-	if err := c.reserveOrCharge(bytes); err != nil {
-		return err
-	}
-	s.charged = bytes
-	workers := min(c.workersFor(total), len(morsels))
-	c.noteWorkers(s.scan, workers)
-	c.noteEval(s.scan, vec, total)
-	s.pump = newMorselPump(c, len(morsels), workers, func(m int) ([]schema.Row, error) {
-		return s.scan.filterMorsel(c, morsels[m], vec)
-	})
-	return nil
-}
-
-func (s *scanSource) step(*Ctx) ([]schema.Row, error) { return s.pump.next() }
-
-func (s *scanSource) close(c *Ctx) {
-	if s.pump != nil {
-		s.pump.close()
-	}
-	c.res.Release(s.charged)
-	s.charged = 0
-}
-
-// ---- Filter ----
-
-// filterSource pulls one child batch per step and keeps the rows whose
-// predicate is TRUE, with the same vector/row duality (and row-path
-// fallback on kernel errors) as FilterNode.Execute.
-type filterSource struct {
-	n       *FilterNode
-	child   Stream
-	vec     bool
-	sel     []int
-	charged int64
-	rowsIn  int
-}
-
-func (f *filterSource) open(c *Ctx) error {
-	f.vec = c.useVector(f.n.Pred)
-	if f.vec {
-		f.sel = make([]int, 0, MorselSize)
-	}
-	return nil
-}
-
-func (f *filterSource) step(c *Ctx) ([]schema.Row, error) {
-	b, err := f.child.Next()
-	if err != nil {
+		s.fail(err)
 		return nil, err
 	}
 	if b == nil {
-		c.noteEval(f.n, f.vec, f.rowsIn)
-		return nil, nil
+		s.Close()
 	}
-	f.rowsIn += len(b)
-	bytes := int64(len(b)) * rowHdrBytes
-	if err := c.reserveOrCharge(bytes); err != nil {
-		return nil, err
-	}
-	f.charged += bytes
-	out := make([]schema.Row, 0, len(b)/4+1)
-	if f.vec {
-		// Upstream batches can exceed MorselSize (a materialized breaker
-		// slice); keep kernel chunks at the scratch width.
-		for lo := 0; lo < len(b); lo += MorselSize {
-			hi := min(lo+MorselSize, len(b))
-			sel, perr := eval.EvalPredicateBatch(f.n.Pred, b[lo:hi], nil, f.sel[:0])
-			if perr != nil {
-				return nil, perr
-			}
-			f.sel = sel
-			for _, i := range sel {
-				out = append(out, b[lo+i])
-			}
-		}
-		return out, nil
-	}
-	for i, r := range b {
-		if err := c.Tick(i); err != nil {
-			return nil, err
-		}
-		ok, err := eval.EvalPredicate(f.n.Pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-func (f *filterSource) close(c *Ctx) {
-	f.child.Close()
-	c.res.Release(f.charged)
-	f.charged = 0
-}
-
-// ---- Project ----
-
-// projectSource computes output columns batch-at-a-time through
-// ProjectNode.project, the loop the materializing path runs per morsel.
-type projectSource struct {
-	n       *ProjectNode
-	child   Stream
-	vec     bool
-	cols    [][]types.Value
-	charged int64
-	rowsIn  int
-}
-
-func (p *projectSource) open(c *Ctx) error {
-	p.vec = c.useVector(p.n.Exprs...)
-	p.cols = p.n.scratch(p.vec)
-	return nil
-}
-
-func (p *projectSource) step(c *Ctx) ([]schema.Row, error) {
-	b, err := p.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	if b == nil {
-		c.noteEval(p.n, p.vec, p.rowsIn)
-		return nil, nil
-	}
-	p.rowsIn += len(b)
-	bytes := int64(len(b)) * (rowHdrBytes + int64(len(p.n.Exprs))*valueBytes)
-	if err := c.reserveOrCharge(bytes); err != nil {
-		return nil, err
-	}
-	p.charged += bytes
-	out := make([]schema.Row, len(b))
-	if err := p.n.project(c, b, out, p.vec, p.cols); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (p *projectSource) close(c *Ctx) {
-	p.child.Close()
-	c.res.Release(p.charged)
-	p.charged = 0
-}
-
-// ---- Limit ----
-
-// limitSource skips Offset rows, then passes through at most N. Once the
-// limit is reached the next step reports EOS, which closes the child —
-// upstream work stops without draining the rest of the input.
-type limitSource struct {
-	n       *LimitNode
-	child   Stream
-	skip    int64
-	emitted int64
-	done    bool
-}
-
-func (l *limitSource) open(*Ctx) error {
-	l.skip = l.n.Offset
-	return nil
-}
-
-func (l *limitSource) step(*Ctx) ([]schema.Row, error) {
-	if l.done {
-		return nil, nil
-	}
-	b, err := l.child.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	if l.skip > 0 {
-		if int64(len(b)) <= l.skip {
-			l.skip -= int64(len(b))
-			return b[:0], nil
-		}
-		b = b[l.skip:]
-		l.skip = 0
-	}
-	if l.n.N >= 0 {
-		left := l.n.N - l.emitted
-		if int64(len(b)) >= left {
-			b = b[:left]
-			l.done = true
-		}
-	}
-	l.emitted += int64(len(b))
 	return b, nil
 }
 
-func (l *limitSource) close(*Ctx) { l.child.Close() }
-
-// ---- Requalify ----
-
-// passSource forwards child batches untouched; the wrapping opStream
-// carries the requalified schema.
-type passSource struct{ child Stream }
-
-func (p *passSource) open(*Ctx) error                 { return nil }
-func (p *passSource) step(*Ctx) ([]schema.Row, error) { return p.child.Next() }
-func (p *passSource) close(*Ctx)                      { p.child.Close() }
-
-// ---- Hash join probe ----
-
-// joinSource materializes the build side (through Run, reusing a cached
-// build table when the context allows) at open, then probes child
-// batches incrementally. When the build-side reservation is refused and
-// the query may spill, the whole join degrades to the materializing
-// path — Run handles the grace-hash partitioning — and its result is
-// streamed in slices, keeping the budget semantics identical.
-type joinSource struct {
-	n         *HashJoinNode
-	child     Stream
-	ps        *probeState
-	vecProbe  bool
-	buildRows int
-	reserved  int64
-	charged   int64
-	rowsIn    int
-	mat       []schema.Row
-	matOff    int
-	matMode   bool
-}
-
-func (j *joinSource) open(c *Ctx) error {
-	build, buildRows := j.n.cachedTable(c)
-	if build == nil {
-		r, err := Run(c, j.n.Right)
-		if err != nil {
-			return err
-		}
-		buildRows = len(r.Rows)
-		work := joinWorkBytes(0, buildRows)
-		if err := c.res.Reserve(work); err != nil {
-			return j.fallback(c, err)
-		}
-		j.reserved = work
-		workers := c.workersFor(buildRows)
-		c.noteWorkers(j.n, workers)
-		build, err = buildJoinTable(c, r.Rows, j.n.RightKeys, workers)
-		if err != nil {
-			return err
-		}
-		j.n.builds.Add(1)
-		j.n.storeTable(c, build, buildRows)
-	} else {
-		work := joinWorkBytes(0, buildRows)
-		if err := c.res.Reserve(work); err != nil {
-			return j.fallback(c, err)
-		}
-		j.reserved = work
+// Close implements Stream.
+func (s *pipeStream) Close() error {
+	if !s.closed {
+		s.closed = true
+		s.p.close()
 	}
-	j.buildRows = buildRows
-	j.vecProbe = c.useVector(j.n.LeftKeys...) && c.useVector(j.n.Residual)
-	j.ps = newProbeState(j.n, build, j.vecProbe)
 	return nil
 }
 
-// fallback degrades to the fully materialized execution when the
-// in-memory build does not fit the budget: with spilling enabled Run
-// takes the grace-hash path (or fails with the same sentinel the
-// materializing plan would), and the finished result is streamed.
-func (j *joinSource) fallback(c *Ctx, rerr error) error {
-	if !c.res.CanSpill() {
-		return rerr
+func (s *pipeStream) fail(err error) {
+	if s.err == nil {
+		s.err = err
 	}
-	r, err := Run(c, j.n)
-	if err != nil {
-		return err
-	}
-	j.mat, j.matMode = r.Rows, true
-	return nil
-}
-
-func (j *joinSource) step(c *Ctx) ([]schema.Row, error) {
-	if j.matMode {
-		if j.matOff >= len(j.mat) {
-			return nil, nil
-		}
-		lo := j.matOff
-		hi := min(lo+MorselSize, len(j.mat))
-		j.matOff = hi
-		return j.mat[lo:hi:hi], nil
-	}
-	b, err := j.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	if b == nil {
-		c.noteEval(j.n, c.useVector(j.n.RightKeys...) && j.vecProbe, j.rowsIn+j.buildRows)
-		return nil, nil
-	}
-	j.rowsIn += len(b)
-	out := make([]schema.Row, 0, len(b))
-	out, err = j.ps.probeRange(c, b, 0, len(b), out)
-	if err != nil {
-		return nil, err
-	}
-	bytes := int64(len(out)) * (rowHdrBytes + int64(j.n.schema.Len())*valueBytes)
-	c.res.Charge(bytes)
-	j.charged += bytes
-	return out, nil
-}
-
-func (j *joinSource) close(c *Ctx) {
-	j.child.Close()
-	c.res.Release(j.reserved + j.charged)
-	j.reserved, j.charged = 0, 0
-	j.mat = nil
+	s.Close()
 }

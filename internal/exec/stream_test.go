@@ -152,17 +152,60 @@ func TestStreamMatchesRunAcrossPlans(t *testing.T) {
 	}
 }
 
+// TestStreamRecordsNodeStats holds Run and Open-and-drain to one set of
+// per-operator numbers: both consume the same pipeline, so every node of
+// every plan records the same rows, fan-out, eval mode, batches and
+// segments either way.
 func TestStreamRecordsNodeStats(t *testing.T) {
 	tab := streamTable(t, 20000)
-	n := fusedEvenScan(tab)
-	ctx := NewCtx().SetParallelism(4).EnableStats()
-	rows, err := collectStream(Open(ctx, n))
-	if err != nil {
-		t.Fatal(err)
+	type facts struct {
+		Rows, Workers, Batches, Segments, Pruned int
+		EvalMode                                 string
 	}
-	st := ctx.Stats(n)
-	if st == nil || st.Rows != len(rows) {
-		t.Fatalf("stats = %+v, want Rows = %d", st, len(rows))
+	collect := func(ctx *Ctx, root Node) map[string]facts {
+		out := map[string]facts{}
+		var walk func(n Node, path string)
+		walk = func(n Node, path string) {
+			path += "/" + n.Label()
+			if st := ctx.Stats(n); st != nil {
+				out[path] = facts{st.Rows, st.Workers, st.Batches, st.Segments, st.Pruned, st.EvalMode}
+			}
+			for _, c := range n.Children() {
+				walk(c, path)
+			}
+		}
+		walk(root, "")
+		return out
+	}
+	for name, mk := range streamPlans(tab) {
+		for _, par := range []int{1, 4} {
+			n := mk()
+			runCtx := NewCtx().SetParallelism(par).EnableStats()
+			res, err := Run(runCtx, n)
+			if err != nil {
+				t.Fatalf("%s par=%d: Run: %v", name, par, err)
+			}
+			streamCtx := NewCtx().SetParallelism(par).EnableStats()
+			rows, err := collectStream(Open(streamCtx, n))
+			if err != nil {
+				t.Fatalf("%s par=%d: stream: %v", name, par, err)
+			}
+			if st := streamCtx.Stats(n); st == nil || st.Rows != len(rows) || len(rows) != len(res.Rows) {
+				t.Fatalf("%s par=%d: root stats = %+v, streamed %d rows, Run %d", name, par, st, len(rows), len(res.Rows))
+			}
+			want, got := collect(runCtx, n), collect(streamCtx, n)
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s par=%d: stats differ\nRun:  %+v\nOpen: %+v", name, par, want, got)
+			}
+			// Every input here spans five morsels, so at par=4 each
+			// operator that evaluates expressions fans out — streamed or
+			// drained.
+			for path, f := range got {
+				if par > 1 && f.EvalMode != "" && f.Workers <= 1 {
+					t.Errorf("%s par=%d: %s ran serially: %+v", name, par, path, f)
+				}
+			}
+		}
 	}
 }
 

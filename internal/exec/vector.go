@@ -23,15 +23,6 @@ import (
 // row-baseline side of benchmarks.
 var Vectorize = true
 
-// VectorizeEnabled reports whether this execution runs batch kernels —
-// external operators (e.g. the planner's lazy subquery filter) consult it
-// to pick between their own batch and row loops.
-func (c *Ctx) VectorizeEnabled() bool { return c.vec }
-
-// NoteEval is the exported noteEval for operators defined outside this
-// package; under EXPLAIN ANALYZE it records the operator's eval mode.
-func (c *Ctx) NoteEval(n Node, vectorized bool, rows int) { c.noteEval(n, vectorized, rows) }
-
 // useVector reports whether this execution evaluates the given compiled
 // expressions through their batch kernels: vectorization is on and every
 // non-nil expression has a full vector kernel.
@@ -64,6 +55,15 @@ func (c *Ctx) forBatches(lo, hi int, fn func(b, e int) error) error {
 		}
 	}
 	return nil
+}
+
+// evalMode names an operator's expression-evaluation mode in its
+// NodeStats.
+func evalMode(vectorized bool) string {
+	if vectorized {
+		return "vector"
+	}
+	return "row"
 }
 
 // batchCount reports how many vector-kernel chunks cover n rows —

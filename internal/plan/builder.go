@@ -480,9 +480,10 @@ func (b *builder) applyFilter(pl *planned, conjs []sqlast.Expr, scope *cteScope)
 	return b.filterNode(pl, expr, scope)
 }
 
-// filterNode builds a (possibly lazy) filter over pl.
+// filterNode builds a filter over pl; a predicate with subqueries is
+// bound when the statement runs (see bindSubqueries).
 func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*planned, error) {
-	subplans, subCost, err := b.planSubqueries(expr, scope)
+	subplans, order, subCost, err := b.planSubqueries(expr, scope)
 	if err != nil {
 		return nil, err
 	}
@@ -490,21 +491,19 @@ func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*p
 	rows := pl.node.EstRows() * sel
 	cost := pl.node.EstCost() + evalCPU(pl.node.EstRows(), costFilterRow) + subCost
 	desc := abbreviate(sqlast.ExprSQL(expr))
+	n := exec.NewFilterNode(pl.node, nil, desc)
 	if len(subplans) > 0 {
-		n := &lazyFilterNode{input: pl.node, expr: expr, subplans: subplans, desc: desc, estRows: rows, estCost: cost}
-		return &planned{node: n, stats: pl.stats}, nil
-	}
-	pred, err := eval.Compile(expr, &eval.Env{Schema: pl.schema()})
-	if err != nil {
+		n.Bind, n.Subplans = bindSubqueries(expr, pl.schema(), subplans, desc), order
+	} else if n.Pred, err = eval.Compile(expr, &eval.Env{Schema: pl.schema()}); err != nil {
 		return nil, err
 	}
-	n := exec.NewFilterNode(pl.node, pred, desc)
 	exec.SetEstimates(n, rows, cost)
 	return &planned{node: n, stats: pl.stats}, nil
 }
 
-// planSubqueries plans every IN/EXISTS subquery inside expr.
-func (b *builder) planSubqueries(expr sqlast.Expr, scope *cteScope) (map[sqlast.Stmt]exec.Node, float64, error) {
+// planSubqueries plans every IN/EXISTS subquery inside expr, returning
+// the plans by statement and in the order they appear.
+func (b *builder) planSubqueries(expr sqlast.Expr, scope *cteScope) (map[sqlast.Stmt]exec.Node, []exec.Node, float64, error) {
 	var stmts []sqlast.Stmt
 	sqlast.VisitExprs(expr, func(x sqlast.Expr) {
 		switch x := x.(type) {
@@ -517,19 +516,21 @@ func (b *builder) planSubqueries(expr sqlast.Expr, scope *cteScope) (map[sqlast.
 		}
 	})
 	if len(stmts) == 0 {
-		return nil, 0, nil
+		return nil, nil, 0, nil
 	}
 	plans := make(map[sqlast.Stmt]exec.Node, len(stmts))
+	order := make([]exec.Node, 0, len(stmts))
 	cost := 0.0
 	for _, s := range stmts {
 		pl, err := b.planStmt(s, scope)
 		if err != nil {
-			return nil, 0, fmt.Errorf("in subquery: %w", err)
+			return nil, nil, 0, fmt.Errorf("in subquery: %w", err)
 		}
 		plans[s] = pl.node
+		order = append(order, pl.node)
 		cost += pl.node.EstCost()
 	}
-	return plans, cost, nil
+	return plans, order, cost, nil
 }
 
 func abbreviate(s string) string {

@@ -18,98 +18,31 @@ import (
 	"repro/internal/types"
 )
 
-// lazyFilterNode filters rows by a predicate that may contain uncorrelated
-// IN/EXISTS subqueries. The subquery plans execute through the statement's
-// execution context (so a repeated subquery runs once), which is why the
-// predicate compiles lazily at Execute time rather than at plan time —
-// planning must never execute anything, or costing candidate rewrites
-// would pay for running them.
-type lazyFilterNode struct {
-	input    exec.Node
-	expr     sqlast.Expr
-	subplans map[sqlast.Stmt]exec.Node
-	desc     string
-
-	estRows, estCost float64
-}
-
-func (n *lazyFilterNode) Schema() *schema.Schema { return n.input.Schema() }
-
-// Children exposes the subquery plans alongside the input so EXPLAIN (and
-// plan-shape assertions) see every table access the filter performs.
-func (n *lazyFilterNode) Children() []exec.Node {
-	out := []exec.Node{n.input}
-	for _, sp := range n.subplans {
-		out = append(out, sp)
+// bindSubqueries returns the open-time binder of a filter predicate that
+// contains uncorrelated IN/EXISTS subqueries: it runs their plans through
+// the statement's execution context (so a repeated subquery runs once)
+// and compiles the predicate over the values they produce. Compilation
+// waits for execution because planning must never execute anything, or
+// costing candidate rewrites would pay for running them.
+func bindSubqueries(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.Stmt]exec.Node, desc string) func(*exec.Ctx) (*eval.Compiled, error) {
+	return func(ctx *exec.Ctx) (*eval.Compiled, error) {
+		return eval.Compile(expr, &eval.Env{
+			Schema: sch,
+			SubEval: func(s sqlast.Stmt) ([]types.Value, error) {
+				node, ok := subplans[s]
+				if !ok {
+					return nil, fmt.Errorf("plan: unplanned subquery in predicate %s", desc)
+				}
+				res, err := exec.Run(ctx, node)
+				if err != nil {
+					return nil, err
+				}
+				out := make([]types.Value, len(res.Rows))
+				for i, r := range res.Rows {
+					out[i] = r[0]
+				}
+				return out, nil
+			},
+		})
 	}
-	return out
-}
-func (n *lazyFilterNode) Label() string             { return "Filter(" + n.desc + ")" }
-func (n *lazyFilterNode) EstRows() float64          { return n.estRows }
-func (n *lazyFilterNode) EstCost() float64          { return n.estCost }
-func (n *lazyFilterNode) Ordering() []exec.OrderCol { return n.input.Ordering() }
-
-func (n *lazyFilterNode) Execute(ctx *exec.Ctx) (*exec.Result, error) {
-	in, err := exec.Run(ctx, n.input)
-	if err != nil {
-		return nil, err
-	}
-	env := &eval.Env{
-		Schema: n.input.Schema(),
-		SubEval: func(s sqlast.Stmt) ([]types.Value, error) {
-			node, ok := n.subplans[s]
-			if !ok {
-				return nil, fmt.Errorf("plan: unplanned subquery in predicate %s", n.desc)
-			}
-			res, err := exec.Run(ctx, node)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]types.Value, len(res.Rows))
-			for i, r := range res.Rows {
-				out[i] = r[0]
-			}
-			return out, nil
-		},
-	}
-	pred, err := eval.Compile(n.expr, env)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]schema.Row, 0, len(in.Rows)/4+1)
-	vec := ctx.VectorizeEnabled() && pred.Vectorized()
-	ctx.NoteEval(n, vec, len(in.Rows))
-	if vec {
-		// Batch the predicate over MorselSize chunks; EvalPredicateBatch
-		// reruns the row path in order on kernel errors, so failures match
-		// the serial loop below exactly.
-		var sel []int
-		for b := 0; b < len(in.Rows); b += exec.MorselSize {
-			e := b + exec.MorselSize
-			if e > len(in.Rows) {
-				e = len(in.Rows)
-			}
-			if err := ctx.Canceled(); err != nil {
-				return nil, err
-			}
-			sel, err = eval.EvalPredicateBatch(pred, in.Rows[b:e], nil, sel[:0])
-			if err != nil {
-				return nil, err
-			}
-			for _, i := range sel {
-				out = append(out, in.Rows[b+i])
-			}
-		}
-		return &exec.Result{Schema: n.input.Schema(), Rows: out}, nil
-	}
-	for _, r := range in.Rows {
-		ok, err := eval.EvalPredicate(pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return &exec.Result{Schema: n.input.Schema(), Rows: out}, nil
 }

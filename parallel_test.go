@@ -2,10 +2,12 @@ package repro_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro"
 	"repro/internal/bench"
+	"repro/internal/exec"
 )
 
 // TestQueryCorpusParallelInvariance runs the paper's benchmark queries
@@ -47,6 +49,52 @@ func TestQueryCorpusParallelInvariance(t *testing.T) {
 				assertSameRows(t, serial, parallel)
 			})
 		}
+	}
+}
+
+// TestJoinBackSemiJoinFilterIsAPipelineStage checks the join-back
+// rewrite's semi-join filter (epc IN (SELECT …)), whose predicate binds
+// at open, runs as the same pipeline stage as any other filter: it fans
+// out over the morsels of its input and charges its row references to
+// the query's memory budget.
+func TestJoinBackSemiJoinFilterIsAPipelineStage(t *testing.T) {
+	e, err := bench.Load(8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := e.DB.Query("SELECT epc FROM caser LIMIT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	count, err := e.DB.Query("SELECT count(*) FROM caser", repro.WithStrategy(repro.Dirty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	caser := count.Data[0][0].Int()
+	q := "SELECT rtime, reader, biz_loc FROM caser WHERE epc = '" + rows.Data[0][0].Str() + "' ORDER BY rtime"
+	opts := []repro.QueryOption{repro.WithStrategy(repro.JoinBack), repro.WithRules(e.RulePrefix(3)...), repro.WithParallelism(4)}
+
+	plan, err := e.DB.ExplainAnalyze(q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	semi := ""
+	for _, line := range strings.Split(plan, "\n") {
+		if strings.Contains(line, "Filter(") && strings.Contains(line, " IN (") {
+			semi = line
+			break
+		}
+	}
+	if !strings.Contains(semi, "workers=4") {
+		t.Fatalf("semi-join filter did not fan out (line %q):\n%s", semi, plan)
+	}
+	got, err := e.DB.Query(q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The filter reserves a row reference per caser row it reads.
+	if want := caser * exec.RowHdrBytes; got.Mem.Peak < want {
+		t.Fatalf("Mem.Peak = %d, below the semi-join filter's %d-byte reservation", got.Mem.Peak, want)
 	}
 }
 
