@@ -234,7 +234,7 @@ func (n *GroupNode) Execute(ctx *Ctx) (*Result, error) {
 		if !vec {
 			return phase1Serial(lo, hi)
 		}
-		cols := evalScratch(len(n.Keys), MorselSize)
+		cols := evalScratch(len(n.Keys), hi-lo)
 		return ctx.forBatches(lo, hi, func(b, e int) error {
 			chunk := in.Rows[b:e]
 			ok := tryBatchAll(n.Keys, chunk, cols)

@@ -68,6 +68,9 @@ func explainAnalyzeNode(b *strings.Builder, n Node, ctx *Ctx, depth int) {
 		if st.Segments > 0 {
 			fmt.Fprintf(b, " segments=%d pruned=%d", st.Segments, st.Pruned)
 		}
+		if st.Probe > 0 {
+			fmt.Fprintf(b, " probe=%d", st.Probe)
+		}
 		if st.SpillRuns > 0 {
 			fmt.Fprintf(b, " spilled=%d runs (%s)", st.SpillRuns, fmtBytes(float64(st.SpillBytes)))
 		}

@@ -20,16 +20,23 @@ type FilterNode struct {
 	// instead — for a predicate with uncorrelated IN/EXISTS subqueries,
 	// whose plans (Subplans, listed among the children for EXPLAIN) it
 	// runs through Run. Planning never executes anything, so the values
-	// those subqueries produce exist only once a statement runs.
-	Bind     func(ctx *Ctx) (*eval.Compiled, error)
+	// those subqueries produce exist only once a statement runs. Bind also
+	// returns the values of the ProbeCol conjunct's subquery (nil when
+	// there is none).
+	Bind     func(ctx *Ctx) (*eval.Compiled, []types.Value, error)
 	Subplans []Node
+	// ProbeCol, when >= 0, is the column of a top-level `col IN
+	// (subquery)` conjunct over a plain scan (see ProbeScan) of a table
+	// indexed on it: the subquery's values become index probes that
+	// narrow the scan (probe.go).
+	ProbeCol int
 	// Desc describes the predicate for EXPLAIN.
 	Desc string
 }
 
 // NewFilterNode wraps child with a compiled predicate.
 func NewFilterNode(child Node, pred *eval.Compiled, desc string) *FilterNode {
-	n := &FilterNode{Input: child, Pred: pred, Desc: desc}
+	n := &FilterNode{Input: child, Pred: pred, Desc: desc, ProbeCol: -1}
 	n.schema = child.Schema()
 	n.ordering = child.Ordering()
 	return n
@@ -48,15 +55,20 @@ func (n *FilterNode) Children() []Node { return append([]Node{n.Input}, n.Subpla
 // serves the whole morsel when vectorization is off.
 func (n *FilterNode) open(c *Ctx) (*level, error) {
 	pred := n.Pred
+	var keys []types.Value
 	if n.Bind != nil {
 		var err error
-		if pred, err = n.Bind(c); err != nil {
+		if pred, keys, err = n.Bind(c); err != nil {
 			return nil, err
 		}
 	}
 	vec := c.useVector(pred)
 	sels := make([][]int, c.par)
-	return &level{node: n, inBytes: rowHdrBytes, eval: evalMode(vec), parallel: true,
+	probe := c.probeFor(n.Input, n.ProbeCol)
+	if probe != nil {
+		probe.keys = keys
+	}
+	return &level{node: n, inBytes: rowHdrBytes, eval: evalMode(vec), parallel: true, probe: probe,
 		run: func(w int, in []schema.Row) ([]schema.Row, error) {
 			out := make([]schema.Row, 0, len(in)/4+1)
 			if vec {
@@ -113,13 +125,13 @@ func (n *ProjectNode) Label() string { return fmt.Sprintf("Project(%d cols)", n.
 // Children implements Node.
 func (n *ProjectNode) Children() []Node { return []Node{n.Input} }
 
-// scratch allocates the kernel column vectors project needs for one
-// worker, or nil when project will not use them.
-func (n *ProjectNode) scratch(vec bool) [][]types.Value {
+// scratch returns a worker's kernel column vectors, widened for a morsel
+// of nrows rows, or nil when project will not use them.
+func (n *ProjectNode) scratch(cols [][]types.Value, vec bool, nrows int) [][]types.Value {
 	if !vec || n.ords != nil {
 		return nil
 	}
-	return evalScratch(len(n.Exprs), MorselSize)
+	return widenScratch(cols, len(n.Exprs), nrows)
 }
 
 // project computes out[i] from in[i] for every input row. The vector
@@ -182,9 +194,7 @@ func (n *ProjectNode) open(c *Ctx) *level {
 	cols := make([][][]types.Value, c.par)
 	return &level{node: n, inBytes: rowHdrBytes + int64(len(n.Exprs))*valueBytes, eval: evalMode(vec), parallel: true,
 		run: func(w int, in []schema.Row) ([]schema.Row, error) {
-			if cols[w] == nil {
-				cols[w] = n.scratch(vec)
-			}
+			cols[w] = n.scratch(cols[w], vec, len(in))
 			out := make([]schema.Row, len(in))
 			return out, n.project(c, in, out, vec, cols[w])
 		}}
@@ -264,7 +274,7 @@ func (n *SortNode) Execute(ctx *Ctx) (*Result, error) {
 		if !vec {
 			return keysSerial(lo, hi)
 		}
-		cols := evalScratch(nk, MorselSize)
+		cols := evalScratch(nk, hi-lo)
 		return ctx.forBatches(lo, hi, func(b, e int) error {
 			chunk := in.Rows[b:e]
 			if !tryBatchAll(n.Keys, chunk, cols) {

@@ -40,6 +40,13 @@ type HashJoinNode struct {
 	// tables do.
 	CacheBuild bool
 
+	// ProbeCol, when >= 0, marks an inner join whose Left is a plain scan
+	// (see ProbeScan) of a table indexed on column ProbeCol, which is
+	// LeftKeys[ProbeKey]: the distinct values of RightKeys[ProbeKey] in a
+	// completed in-memory build become index probes that narrow the scan
+	// (probe.go).
+	ProbeCol, ProbeKey int
+
 	buildMu     sync.Mutex
 	cachedBuild *joinTable
 	cachedRows  int    // build-side row count the cached table was built from
@@ -95,7 +102,7 @@ func (k JoinKind) String() string {
 // NewHashJoinNode builds a hash join; the output schema is the
 // concatenation left ++ right.
 func NewHashJoinNode(l, r Node, lk, rk []*eval.Compiled, kind JoinKind, residual *eval.Compiled, desc string) *HashJoinNode {
-	n := &HashJoinNode{Left: l, Right: r, LeftKeys: lk, RightKeys: rk, JoinType: kind, Residual: residual, Desc: desc}
+	n := &HashJoinNode{Left: l, Right: r, LeftKeys: lk, RightKeys: rk, JoinType: kind, Residual: residual, Desc: desc, ProbeCol: -1}
 	n.schema = schema.Concat(l.Schema(), r.Schema())
 	return n
 }
@@ -170,7 +177,7 @@ func buildJoinTable(ctx *Ctx, rows []schema.Row, keys []*eval.Compiled, workers 
 		if !vec {
 			return encodeSerial(lo, hi)
 		}
-		cols := evalScratch(len(keys), MorselSize)
+		cols := evalScratch(len(keys), hi-lo)
 		return ctx.forBatches(lo, hi, func(b, e int) error {
 			chunk := rows[b:e]
 			if !tryBatchAll(keys, chunk, cols) {
@@ -248,7 +255,8 @@ func buildJoinTable(ctx *Ctx, rows []schema.Row, keys []*eval.Compiled, workers 
 
 // open binds the join as a probe stage: the build table comes from the
 // cache or from Run(Right), and its working set stays reserved until the
-// pipeline closes; each probe morsel charges its joined output rows. A
+// pipeline closes; its distinct ProbeKey values become the probe keys of
+// a plain scan below; each probe morsel charges its joined output rows. A
 // refused reservation degrades the join to a breaker when spilling is
 // enabled: the grace-hash path runs both inputs through Run and its
 // result (non-nil) becomes the pipeline's source.
@@ -295,6 +303,9 @@ func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 		// returned above, and errors never reach here.
 		n.storeTable(c, build, buildRows)
 	}
+	if lv.probe = c.probeFor(n.Left, n.ProbeCol); lv.probe != nil {
+		lv.probe.keys = build.keys(n.RightKeys[n.ProbeKey], lv.probe.scan.Table.RowCount()/probeShare)
+	}
 	vecProbe := c.useVector(n.LeftKeys...) && c.useVector(n.Residual)
 	pss := make([]*probeState, c.par)
 	lv.outBytes = rowHdrBytes + int64(n.schema.Len())*valueBytes
@@ -309,8 +320,8 @@ func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 }
 
 // probeState is the reusable per-worker state of a hash-join probe: the
-// key encoder and, in vector mode, the evaluation scratch. One instance
-// serves one pump worker.
+// key encoder and, in vector mode, the evaluation scratch, widened to the
+// largest morsel seen. One instance serves one pump worker.
 type probeState struct {
 	n          *HashJoinNode
 	build      *joinTable
@@ -324,12 +335,7 @@ type probeState struct {
 }
 
 func newProbeState(n *HashJoinNode, build *joinTable, vec bool) *probeState {
-	ps := &probeState{n: n, build: build, vec: vec, rightWidth: n.Right.Schema().Len()}
-	if vec {
-		ps.cols = evalScratch(len(n.LeftKeys), MorselSize)
-		ps.candStart = make([]int, 0, MorselSize+1)
-	}
-	return ps
+	return &probeState{n: n, build: build, vec: vec, rightWidth: n.Right.Schema().Len()}
 }
 
 // probeRange probes rows against the build table, appending the joined
@@ -377,6 +383,7 @@ func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, out []schema.Row) 
 	// candidate joined row of the chunk with per-left-row ranges, run
 	// the residual once over all candidates, then emit survivors (and
 	// left-join padding) in the serial order.
+	ps.cols = widenScratch(ps.cols, len(n.LeftKeys), len(rows))
 	err := ctx.forBatches(0, len(rows), func(b, e int) error {
 		chunk := rows[b:e]
 		if !tryBatchAll(n.LeftKeys, chunk, ps.cols) {

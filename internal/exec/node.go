@@ -113,6 +113,12 @@ type NodeStats struct {
 	// reading. Both zero for non-scan operators and unfused scans.
 	Segments int
 	Pruned   int
+	// Probe is the number of keys a plain scan looked up in its table's
+	// index instead of reading every row — the IN keys of the semi-join
+	// filter or the build keys of the inner hash join above it (see
+	// probe.go). 0 means it read the whole table — or, with 0 rows, that
+	// it probed an empty key set.
+	Probe int
 }
 
 // NewCtx returns a fresh execution context that is never canceled.
@@ -289,6 +295,16 @@ func (c *Ctx) noteSegments(n Node, segments, pruned int) {
 	c.mu.Lock()
 	st := c.statLocked(n)
 	st.Segments, st.Pruned = segments, pruned
+	c.mu.Unlock()
+}
+
+// noteProbe records how many keys a plain scan looked up in its index.
+func (c *Ctx) noteProbe(n Node, keys int) {
+	if c.stats == nil {
+		return
+	}
+	c.mu.Lock()
+	c.statLocked(n).Probe = keys
 	c.mu.Unlock()
 }
 
@@ -553,37 +569,23 @@ func (s *ScanNode) Label() string {
 // Children implements Node.
 func (s *ScanNode) Children() []Node { return nil }
 
-// open binds the scan as its pipeline's source. An index scan gathers
-// the rows of a MorselSize range of matched ids per morsel; a fused scan
-// evaluates its predicate per segment-local morsel; a plain scan slices
-// the table's (memoized, shared) rows — downstream operators never
-// mutate input rows. The index and fused scans reserve their output's
-// row references up front.
-func (s *ScanNode) open(c *Ctx) (*level, source, error) {
+// open binds the scan as its pipeline's source. An index scan, and a
+// plain scan whose probe (the keys the operator above bound, see
+// probe.go) applies, gather the rows of a MorselSize range of matched ids
+// per morsel; a fused scan evaluates its predicate per segment-local
+// morsel; any other plain scan slices the table's (memoized, shared) rows
+// — downstream operators never mutate input rows. All but the last
+// reserve their output's row references up front.
+func (s *ScanNode) open(c *Ctx, probe *scanProbe) (*level, source, error) {
 	lv := &level{node: s, parallel: true}
 	switch {
 	case s.IndexOrd >= 0:
-		ix := s.Table.IndexByOrdinal(s.IndexOrd)
-		if ix == nil {
+		parts := s.Table.Lookup(s.IndexOrd, []storage.Bounds{s.Bounds})
+		if parts == nil {
 			return lv, source{}, fmt.Errorf("exec: plan expects index on %s column %d but none exists", s.Table.Name, s.IndexOrd)
 		}
-		ids := ix.Scan(s.Bounds)
-		bytes := int64(len(ids)) * rowHdrBytes
-		if err := c.reserveOrCharge(bytes); err != nil {
-			return lv, source{}, err
-		}
-		return lv, source{nm: (len(ids) + MorselSize - 1) / MorselSize, rows: len(ids), charged: bytes,
-			morsel: func(m int) ([]schema.Row, error) {
-				lo := m * MorselSize
-				out := make([]schema.Row, min(MorselSize, len(ids)-lo))
-				for i := range out {
-					if err := c.Tick(i); err != nil {
-						return nil, err
-					}
-					out[i] = s.Table.RowAt(int(ids[lo+i]))
-				}
-				return out, nil
-			}}, nil
+		src, err := s.idSource(c, parts[0])
+		return lv, src, err
 	case s.Pred != nil:
 		vec := c.useVector(s.Pred)
 		morsels, total := s.planFilteredMorsels(c, vec)
@@ -595,8 +597,34 @@ func (s *ScanNode) open(c *Ctx) (*level, source, error) {
 		return lv, source{nm: len(morsels), rows: total, charged: bytes,
 			morsel: func(m int) ([]schema.Row, error) { return s.filterMorsel(c, morsels[m], vec) }}, nil
 	}
+	if ids, keys, ok := probe.ids(s); ok {
+		c.noteProbe(s, keys)
+		src, err := s.idSource(c, ids)
+		return lv, src, err
+	}
 	lv.parallel = false
 	return lv, sliceSource(s.Table.AllRows()), nil
+}
+
+// idSource gathers the rows of ids, in their order, MorselSize per
+// morsel, reserving their row references up front.
+func (s *ScanNode) idSource(c *Ctx, ids []int32) (source, error) {
+	bytes := int64(len(ids)) * rowHdrBytes
+	if err := c.reserveOrCharge(bytes); err != nil {
+		return source{}, err
+	}
+	return source{nm: (len(ids) + MorselSize - 1) / MorselSize, rows: len(ids), charged: bytes,
+		morsel: func(m int) ([]schema.Row, error) {
+			lo := m * MorselSize
+			out := make([]schema.Row, min(MorselSize, len(ids)-lo))
+			for i := range out {
+				if err := c.Tick(i); err != nil {
+					return nil, err
+				}
+				out[i] = s.Table.RowAt(int(ids[lo+i]))
+			}
+			return out, nil
+		}}, nil
 }
 
 // scanMorsel is one segment-local unit of fused-scan work; it never

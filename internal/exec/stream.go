@@ -1,7 +1,7 @@
 // Morsel pipelines: the one execution path of the pipelined operators.
 // A plan splits at its breakers into pipelines. Each pipeline has a
 // source of numbered morsels — a fused scan's zone-pruned, segment-local
-// morsels, an index scan's row ids, or resident rows (a plain scan,
+// morsels, an index or probed scan's row ids, or resident rows (a plain scan,
 // Values, a breaker's or shared subtree's finished result) cut into
 // MorselSize ranges — the stages that map a morsel's rows through the
 // pipelined operators above it (filter, project, requalify, hash-join
@@ -197,6 +197,8 @@ type level struct {
 	batchRows int
 	// parallel records the pump's fan-out as the operator's Workers.
 	parallel bool
+	// probe is the keys this stage bound for the plain scan below it.
+	probe *scanProbe
 
 	open     time.Duration
 	start    time.Time
@@ -234,12 +236,14 @@ func isLimit(n Node) bool {
 }
 
 // open binds the operators to the execution top down — a join's build
-// and a filter's subqueries run before the input they will see — then
-// sizes the fan-out and starts the pump.
+// and a filter's subqueries run before the input they will see, so the
+// keys they bind can choose what the scan below them reads (probe.go) —
+// then sizes the fan-out and starts the pump.
 func (p *pipeline) open() error {
 	c := p.ctx
 	p.start = time.Now()
 	found := false
+	var probe *scanProbe
 	for _, n := range p.chain {
 		t0 := time.Now()
 		var lv *level
@@ -249,7 +253,7 @@ func (p *pipeline) open() error {
 			p.cut, p.skip, p.left = t, t.Offset, t.N
 			lv = &level{node: t}
 		case *ScanNode:
-			lv, p.src, err = t.open(c)
+			lv, p.src, err = t.open(c, probe)
 			found = err == nil
 		case *ValuesNode:
 			lv, p.src, found = &level{node: t}, sliceSource(t.RowsData), true
@@ -271,6 +275,9 @@ func (p *pipeline) open() error {
 		if lv != nil {
 			lv.open = time.Since(t0)
 			p.levels = append([]*level{lv}, p.levels...)
+			if lv.probe != nil {
+				probe = lv.probe
+			}
 		}
 		if err != nil {
 			return err

@@ -75,15 +75,27 @@ func batchCount(n int) int {
 	return (n + MorselSize - 1) / MorselSize
 }
 
-// evalScratch allocates per-expression column vectors of one chunk's
-// width, sliced out of a single backing array.
-func evalScratch(nexprs, width int) [][]types.Value {
+// evalScratch allocates per-expression column vectors wide enough for the
+// chunks of nrows rows — MorselSize, or nrows when fewer — sliced out of
+// a single backing array. A probed scan delivers a few rows, and vectors
+// a full chunk wide would make their allocation the cost of the query.
+func evalScratch(nexprs, nrows int) [][]types.Value {
+	width := min(nrows, MorselSize)
 	cols := make([][]types.Value, nexprs)
 	backing := make([]types.Value, nexprs*width)
 	for j := range cols {
 		cols[j] = backing[j*width : (j+1)*width : (j+1)*width]
 	}
 	return cols
+}
+
+// widenScratch returns a worker's reusable scratch cols when it is wide
+// enough for the chunks of nrows rows, else fresh scratch that is.
+func widenScratch(cols [][]types.Value, nexprs, nrows int) [][]types.Value {
+	if len(cols) > 0 && len(cols[0]) >= min(nrows, MorselSize) {
+		return cols
+	}
+	return evalScratch(nexprs, nrows)
 }
 
 // tryBatchAll evaluates every expression over rows into its column

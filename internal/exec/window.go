@@ -147,7 +147,7 @@ func (n *WindowNode) Execute(ctx *Ctx) (*Result, error) {
 		if !ctx.useVector(n.PartKeys...) {
 			return partSerial(lo, hi)
 		}
-		cols := evalScratch(len(n.PartKeys), MorselSize)
+		cols := evalScratch(len(n.PartKeys), hi-lo)
 		return ctx.forBatches(lo, hi, func(b, e int) error {
 			chunk := rows[b:e]
 			if !tryBatchAll(n.PartKeys, chunk, cols) {
@@ -206,7 +206,7 @@ func (n *WindowNode) Execute(ctx *Ctx) (*Result, error) {
 			if !ctx.useVector(n.OrderKeys...) {
 				return orderSerial(lo, hi)
 			}
-			vp := evalScratch(1, MorselSize)[0]
+			vp := evalScratch(1, hi-lo)[0]
 			return ctx.forBatches(lo, hi, func(b, e int) error {
 				chunk := rows[b:e]
 				if !n.OrderKeys[0].TryBatch(chunk, vp, nil) {

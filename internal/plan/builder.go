@@ -67,6 +67,15 @@ func (s *cteScope) lookup(name string) (*planned, bool) {
 
 type builder struct {
 	db *catalog.Database
+	// subqueries memoizes IN/EXISTS subquery plans by scope and SQL text,
+	// so the copies a rewrite inlines or pushdown clones share one node,
+	// which the execution then runs once.
+	subqueries map[subqueryKey]exec.Node
+}
+
+type subqueryKey struct {
+	scope *cteScope
+	sql   string
 }
 
 // ---- statements ----
@@ -493,7 +502,9 @@ func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*p
 	desc := abbreviate(sqlast.ExprSQL(expr))
 	n := exec.NewFilterNode(pl.node, nil, desc)
 	if len(subplans) > 0 {
-		n.Bind, n.Subplans = bindSubqueries(expr, pl.schema(), subplans, desc), order
+		var probe sqlast.Stmt
+		n.ProbeCol, probe = probeConjunct(expr, pl)
+		n.Bind, n.Subplans = bindSubqueries(expr, pl.schema(), subplans, probe, desc), order
 	} else if n.Pred, err = eval.Compile(expr, &eval.Env{Schema: pl.schema()}); err != nil {
 		return nil, err
 	}
@@ -522,13 +533,22 @@ func (b *builder) planSubqueries(expr sqlast.Expr, scope *cteScope) (map[sqlast.
 	order := make([]exec.Node, 0, len(stmts))
 	cost := 0.0
 	for _, s := range stmts {
-		pl, err := b.planStmt(s, scope)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("in subquery: %w", err)
+		key := subqueryKey{scope, sqlast.SQL(s)}
+		node, ok := b.subqueries[key]
+		if !ok {
+			pl, err := b.planStmt(s, scope)
+			if err != nil {
+				return nil, nil, 0, fmt.Errorf("in subquery: %w", err)
+			}
+			node = pl.node
+			if b.subqueries == nil {
+				b.subqueries = map[subqueryKey]exec.Node{}
+			}
+			b.subqueries[key] = node
 		}
-		plans[s] = pl.node
-		order = append(order, pl.node)
-		cost += pl.node.EstCost()
+		plans[s] = node
+		order = append(order, node)
+		cost += node.EstCost()
 	}
 	return plans, order, cost, nil
 }

@@ -188,6 +188,14 @@ func (b *builder) buildJoin(l, r *planned, conjs []sqlast.Expr, kind exec.JoinKi
 		if sc, ok := r.node.(*exec.ScanNode); ok && sc.IndexOrd < 0 && sc.Pred == nil {
 			n.CacheBuild = true
 		}
+		// An inner join's build keys can narrow a plain probe-side scan to
+		// the rows its index holds for them.
+		for j, k := range lKeys {
+			if ord := probeColumn(k, l); ord >= 0 && kind == exec.JoinKindInner {
+				n.ProbeCol, n.ProbeKey = ord, j
+				break
+			}
+		}
 		cost := l.node.EstCost() + r.node.EstCost() + evalCPU(l.node.EstRows()+r.node.EstRows(), costHashRow)
 		exec.SetEstimates(n, rows, cost)
 		exec.SetOrdering(n, l.node.Ordering())

@@ -21,12 +21,14 @@ import (
 // bindSubqueries returns the open-time binder of a filter predicate that
 // contains uncorrelated IN/EXISTS subqueries: it runs their plans through
 // the statement's execution context (so a repeated subquery runs once)
-// and compiles the predicate over the values they produce. Compilation
-// waits for execution because planning must never execute anything, or
-// costing candidate rewrites would pay for running them.
-func bindSubqueries(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.Stmt]exec.Node, desc string) func(*exec.Ctx) (*eval.Compiled, error) {
-	return func(ctx *exec.Ctx) (*eval.Compiled, error) {
-		return eval.Compile(expr, &eval.Env{
+// and compiles the predicate over the values they produce, handing back
+// those of the probe subquery (nil for none) as the scan's probe keys.
+// Compilation waits for execution because planning must never execute
+// anything, or costing candidate rewrites would pay for running them.
+func bindSubqueries(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.Stmt]exec.Node, probe sqlast.Stmt, desc string) func(*exec.Ctx) (*eval.Compiled, []types.Value, error) {
+	return func(ctx *exec.Ctx) (*eval.Compiled, []types.Value, error) {
+		var keys []types.Value
+		pred, err := eval.Compile(expr, &eval.Env{
 			Schema: sch,
 			SubEval: func(s sqlast.Stmt) ([]types.Value, error) {
 				node, ok := subplans[s]
@@ -41,8 +43,42 @@ func bindSubqueries(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.St
 				for i, r := range res.Rows {
 					out[i] = r[0]
 				}
+				if s == probe {
+					keys = out
+				}
 				return out, nil
 			},
 		})
+		return pred, keys, err
 	}
+}
+
+// probeConjunct finds a top-level `col IN (subquery)` conjunct of expr,
+// not negated, whose col is a probe column of pl. It returns col's
+// ordinal and the subquery, or -1 when there is none.
+func probeConjunct(expr sqlast.Expr, pl *planned) (int, sqlast.Stmt) {
+	for _, c := range sqlast.Conjuncts(expr) {
+		if in, ok := c.(*sqlast.In); ok && in.Sub != nil && !in.Neg {
+			if ord := probeColumn(in.E, pl); ord >= 0 {
+				return ord, in.Sub
+			}
+		}
+	}
+	return -1, nil
+}
+
+// probeColumn returns the ordinal of e when e is a bare column of the
+// plain scan pl is (see exec.ProbeScan) and the scanned table indexes it —
+// when keys bound for e at open can become index probes — or -1.
+func probeColumn(e sqlast.Expr, pl *planned) int {
+	cr, ok := e.(*sqlast.ColRef)
+	scan := exec.ProbeScan(pl.node)
+	if !ok || scan == nil {
+		return -1
+	}
+	ord, err := pl.schema().Resolve(cr.Table, cr.Name)
+	if err != nil || !scan.Table.HasIndex(ord) {
+		return -1
+	}
+	return ord
 }

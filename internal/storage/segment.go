@@ -148,11 +148,7 @@ func (s *Segment) CanMatch(p ZonePred) bool {
 	if z.NullCount == s.n || z.Min.IsNull() {
 		return false
 	}
-	b := p.Bounds
-	if b.Equals != nil {
-		v := *b.Equals
-		b = Bounds{Lo: &v, LoIncl: true, Hi: &v, HiIncl: true}
-	}
+	b := p.Bounds.ranged()
 	if b.Lo != nil {
 		c, err := types.Compare(z.Max, *b.Lo)
 		if err != nil {

@@ -40,13 +40,12 @@ func TestIndexScanBounds(t *testing.T) {
 	if err := tab.BuildIndex("v"); err != nil {
 		t.Fatal(err)
 	}
-	ix := tab.IndexOn("v")
-	if ix == nil {
+	if tab.IndexOn("v") == nil {
 		t.Fatal("index missing")
 	}
 	collect := func(b Bounds) []int64 {
 		var out []int64
-		for _, rid := range ix.Scan(b) {
+		for _, rid := range tab.Lookup(1, []Bounds{b})[0] {
 			out = append(out, tab.RowAt(int(rid))[1].Int())
 		}
 		return out
@@ -109,7 +108,7 @@ func TestIndexScanMatchesLinearScanProperty(t *testing.T) {
 		lo := types.NewInt(int64(rng.Intn(50)))
 		hi := types.NewInt(int64(rng.Intn(50)))
 		loIncl, hiIncl := rng.Intn(2) == 0, rng.Intn(2) == 0
-		got := tab.IndexOn("v").Scan(Bounds{Lo: &lo, LoIncl: loIncl, Hi: &hi, HiIncl: hiIncl})
+		got := tab.Lookup(0, []Bounds{{Lo: &lo, LoIncl: loIncl, Hi: &hi, HiIncl: hiIncl}})[0]
 		var want []int32
 		for i, v := range vals {
 			okLo := v > lo.Int() || (loIncl && v == lo.Int())
@@ -130,6 +129,66 @@ func TestIndexScanMatchesLinearScanProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: Lookup over an index built part-way through the appends
+// returns exactly the rows a linear filter keeps, per range, in (value,
+// row ID) order — the covered prefix from the index, the rest checked in
+// zone-pruned sealed segments and the tail.
+func TestLookupCoversRowsAppendedAfterBuildProperty(t *testing.T) {
+	defer func(n int) { DefaultSegmentRows = n }(DefaultSegmentRows)
+	DefaultSegmentRows = 8
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tab := NewTable("t", schema.New(schema.Col("t", "v", types.KindInt)))
+		var vals []types.Value
+		add := func(n, lo, span int) {
+			for i := 0; i < n; i++ {
+				v := types.NewInt(int64(lo + rng.Intn(span)))
+				if rng.Intn(10) == 0 {
+					v = types.Null
+				}
+				vals = append(vals, v)
+				tab.Append(schema.Row{v})
+			}
+		}
+		add(rng.Intn(60), 0, 40)
+		tab.BuildIndex("v")
+		// Later values drift upward, so some suffix segments prune.
+		add(rng.Intn(60), rng.Intn(60), 20)
+		var ranges []Bounds
+		for lo := int64(rng.Intn(5)); lo < 80; lo += int64(2 + rng.Intn(15)) {
+			l, h := types.NewInt(lo), types.NewInt(lo+int64(rng.Intn(2)))
+			if rng.Intn(2) == 0 {
+				ranges = append(ranges, Bounds{Equals: &l})
+			} else {
+				ranges = append(ranges, Bounds{Lo: &l, LoIncl: true, Hi: &h, HiIncl: true})
+			}
+		}
+		got := tab.Lookup(0, ranges)
+		for i, b := range ranges {
+			b = b.ranged()
+			var want []int32
+			for id, v := range vals {
+				if !v.IsNull() && !b.belowLo(v) && !b.aboveHi(v) {
+					want = append(want, int32(id))
+				}
+			}
+			sort.SliceStable(want, func(a, c int) bool { return vals[want[a]].Int() < vals[want[c]].Int() })
+			if len(got[i]) != len(want) {
+				return false
+			}
+			for k := range want {
+				if got[i][k] != want[k] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -11,6 +11,7 @@ package storage
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,9 +65,10 @@ func NewTable(name string, s *schema.Schema) *Table {
 
 // Append adds rows to the table's mutable tail, sealing exact
 // segRows-sized chunks into immutable columnar segments as the tail
-// fills. Indexes and statistics become stale and must be refreshed with
-// BuildIndex / Analyze; the loader pattern in this repo is bulk-load then
-// index, matching the paper's load-then-query experiments.
+// fills. An index keeps covering the rows it was built over, and Lookup
+// checks the rows appended since, so index reads stay exact; statistics
+// go stale until Analyze. The loader pattern in this repo is bulk-load
+// then index, matching the paper's load-then-query experiments.
 func (t *Table) Append(rows ...schema.Row) error {
 	for _, r := range rows {
 		if len(r) != t.Schema.Len() {
@@ -151,11 +153,13 @@ func (t *Table) SegmentCount() int { return len(t.sealed) }
 // Index is a sorted (value, rowID) list over one column, held as parallel
 // slices so range scans can hand out rowID sub-slices without copying.
 // NULLs are excluded: SQL predicates never select them from an index
-// range scan.
+// range scan. It covers the table's first covered rows — those that
+// existed when it was built; Table.Lookup checks the rest.
 type Index struct {
-	Column int
-	vals   []types.Value
-	rows   []int32
+	Column  int
+	vals    []types.Value
+	rows    []int32
+	covered int
 }
 
 // BuildIndex builds (or rebuilds) a sorted index on the named column.
@@ -187,9 +191,10 @@ func (t *Table) BuildIndex(column string) error {
 		return c < 0
 	})
 	idx := &Index{
-		Column: ord,
-		vals:   make([]types.Value, len(entries)),
-		rows:   make([]int32, len(entries)),
+		Column:  ord,
+		vals:    make([]types.Value, len(entries)),
+		rows:    make([]int32, len(entries)),
+		covered: t.RowCount(),
 	}
 	for i, e := range entries {
 		idx.vals[i] = e.v
@@ -211,9 +216,6 @@ func (t *Table) IndexOn(column string) *Index {
 // HasIndex reports whether an index exists on the column ordinal.
 func (t *Table) HasIndex(ord int) bool { return t.indexes[ord] != nil }
 
-// IndexByOrdinal returns the index on the column ordinal, or nil.
-func (t *Table) IndexByOrdinal(ord int) *Index { return t.indexes[ord] }
-
 // Bounds describe a one-sided or two-sided range on an indexed column.
 // Nil pointers mean unbounded on that side.
 type Bounds struct {
@@ -224,45 +226,128 @@ type Bounds struct {
 	Equals *types.Value // exact-match lookup; overrides Lo/Hi
 }
 
-// Scan returns the row IDs whose column value falls inside b, in index
-// (value) order. The result is a sub-slice view of the index's rowID
-// array — no copy — and must be treated as read-only; it stays valid
-// until the index is rebuilt.
-func (ix *Index) Scan(b Bounds) []int32 {
-	if b.Equals != nil {
-		v := *b.Equals
-		b = Bounds{Lo: &v, LoIncl: true, Hi: &v, HiIncl: true}
+// ranged spells an exact-match lookup as the closed range it is.
+func (b Bounds) ranged() Bounds {
+	if b.Equals == nil {
+		return b
 	}
-	lo := 0
-	if b.Lo != nil {
-		lo = sort.Search(len(ix.vals), func(i int) bool {
-			c, err := types.Compare(ix.vals[i], *b.Lo)
-			if err != nil {
-				return true
+	v := *b.Equals
+	return Bounds{Lo: &v, LoIncl: true, Hi: &v, HiIncl: true}
+}
+
+// belowLo reports whether v lies below the lower bound of a ranged b; an
+// incomparable v does not.
+func (b Bounds) belowLo(v types.Value) bool {
+	if b.Lo == nil {
+		return false
+	}
+	c, err := types.Compare(v, *b.Lo)
+	return err == nil && (c < 0 || c == 0 && !b.LoIncl)
+}
+
+// aboveHi reports whether v lies above the upper bound of a ranged b; an
+// incomparable v does.
+func (b Bounds) aboveHi(v types.Value) bool {
+	if b.Hi == nil {
+		return false
+	}
+	c, err := types.Compare(v, *b.Hi)
+	return err != nil || c > 0 || c == 0 && !b.HiIncl
+}
+
+// span returns the index positions [lo, hi) whose values fall inside b.
+func (ix *Index) span(b Bounds) (int, int) {
+	b = b.ranged()
+	lo := sort.Search(len(ix.vals), func(i int) bool { return !b.belowLo(ix.vals[i]) })
+	hi := sort.Search(len(ix.vals), func(i int) bool { return b.aboveHi(ix.vals[i]) })
+	return lo, max(lo, hi)
+}
+
+// Lookup returns, for each of ranges (sorted ascending and disjoint), the
+// IDs of the rows whose value in column ord lies inside it, in (value,
+// row ID) order — the order an index range scan emits. The index on ord
+// answers for the prefix it covers; the rows appended since are checked
+// one by one, in sealed segments only where the zone map admits a value
+// in the ranges' envelope, and merged in. A range with no such late match
+// is a sub-slice view of the index's rowID array — no copy — to be
+// treated as read-only; it stays valid until the index is rebuilt.
+// Lookup returns nil when ord has no index.
+func (t *Table) Lookup(ord int, ranges []Bounds) [][]int32 {
+	ix := t.indexes[ord]
+	if ix == nil {
+		return nil
+	}
+	ranges = slices.Clone(ranges)
+	for i := range ranges {
+		ranges[i] = ranges[i].ranged()
+	}
+	type hit struct {
+		v  types.Value
+		id int32
+	}
+	late := make([][]hit, len(ranges))
+	if len(ranges) > 0 && ix.covered < t.RowCount() {
+		env := ZonePred{Col: ord, Bounds: Bounds{
+			Lo: ranges[0].Lo, LoIncl: ranges[0].LoIncl,
+			Hi: ranges[len(ranges)-1].Hi, HiIncl: ranges[len(ranges)-1].HiIncl,
+		}}
+		t.scanSince(ix.covered, ord, env, func(id int, v types.Value) {
+			if v.IsNull() {
+				return
 			}
-			if b.LoIncl {
-				return c >= 0
+			i := sort.Search(len(ranges), func(i int) bool { return !ranges[i].aboveHi(v) })
+			if i < len(ranges) && !ranges[i].belowLo(v) && !ranges[i].aboveHi(v) {
+				late[i] = append(late[i], hit{v, int32(id)})
 			}
-			return c > 0
 		})
 	}
-	hi := len(ix.vals)
-	if b.Hi != nil {
-		hi = sort.Search(len(ix.vals), func(i int) bool {
-			c, err := types.Compare(ix.vals[i], *b.Hi)
-			if err != nil {
-				return true
-			}
-			if b.HiIncl {
-				return c > 0
-			}
-			return c >= 0
-		})
+	less := func(a, b types.Value) bool {
+		c, err := types.Compare(a, b)
+		return err == nil && c < 0
 	}
-	if hi < lo {
-		hi = lo
+	out := make([][]int32, len(ranges))
+	for i, b := range ranges {
+		lo, hi := ix.span(b)
+		l := late[i]
+		if len(l) == 0 {
+			out[i] = ix.rows[lo:hi:hi]
+			continue
+		}
+		// Late rows follow every covered row in ID order, so among equal
+		// values they come after the index's.
+		sort.SliceStable(l, func(a, b int) bool { return less(l[a].v, l[b].v) })
+		ids := make([]int32, 0, hi-lo+len(l))
+		j := 0
+		for k := lo; k < hi; k++ {
+			for ; j < len(l) && less(l[j].v, ix.vals[k]); j++ {
+				ids = append(ids, l[j].id)
+			}
+			ids = append(ids, ix.rows[k])
+		}
+		for ; j < len(l); j++ {
+			ids = append(ids, l[j].id)
+		}
+		out[i] = ids
 	}
-	return ix.rows[lo:hi:hi]
+	return out
+}
+
+// scanSince calls fn with the ID and column-ord value of every row from
+// ID from on, skipping the sealed segments whose zone map rules zp out.
+func (t *Table) scanSince(from, ord int, zp ZonePred, fn func(id int, v types.Value)) {
+	for k := from / t.segRows; k < len(t.sealed); k++ {
+		seg := t.sealed[k]
+		if !seg.CanMatch(zp) {
+			continue
+		}
+		for i := max(from-seg.Base, 0); i < seg.n; i++ {
+			fn(seg.Base+i, seg.Value(ord, i))
+		}
+	}
+	base := len(t.sealed) * t.segRows
+	for i := max(from-base, 0); i < len(t.tail); i++ {
+		fn(base+i, t.tail[i][ord])
+	}
 }
 
 // Len returns the number of non-null entries in the index.

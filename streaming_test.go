@@ -96,12 +96,7 @@ func TestQueryStreamCorpusMatchesEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	rules := e.RulePrefix(5)
-	queries := map[string]string{
-		"q1":  e.Q1(0.4),
-		"q2":  e.Q2(0.3),
-		"q2p": e.Q2Prime(0.3),
-	}
-	for qname, q := range queries {
+	for qname, q := range corpusQueries(t, e) {
 		for _, v := range bench.Variants() {
 			t.Run(qname+"/"+v.Name, func(t *testing.T) {
 				for _, par := range []int{1, runtime.NumCPU()} {

@@ -485,6 +485,9 @@ func operatorSpan(n exec.Node, stats map[exec.Node]*exec.NodeStats) *obs.Span {
 				sp.SetAttr("batches", strconv.Itoa(st.Batches))
 			}
 		}
+		if st.Probe > 0 {
+			sp.SetAttr("probe", strconv.Itoa(st.Probe))
+		}
 		if st.SpillRuns > 0 {
 			sp.SetAttr("spilled", strconv.Itoa(st.SpillRuns))
 			sp.SetAttr("spill_bytes", strconv.FormatInt(st.SpillBytes, 10))

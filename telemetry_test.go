@@ -152,15 +152,18 @@ func TestTraceWorkerAndSpillAttrsMatchExplainAnalyze(t *testing.T) {
 		name string
 		key  string
 		db   *repro.DB
+		q    string
 		opts []repro.QueryOption
 	}{
-		{"workers at par=4", "workers", big.DB, []repro.QueryOption{repro.WithParallelism(4)}},
-		{"spill runs under 32KiB", "spilled", newGovernDB(t), []repro.QueryOption{repro.WithMemoryLimit(32 << 10)}},
+		{"workers at par=4", "workers", big.DB, spillSortQuery, []repro.QueryOption{repro.WithParallelism(4)}},
+		{"spill runs under 32KiB", "spilled", newGovernDB(t), spillSortQuery, []repro.QueryOption{repro.WithMemoryLimit(32 << 10)}},
+		{"index probes of the join-back lookup", "probe", big.DB, corpusQueries(t, big)["lookup"],
+			[]repro.QueryOption{repro.WithStrategy(repro.JoinBack), repro.WithRules(big.RulePrefix(5)...)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db := tc.db
-			plan, err := db.ExplainAnalyze(spillSortQuery, tc.opts...)
+			plan, err := db.ExplainAnalyze(tc.q, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +171,7 @@ func TestTraceWorkerAndSpillAttrsMatchExplainAnalyze(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("ExplainAnalyze shows no %s= annotations; test is vacuous:\n%s", tc.key, plan)
 			}
-			rows, err := db.Query(spillSortQuery, append([]repro.QueryOption{repro.WithTrace(nil)}, tc.opts...)...)
+			rows, err := db.Query(tc.q, append([]repro.QueryOption{repro.WithTrace(nil)}, tc.opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
