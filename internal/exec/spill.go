@@ -38,7 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/eval"
@@ -90,86 +90,14 @@ func (c *Ctx) reserveOrCharge(n int64) error {
 	return c.res.Reserve(n)
 }
 
-// ---- Spill record codec ----
+// ---- Spill records ----
 
-// writeUvarint writes an unsigned varint (row indexes, string lengths).
+// writeUvarint writes an unsigned varint (row indexes, record lengths).
 func writeUvarint(w *govern.SpillFile, x uint64) error {
 	var b [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(b[:], x)
 	_, err := w.Write(b[:n])
 	return err
-}
-
-// writeValue serializes one types.Value: a kind byte, then a payload
-// matching the kind (varint integer for the int64-backed kinds, fixed
-// 8-byte IEEE bits for FLOAT — round-trips NaN and -0 exactly — and
-// length-prefixed bytes for STRING; NULL is the kind byte alone).
-func writeValue(w *govern.SpillFile, v types.Value) error {
-	if err := w.WriteByte(byte(v.Kind())); err != nil {
-		return err
-	}
-	switch v.Kind() {
-	case types.KindNull:
-		return nil
-	case types.KindFloat:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.Float()))
-		_, err := w.Write(b[:])
-		return err
-	case types.KindString:
-		s := v.Str()
-		if err := writeUvarint(w, uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := w.Write([]byte(s))
-		return err
-	default: // Bool, Int, Time, Interval: int64 payload
-		var b [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(b[:], v.Raw())
-		_, err := w.Write(b[:n])
-		return err
-	}
-}
-
-// readValue decodes one value written by writeValue.
-func readValue(r *govern.SpillReader) (types.Value, error) {
-	kb, err := r.ReadByte()
-	if err != nil {
-		return types.Null, err
-	}
-	switch types.Kind(kb) {
-	case types.KindNull:
-		return types.Null, nil
-	case types.KindBool:
-		i, err := binary.ReadVarint(r)
-		return types.NewBool(i != 0), err
-	case types.KindInt:
-		i, err := binary.ReadVarint(r)
-		return types.NewInt(i), err
-	case types.KindTime:
-		i, err := binary.ReadVarint(r)
-		return types.NewTime(i), err
-	case types.KindInterval:
-		i, err := binary.ReadVarint(r)
-		return types.NewInterval(i), err
-	case types.KindFloat:
-		var b [8]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return types.Null, err
-		}
-		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[:]))), nil
-	case types.KindString:
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return types.Null, err
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return types.Null, err
-		}
-		return types.NewString(string(buf)), nil
-	}
-	return types.Null, fmt.Errorf("exec: corrupt spill record: kind %d", kb)
 }
 
 // spillChunkRows sizes an external-sort run so its in-memory working set
@@ -217,32 +145,39 @@ func gracePartitions(work, limit int64) int {
 // ---- External merge sort ----
 
 // sortRun is one run's merge cursor: the current head record plus its
-// reader.
+// reader. A run record is a uvarint length, then the row index as a
+// uvarint and the key values in the types value codec.
 type sortRun struct {
 	rd     *govern.SpillReader
+	buf    []byte
 	rowIdx int
 	key    []types.Value
 	ok     bool
 }
 
 func (n *SortNode) advanceRun(r *sortRun, nk int) error {
-	idx, err := binary.ReadUvarint(r.rd)
+	size, err := binary.ReadUvarint(r.rd)
 	if err == io.EOF {
 		r.ok = false
 		return nil
 	}
+	if err == nil {
+		r.buf = slices.Grow(r.buf[:0], int(size))[:size]
+		_, err = io.ReadFull(r.rd, r.buf)
+	}
+	idx, off := binary.Uvarint(r.buf)
+	if err == nil && off <= 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	for j := 0; err == nil && j < nk; j++ {
+		var m int
+		r.key[j], m, err = types.ReadValue(r.buf[off:])
+		off += m
+	}
 	if err != nil {
 		return fmt.Errorf("exec: reading sort run: %w", err)
 	}
-	r.rowIdx = int(idx)
-	for j := 0; j < nk; j++ {
-		v, err := readValue(r.rd)
-		if err != nil {
-			return fmt.Errorf("exec: reading sort run: %w", err)
-		}
-		r.key[j] = v
-	}
-	r.ok = true
+	r.rowIdx, r.ok = int(idx), true
 	return nil
 }
 
@@ -266,6 +201,7 @@ func (n *SortNode) externalSort(ctx *Ctx, in *Result) (*Result, error) {
 	}()
 
 	var spillBytes int64
+	var rec []byte
 	keys := make([][]types.Value, runRows)
 	idx := make([]int, runRows)
 	for lo := 0; lo < nrows; lo += runRows {
@@ -307,17 +243,18 @@ func (n *SortNode) externalSort(ctx *Ctx, in *Result) (*Result, error) {
 			return nil, err
 		}
 		for _, li := range loc {
-			if err := writeUvarint(sf, uint64(lo+li)); err != nil {
+			rec = binary.AppendUvarint(rec[:0], uint64(lo+li))
+			for _, v := range keys[li] {
+				rec = types.AppendValue(rec, v)
+			}
+			err := writeUvarint(sf, uint64(len(rec)))
+			if err == nil {
+				_, err = sf.Write(rec)
+			}
+			if err != nil {
 				sf.Discard()
 				ctx.res.Release(chunkBytes)
 				return nil, fmt.Errorf("exec: writing sort run: %w", err)
-			}
-			for _, v := range keys[li] {
-				if err := writeValue(sf, v); err != nil {
-					sf.Discard()
-					ctx.res.Release(chunkBytes)
-					return nil, fmt.Errorf("exec: writing sort run: %w", err)
-				}
 			}
 		}
 		spillBytes += sf.Bytes()

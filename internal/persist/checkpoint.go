@@ -1,22 +1,21 @@
 // Atomic checkpoints for the WAL-backed durability root.
 //
-// A checkpoint is a complete snapshot (the Save format) plus a
-// CHECKPOINT.json stamp naming the WAL sequence number whose records it
-// already contains. It is written to a tmp-* directory, fsynced, renamed
-// to checkpoint-%06d, and published by rewriting the CURRENT pointer
-// file — the same tmp-write → fsync → rename discipline at every step,
-// so recovery always finds either the old checkpoint or the complete new
-// one, never a partial mix.
+// A checkpoint is a snapshot file, checkpoint-%06d, whose header sequence
+// number is the first WAL file it does not contain. It is written to a
+// tmp-* file, fsynced, renamed to its name, and published by rewriting the
+// CURRENT pointer file — the same tmp-write → fsync → rename discipline at
+// every step, so recovery always finds either the old checkpoint or the
+// complete new one, never a partial mix.
 //
 // The covered-WAL bookkeeping uses whole files, not offsets: Checkpoint
 // runs with the engine's catalog write lock held (no append can race
 // it), so after the snapshot lands it rotates the WAL to a fresh file
-// with the next sequence number and stamps the checkpoint with that
-// number. Recovery replays exactly the files with seq >= the stamp.
+// with the next sequence number, the one the snapshot's header carries.
+// Recovery replays exactly the files with seq >= that number.
 package persist
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,26 +25,16 @@ import (
 	"repro/internal/core"
 )
 
-// checkpointMeta is the CHECKPOINT.json stamp inside a checkpoint dir.
-type checkpointMeta struct {
-	Version int `json:"version"`
-	// WALSeq is the first WAL file whose records are NOT contained in
-	// this checkpoint; recovery replays files with seq >= WALSeq.
-	WALSeq uint64 `json:"wal_seq"`
-}
-
 const (
 	currentFile = "CURRENT"
-	metaFile    = "CHECKPOINT.json"
-	ckptPrefix  = "checkpoint-"
 	tmpPrefix   = "tmp-"
 	ckptNameFmt = "checkpoint-%06d"
 )
 
 // Checkpoint snapshots the database into the WAL's durability root and
 // rotates the log, bounding recovery to the records appended afterwards.
-// The caller must hold the engine's catalog write lock: the snapshot, the
-// stamp, and the rotation must see one consistent state.
+// The caller must hold the engine's catalog write lock: the snapshot and
+// the rotation must see one consistent state.
 func (w *WAL) Checkpoint(db *catalog.Database, reg *core.Registry) error {
 	w.mu.Lock()
 	if w.broken != nil {
@@ -56,65 +45,23 @@ func (w *WAL) Checkpoint(db *catalog.Database, reg *core.Registry) error {
 	next := w.seq + 1
 	w.mu.Unlock()
 
-	tmp, err := os.MkdirTemp(w.dir, tmpPrefix)
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	if err := writeSnapshot(db, reg, tmp); err != nil {
-		return fmt.Errorf("persist: checkpoint snapshot: %w", err)
-	}
-	blob, err := json.Marshal(checkpointMeta{Version: formatVersion, WALSeq: next})
-	if err != nil {
-		return err
-	}
-	if err := writeFileSync(filepath.Join(tmp, metaFile), blob); err != nil {
-		return err
-	}
-	// writeFileSync made the stamp's bytes durable but not its dirent;
-	// fsync the tmp dir again (writeSnapshot's syncDir predates the stamp)
-	// so the rename below cannot publish a directory whose CHECKPOINT.json
-	// vanishes in a crash — recovery hard-fails on a stampless checkpoint.
-	if err := syncDir(tmp); err != nil {
-		return err
-	}
-	if w.faults != nil && w.faults.CheckpointCrash {
-		// Die after the complete tmp write, before publication: the
-		// previous checkpoint plus the full WAL must still recover the DB,
-		// and the orphaned tmp-* dir must be swept on reopen.
-		w.faults.CheckpointCrash = false
-		w.mu.Lock()
-		w.broken = ErrInjectedCrash
-		w.mu.Unlock()
-		return fmt.Errorf("%w: kill during checkpoint", ErrInjectedCrash)
-	}
-
+	// A leftover checkpoint-<next> from an attempt that failed before
+	// publication is unpublished by definition; the rename replaces it.
 	name := fmt.Sprintf(ckptNameFmt, next)
-	dst := filepath.Join(w.dir, name)
-	// A leftover checkpoint-N from an attempt that failed between its
-	// rename and the seq advance is unpublished by definition — CURRENT
-	// never names it while w.seq still yields the same N — so removing it
-	// is safe and keeps the rename from wedging on ENOTEMPTY forever.
-	// The CURRENT check is belt and braces: if it somehow names this dir,
-	// refuse rather than delete the live checkpoint.
-	if _, err := os.Stat(dst); err == nil {
-		if cur, _ := readCurrent(w.dir); cur == name {
-			return fmt.Errorf("persist: checkpoint %s already published but wal not rotated; reopen the root", name)
+	if err := writeSnapshotFile(w.dir, name, db, reg, next, w.faults); err != nil {
+		if errors.Is(err, ErrInjectedCrash) {
+			// The previous checkpoint plus the full WAL must still recover
+			// the DB, and the orphaned tmp file is swept on reopen.
+			w.mu.Lock()
+			w.broken = ErrInjectedCrash
+			w.mu.Unlock()
 		}
-		if err := os.RemoveAll(dst); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		return err
-	}
-	if err := syncDir(w.dir); err != nil {
-		return err
+		return fmt.Errorf("persist: checkpoint snapshot: %w", err)
 	}
 	if err := setCurrent(w.dir, name); err != nil {
 		// Ambiguous publication: CURRENT may or may not name the new
 		// checkpoint (setCurrent's rename can land without its dir fsync).
-		// If it does, the stamp claims replay starts at wal seq `next`,
+		// If it does, the snapshot claims replay starts at wal seq `next`,
 		// but appends still target the un-rotated old file — any further
 		// acked record would be silently dropped by recovery. Refuse all
 		// further WAL use; reopening resolves either CURRENT state to the
@@ -136,7 +83,7 @@ func (w *WAL) Checkpoint(db *catalog.Database, reg *core.Registry) error {
 	return nil
 }
 
-// setCurrent atomically points CURRENT at a checkpoint directory name.
+// setCurrent atomically points CURRENT at a checkpoint file name.
 func setCurrent(dir, name string) error {
 	tmp := filepath.Join(dir, currentFile+".tmp")
 	if err := writeFileSync(tmp, []byte(name+"\n")); err != nil {
@@ -148,8 +95,25 @@ func setCurrent(dir, name string) error {
 	return syncDir(dir)
 }
 
-// readCurrent returns the checkpoint directory CURRENT names, or "" when
-// the root has no published checkpoint yet.
+// writeFileSync writes path and fsyncs it before closing.
+func writeFileSync(path string, blob []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(blob); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// readCurrent returns the checkpoint file CURRENT names, or "" when the
+// root has no published checkpoint yet.
 func readCurrent(dir string) (string, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, currentFile))
 	if os.IsNotExist(err) {
@@ -159,43 +123,28 @@ func readCurrent(dir string) (string, error) {
 		return "", err
 	}
 	name := strings.TrimSpace(string(blob))
-	if !strings.HasPrefix(name, ckptPrefix) {
+	if _, ok := seqOf(name, ckptNameFmt); !ok {
 		return "", fmt.Errorf("persist: CURRENT names %q, not a checkpoint", name)
 	}
 	return name, nil
 }
 
-// readCheckpointMeta loads a checkpoint dir's CHECKPOINT.json stamp.
-func readCheckpointMeta(dir string) (checkpointMeta, error) {
-	var m checkpointMeta
-	blob, err := os.ReadFile(filepath.Join(dir, metaFile))
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return m, fmt.Errorf("persist: bad checkpoint meta: %w", err)
-	}
-	if m.Version != formatVersion {
-		return m, fmt.Errorf("persist: unsupported checkpoint version %d", m.Version)
-	}
-	return m, nil
-}
-
-// sweepCheckpoints deletes checkpoint-* dirs other than keep. Best
-// effort: a leftover dir wastes disk, nothing else.
+// sweepCheckpoints deletes checkpoint files other than keep. Best effort:
+// a leftover file wastes disk, nothing else.
 func sweepCheckpoints(dir, keep string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), ckptPrefix) && e.Name() != keep {
-			_ = os.RemoveAll(filepath.Join(dir, e.Name()))
+		if _, ok := seqOf(e.Name(), ckptNameFmt); ok && e.Name() != keep {
+			_ = os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }
 
-// sweepTmp deletes tmp-* leftovers from checkpoints that died mid-write.
+// sweepTmp deletes tmp-* leftovers of snapshot writes that died before
+// their rename.
 func sweepTmp(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -203,7 +152,7 @@ func sweepTmp(dir string) {
 	}
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), tmpPrefix) {
-			_ = os.RemoveAll(filepath.Join(dir, e.Name()))
+			_ = os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }

@@ -2,28 +2,30 @@
 //
 // The paper defers cleansing to query time so ingest can accept raw RFID
 // reads cheaply and continuously; this file makes that ingest durable. A
-// WAL file is a 16-byte header (magic, version, sequence number) followed
-// by length-prefixed records:
+// log file — a WAL file, or a snapshot (persist.go) — is a 16-byte header
+// (magic, version, sequence number) followed by frames:
 //
 //	uint32 payload length (LE)
 //	uint32 CRC32C over (type byte ‖ payload)
 //	uint8  record type
 //	payload
 //
-// Record payloads are the same deliberately boring encodings the snapshot
-// format uses: append batches carry rows as encodeValue strings inside a
-// small JSON envelope, DDL records carry a JSON op, and rule records carry
-// the raw extended SQL-TS source. Replay decodes by the table schema in
-// effect at that point of the log, exactly as the live path did.
+// An append-batch payload is the table name, a uvarint row count, then
+// every row's values in the types value codec; replay checks each value's
+// kind against the column it lands in. A DDL payload is a small JSON op,
+// a rule payload the raw extended SQL-TS source.
 //
 // Torn writes are the expected failure: recovery reads records until the
 // first short, oversized, or checksum-failing frame, truncates the file
 // there, and resumes appending at the cut. A record is therefore durable
 // iff it is entirely on disk with a valid checksum — there is no partial
-// replay of a batch.
+// replay of a batch. For the same reason a payload over maxRecordBytes is
+// refused before any of it is written: replay would read its frame as the
+// end of the log and drop every record after it.
 package persist
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -32,12 +34,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/schema"
+	"repro/internal/types"
 )
 
 // FsyncPolicy selects when acknowledged WAL writes are forced to disk.
@@ -95,8 +99,8 @@ type CrashFaults struct {
 	// SyncErr makes every fsync fail. Under FsyncAlways the append that
 	// asked for the sync fails; the batch must not be acknowledged.
 	SyncErr bool
-	// CheckpointCrash makes Checkpoint write its complete temp directory
-	// and then fail before publishing it — the crash window in which the
+	// CheckpointCrash makes Checkpoint write its complete temp file and
+	// then fail before publishing it — the crash window in which the
 	// previous checkpoint plus the full WAL must still recover the DB.
 	CheckpointCrash bool
 }
@@ -104,32 +108,27 @@ type CrashFaults struct {
 // ErrInjectedCrash reports a failure forced by CrashFaults.
 var ErrInjectedCrash = errors.New("persist: injected crash fault")
 
-// WAL record types.
+// Record types.
 const (
-	recAppend byte = 1 // appendPayload JSON
+	recAppend byte = 1 // table name, row count, values
 	recDDL    byte = 2 // DDLRecord JSON
 	recRule   byte = 3 // raw extended SQL-TS source
+	recEnd    byte = 4 // empty; the last record of a snapshot
 )
 
 const (
 	walMagic      = "RWAL"
-	walVersion    = 1
+	walVersion    = 2
 	walHeaderSize = 16
 	recHeaderSize = 9
-	// maxRecordBytes bounds a single record; a length prefix beyond it is
-	// treated as corruption, not an allocation request.
-	maxRecordBytes = 1 << 28
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// maxRecordBytes bounds a single record's payload; a length prefix beyond
+// it is treated as corruption, not an allocation request. A variable only
+// so tests can lower it.
+var maxRecordBytes = 1 << 28
 
-// appendPayload is the JSON envelope of an append-batch record. Row
-// values use the snapshot format's encodeValue strings; kinds come from
-// the table schema at replay time.
-type appendPayload struct {
-	Table string     `json:"table"`
-	Rows  [][]string `json:"rows"`
-}
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // DDLRecord is the JSON payload of a DDL record.
 type DDLRecord struct {
@@ -137,7 +136,8 @@ type DDLRecord struct {
 	Op    string `json:"op"`
 	Name  string `json:"name,omitempty"`
 	Table string `json:"table,omitempty"`
-	// Columns describe create_table schemas (kind names as in manifests).
+	// Columns describe create_table schemas (kind names as Kind.String
+	// renders them).
 	Columns []colDef `json:"columns,omitempty"`
 	// SQL is a create_view definition.
 	SQL string `json:"sql,omitempty"`
@@ -152,11 +152,16 @@ const (
 	DDLBuildIndex  = "build_index"
 )
 
+type colDef struct {
+	Name string `json:"name"`
+	Kind string `json:"kind"`
+}
+
 // NewTableDDL builds a create_table record from a schema.
 func NewTableDDL(name string, s *schema.Schema) DDLRecord {
 	d := DDLRecord{Op: DDLCreateTable, Name: name}
 	for _, c := range s.Columns {
-		d.Columns = append(d.Columns, colDef{Name: c.Name, Kind: kindName(c.Kind)})
+		d.Columns = append(d.Columns, colDef{Name: c.Name, Kind: c.Kind.String()})
 	}
 	return d
 }
@@ -186,16 +191,29 @@ type WAL struct {
 	tickDone chan struct{}
 }
 
-// walFileName renders the canonical wal file name for a sequence number.
-func walFileName(seq uint64) string { return fmt.Sprintf("wal-%06d.log", seq) }
+const walNameFmt = "wal-%06d.log"
 
-// walSeqOf parses a wal file name; ok is false for other files.
-func walSeqOf(name string) (uint64, bool) {
+// walFileName renders the canonical wal file name for a sequence number.
+func walFileName(seq uint64) string { return fmt.Sprintf(walNameFmt, seq) }
+
+// seqOf parses a file name rendered from format and a sequence number. ok
+// is false unless name is exactly that rendering, so a stray copy such as
+// "wal-000001.log~" is never taken for the file it copies.
+func seqOf(name, format string) (uint64, bool) {
 	var seq uint64
-	if n, err := fmt.Sscanf(name, "wal-%06d.log", &seq); n == 1 && err == nil {
-		return seq, true
+	if _, err := fmt.Sscanf(name, format, &seq); err != nil || fmt.Sprintf(format, seq) != name {
+		return 0, false
 	}
-	return 0, false
+	return seq, true
+}
+
+// logHeader renders a log file's header.
+func logHeader(seq uint64) []byte {
+	hdr := make([]byte, walHeaderSize)
+	copy(hdr, walMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], walVersion)
+	binary.LittleEndian.PutUint64(hdr[8:], seq)
+	return hdr
 }
 
 // createWALFile writes a fresh wal file (header only) and syncs it and
@@ -206,11 +224,7 @@ func createWALFile(dir string, seq uint64) (*os.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, walHeaderSize)
-	copy(hdr, walMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], walVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], seq)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(logHeader(seq)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -308,33 +322,55 @@ func (w *WAL) brokenErr() error {
 	return w.broken
 }
 
-// frame assembles one record's on-disk bytes.
-func frame(typ byte, payload []byte) []byte {
-	buf := make([]byte, recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	crc := crc32.Update(0, crcTable, []byte{typ})
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.LittleEndian.PutUint32(buf[4:], crc)
-	buf[8] = typ
-	copy(buf[recHeaderSize:], payload)
-	return buf
+// newFrame returns an empty record frame: header room, after which the
+// caller appends the payload before sealFrame fills the header in.
+func newFrame() []byte { return make([]byte, recHeaderSize, 4<<10) }
+
+// sealFrame fills in the header of frame, a record of type typ whose
+// payload is everything after the header room. It refuses a payload over
+// maxRecordBytes.
+func sealFrame(frame []byte, typ byte) error {
+	n := len(frame) - recHeaderSize
+	if n > maxRecordBytes {
+		return fmt.Errorf("persist: %d-byte record exceeds the %d-byte limit", n, maxRecordBytes)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	frame[8] = typ
+	// The type byte and the payload are contiguous, so one pass covers both.
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crcTable))
+	return nil
 }
 
-// append writes one record frame. The caller serializes appends (the
-// engine's catalog write lock); durability is Sync's job.
-func (w *WAL) append(typ byte, payload []byte) error {
+// appendBatchHead appends the head of an append-batch payload to frame:
+// the table name, then the row count. The rows' values follow it.
+func appendBatchHead(frame []byte, table string, rows int) []byte {
+	return binary.AppendUvarint(types.AppendValue(frame, types.NewString(table)), uint64(rows))
+}
+
+// ddlFrame encodes a DDL record as an unsealed frame.
+func ddlFrame(d DDLRecord) ([]byte, error) {
+	blob, err := json.Marshal(d)
+	return append(newFrame(), blob...), err
+}
+
+// append seals and writes one record frame. The caller serializes appends
+// (the engine's catalog write lock); durability is Sync's job. An
+// oversized record is refused with the WAL left usable.
+func (w *WAL) append(typ byte, frame []byte) error {
+	if err := sealFrame(frame, typ); err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
 		return fmt.Errorf("persist: wal unusable after earlier failure: %w", w.broken)
 	}
-	buf := frame(typ, payload)
 	if w.faults != nil && w.faults.TornWrite {
 		w.faults.TornWrite = false
 		// Simulate dying mid-write: half the frame reaches the file, the
 		// rest never will. The record must not be acknowledged and must be
 		// truncated away on recovery.
-		torn := buf[:recHeaderSize+len(payload)/2]
+		torn := frame[:recHeaderSize+(len(frame)-recHeaderSize)/2]
 		if _, err := w.f.Write(torn); err == nil {
 			_ = w.f.Sync()
 		}
@@ -342,45 +378,38 @@ func (w *WAL) append(typ byte, payload []byte) error {
 		w.broken = ErrInjectedCrash
 		return fmt.Errorf("%w: torn wal write", ErrInjectedCrash)
 	}
-	if _, err := w.f.Write(buf); err != nil {
+	if _, err := w.f.Write(frame); err != nil {
 		w.broken = err
 		return fmt.Errorf("persist: wal append: %w", err)
 	}
-	w.size.Add(int64(len(buf)))
+	w.size.Add(int64(len(frame)))
 	return nil
 }
 
-// AppendBatch logs one append-batch record. Values are encoded with the
-// snapshot format's value encoding; the batch is one record, so recovery
-// replays it entirely or not at all.
+// AppendBatch logs one append-batch record. The batch is one record, so
+// recovery replays it entirely or not at all.
 func (w *WAL) AppendBatch(table string, rows []schema.Row) error {
-	p := appendPayload{Table: table, Rows: make([][]string, len(rows))}
-	for i, r := range rows {
-		enc := make([]string, len(r))
-		for j, v := range r {
-			enc[j] = encodeValue(v)
+	frame := appendBatchHead(newFrame(), table, len(rows))
+	for _, r := range rows {
+		for _, v := range r {
+			frame = types.AppendValue(frame, v)
 		}
-		p.Rows[i] = enc
 	}
-	blob, err := json.Marshal(p)
-	if err != nil {
-		return err
-	}
-	return w.append(recAppend, blob)
+	return w.append(recAppend, frame)
 }
 
 // AppendDDL logs one DDL record.
 func (w *WAL) AppendDDL(d DDLRecord) error {
-	blob, err := json.Marshal(d)
+	frame, err := ddlFrame(d)
 	if err != nil {
 		return err
 	}
-	return w.append(recDDL, blob)
+	return w.append(recDDL, frame)
 }
 
 // AppendRule logs one rule-create record (the raw extended SQL-TS source).
 func (w *WAL) AppendRule(src string) error {
-	return w.append(recRule, []byte(src))
+	return w.append(recRule, append(newFrame(), src...))
 }
 
 // Sync forces everything appended so far to disk. Concurrent callers
@@ -481,7 +510,7 @@ func (w *WAL) rotate(covered uint64) error {
 	names, err := os.ReadDir(w.dir)
 	if err == nil {
 		for _, e := range names {
-			if seq, ok := walSeqOf(e.Name()); ok && seq <= covered {
+			if seq, ok := seqOf(e.Name(), walNameFmt); ok && seq <= covered {
 				_ = os.Remove(filepath.Join(w.dir, e.Name()))
 			}
 		}
@@ -518,85 +547,89 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// Record is one decoded WAL record, handed to replay callbacks.
+// Record is one decoded log record, handed to replay callbacks.
 type Record struct {
 	Type byte
 	// Payload aliases the read buffer; callbacks must not retain it.
 	Payload []byte
-	// Start and End are the record's byte range in its file.
-	Start, End int64
 }
 
-// replayFile reads records from path starting at offset from, invoking fn
-// for each intact record. It returns the offset of the first byte that is
-// not part of an intact record (the good end) and the number of records
-// delivered. A torn or corrupt frame ends replay silently — that is the
-// expected crash signature, not an error; only I/O failures and callback
-// errors are returned.
-func replayFile(path string, from int64, fn func(Record) error) (goodEnd int64, n int64, err error) {
+// replayFile reads the records of a log file, calling fn for each intact
+// one, and returns the header's sequence number, the offset just past the
+// last intact record (the good end), and the number of records fn saw.
+//
+// A WAL file is read tolerantly: a torn or corrupt frame is the expected
+// crash signature and silently ends the durable prefix (a file torn inside
+// its header has good end 0). A snapshot is read strictly: every frame
+// must be intact and the last must be the end record, which fn does not
+// see; anything else is an error, never a loaded prefix. In both modes
+// I/O failures and fn's errors are returned.
+func replayFile(path string, strict bool, fn func(Record) error) (seq uint64, good, n int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	size := st.Size()
-	if from < walHeaderSize {
-		hdr := make([]byte, walHeaderSize)
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			// Shorter than a header: torn at creation. goodEnd 0 tells the
-			// caller to recreate the file before appending.
-			return 0, 0, nil
+	r := bufio.NewReaderSize(f, 64<<10)
+	// bad reports damage at the good end: the end of the log, or under
+	// strict an error.
+	bad := func(what string) error {
+		if !strict {
+			return nil
 		}
-		if string(hdr[:4]) != walMagic {
-			return 0, 0, fmt.Errorf("persist: %s: not a wal file", path)
-		}
-		if v := binary.LittleEndian.Uint32(hdr[4:]); v != walVersion {
-			return 0, 0, fmt.Errorf("persist: %s: unsupported wal version %d", path, v)
-		}
-		from = walHeaderSize
+		return fmt.Errorf("persist: %s: %s at offset %d", path, what, good)
 	}
-	if _, err := f.Seek(from, io.SeekStart); err != nil {
-		return 0, 0, err
+	hdr := make([]byte, walHeaderSize)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, 0, 0, bad("torn header")
 	}
-	good := from
-	hdr := make([]byte, recHeaderSize)
+	if string(hdr[:4]) != walMagic {
+		return 0, 0, 0, fmt.Errorf("persist: %s: not a log file", path)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != walVersion {
+		return 0, 0, 0, fmt.Errorf("persist: %s: log format version %d, this build reads version %d only (version 1 was the JSON/CSV format)", path, v, walVersion)
+	}
+	seq, good = binary.LittleEndian.Uint64(hdr[8:]), walHeaderSize
+	ended := false
 	var payload []byte
-	for {
-		if size-good < recHeaderSize {
-			return good, n, nil
+	for good < size {
+		if ended {
+			return seq, good, n, bad("data after the end record")
 		}
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			return good, n, nil
+		if _, err := io.ReadFull(r, hdr[:recHeaderSize]); err != nil {
+			return seq, good, n, bad("torn record header")
 		}
 		plen := int64(binary.LittleEndian.Uint32(hdr))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
+		if plen > int64(maxRecordBytes) || size-good-recHeaderSize < plen {
+			return seq, good, n, bad("torn or oversized record")
+		}
+		payload = slices.Grow(payload[:0], int(plen))[:plen]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return seq, good, n, bad("torn record")
+		}
 		typ := hdr[8]
-		if plen > maxRecordBytes || size-good-recHeaderSize < plen {
-			return good, n, nil
+		crc := crc32.Update(crc32.Update(0, crcTable, hdr[8:9]), crcTable, payload)
+		if crc != binary.LittleEndian.Uint32(hdr[4:]) {
+			return seq, good, n, bad("checksum mismatch")
 		}
-		if int64(cap(payload)) < plen {
-			payload = make([]byte, plen)
+		if strict && typ == recEnd {
+			ended = true
+		} else if err := fn(Record{Type: typ, Payload: payload}); err != nil {
+			return seq, good, n, err
+		} else {
+			n++
 		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return good, n, nil
-		}
-		crc := crc32.Update(0, crcTable, []byte{typ})
-		crc = crc32.Update(crc, crcTable, payload)
-		if crc != wantCRC {
-			return good, n, nil
-		}
-		rec := Record{Type: typ, Payload: payload, Start: good, End: good + recHeaderSize + plen}
-		if err := fn(rec); err != nil {
-			return good, n, err
-		}
-		good = rec.End
-		n++
+		good += recHeaderSize + plen
 	}
+	if strict && !ended {
+		return seq, good, n, bad("no end record")
+	}
+	return seq, good, n, nil
 }
 
 // walFiles lists the root's wal files by ascending sequence number.
@@ -607,7 +640,7 @@ func walFiles(dir string) ([]uint64, error) {
 	}
 	var seqs []uint64
 	for _, e := range entries {
-		if seq, ok := walSeqOf(e.Name()); ok {
+		if seq, ok := seqOf(e.Name(), walNameFmt); ok {
 			seqs = append(seqs, seq)
 		}
 	}

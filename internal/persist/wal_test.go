@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -254,53 +255,27 @@ func buildSchemas(ops []walOp) map[string]*schema.Schema {
 	return schemas
 }
 
-// snapshotBytes renders a catalog+registry as the deterministic snapshot
-// file set, for byte-level comparison of recovered vs reference DBs.
-func snapshotBytes(t *testing.T, db *catalog.Database, reg *core.Registry) map[string][]byte {
+// snapshotBytes renders a catalog+registry with the deterministic
+// snapshot writer, for byte-level comparison of recovered vs reference DBs.
+func snapshotBytes(t *testing.T, db *catalog.Database, reg *core.Registry) []byte {
 	t.Helper()
-	dir := t.TempDir()
-	if err := writeSnapshot(db, reg, dir); err != nil {
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, db, reg, 0); err != nil {
 		t.Fatal(err)
 	}
-	files := map[string][]byte{}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[e.Name()] = blob
-	}
-	return files
+	return buf.Bytes()
 }
 
-func compareSnapshots(t *testing.T, got, want map[string][]byte, ctx string) {
+func compareSnapshots(t *testing.T, got, want []byte, ctx string) {
 	t.Helper()
-	for name, blob := range want {
-		g, ok := got[name]
-		if !ok {
-			t.Fatalf("%s: recovered snapshot missing %s", ctx, name)
-		}
-		if !bytes.Equal(g, blob) {
-			t.Fatalf("%s: %s differs\nrecovered:\n%s\nreference:\n%s", ctx, name, clip(g), clip(blob))
-		}
+	if bytes.Equal(got, want) {
+		return
 	}
-	for name := range got {
-		if _, ok := want[name]; !ok {
-			t.Fatalf("%s: recovered snapshot has extra file %s", ctx, name)
-		}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
 	}
-}
-
-func clip(b []byte) string {
-	const max = 2000
-	if len(b) > max {
-		return string(b[:max]) + "..."
-	}
-	return string(b)
+	t.Fatalf("%s: recovered snapshot (%d bytes) differs from the reference (%d bytes) at offset %d", ctx, len(got), len(want), i)
 }
 
 // TestRecoveryAtEveryFaultPoint is the durability property test: a random
@@ -518,8 +493,8 @@ func TestSyncErrFaultFailsCommit(t *testing.T) {
 }
 
 // TestCheckpointCrashRecoversFromPrevious kills a checkpoint after its
-// temp dir is complete but before publication: recovery must use the
-// previous checkpoint plus the full WAL, and sweep the orphaned tmp dir.
+// temp file is complete but before publication: recovery must use the
+// previous checkpoint plus the full WAL, and sweep the orphaned tmp file.
 func TestCheckpointCrashRecoversFromPrevious(t *testing.T) {
 	dir := t.TempDir()
 	faults := &CrashFaults{}
@@ -582,10 +557,9 @@ func TestCheckpointCrashRecoversFromPrevious(t *testing.T) {
 	}
 }
 
-// TestCheckpointOverLeftoverDir: a checkpoint-N directory left by an
-// attempt that failed before publication must not wedge the next
-// checkpoint on ENOTEMPTY — it is unpublished, so it is removed and
-// replaced.
+// TestCheckpointOverLeftoverDir: a checkpoint-N file left by an attempt
+// that failed before publication must not wedge the next checkpoint — it
+// is unpublished, so the new snapshot replaces it.
 func TestCheckpointOverLeftoverDir(t *testing.T) {
 	dir := t.TempDir()
 	db, reg, w, _, err := OpenDurable(dir, nil, DurableOpts{Policy: FsyncAlways})
@@ -604,22 +578,16 @@ func TestCheckpointOverLeftoverDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant the wreck of a failed earlier attempt: the name the next
-	// checkpoint will want, already holding a stale file.
+	// checkpoint will want, holding stale bytes.
 	stale := filepath.Join(dir, fmt.Sprintf(ckptNameFmt, w.Seq()+1))
-	if err := os.MkdirAll(stale, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(stale, "junk"), []byte("stale"), 0o644); err != nil {
+	if err := os.WriteFile(stale, []byte("stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Checkpoint(db, reg); err != nil {
-		t.Fatalf("checkpoint over leftover dir: %v", err)
+		t.Fatalf("checkpoint over leftover file: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(stale, "junk")); !os.IsNotExist(err) {
-		t.Error("stale checkpoint contents survived the republish")
-	}
-	if _, err := os.Stat(filepath.Join(stale, metaFile)); err != nil {
-		t.Errorf("republished checkpoint has no stamp: %v", err)
+	if _, _, _, err := replayFile(stale, true, func(Record) error { return nil }); err != nil {
+		t.Errorf("republished checkpoint is not a whole snapshot: %v", err)
 	}
 	db2, _, w2, info, err := OpenDurable(dir, nil, DurableOpts{Policy: FsyncAlways})
 	if err != nil {
@@ -723,8 +691,9 @@ func TestSeedCheckpointsImmediately(t *testing.T) {
 }
 
 // TestAtomicSaveKeepsPreviousSnapshot: Save over an existing snapshot
-// must leave either the old or the new state, and a crash that leaves
-// only the .bak directory must still load.
+// must leave either the old or the new state, and the tmp file a crashed
+// Save leaves beside a good snapshot is ignored by Load and swept by the
+// next Save.
 func TestAtomicSaveKeepsPreviousSnapshot(t *testing.T) {
 	db, reg := buildSampleDB(t)
 	dir := filepath.Join(t.TempDir(), "snap")
@@ -746,22 +715,29 @@ func TestAtomicSaveKeepsPreviousSnapshot(t *testing.T) {
 	if t2.RowCount() != tab.RowCount() {
 		t.Fatalf("second save lost rows: %d vs %d", t2.RowCount(), tab.RowCount())
 	}
-	if _, err := os.Stat(dir + ".bak"); !os.IsNotExist(err) {
-		t.Error(".bak not cleaned up after swap")
-	}
 
-	// Crash signature: dir vanished mid-swap, .bak still holds the old
-	// snapshot. Load must fall back to it.
-	if err := os.Rename(dir, dir+".bak"); err != nil {
+	// Crash signature: a Save died after writing part of its tmp file.
+	good, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leftover := filepath.Join(dir, tmpPrefix+"crashed")
+	if err := os.WriteFile(leftover, good[:len(good)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	db3, _, err := Load(dir)
 	if err != nil {
-		t.Fatalf("load from .bak fallback: %v", err)
+		t.Fatalf("load beside a leftover tmp file: %v", err)
 	}
 	t3, _ := db3.Table("reads")
 	if t3.RowCount() != tab.RowCount() {
-		t.Fatalf(".bak fallback lost rows: %d", t3.RowCount())
+		t.Fatalf("load beside a leftover tmp file: %d rows, want %d", t3.RowCount(), tab.RowCount())
+	}
+	if err := Save(db, reg, dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Errorf("leftover tmp file not swept by the next Save: %v", err)
 	}
 }
 
@@ -929,4 +905,188 @@ func TestFsyncPolicyStrings(t *testing.T) {
 	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
 		t.Error("bad policy must fail")
 	}
+}
+
+// TestStrayLogNamesAreIgnored: a file named like a WAL file but not
+// exactly one — an editor backup, a .bak copy, an unpadded number — is no
+// part of the log. Recovery must neither replay it nor, taking it for a
+// duplicate of the real file, delete the real file.
+func TestStrayLogNamesAreIgnored(t *testing.T) {
+	for _, stray := range []string{"wal-000001.log~", "wal-000001.log.bak", "wal-1.log"} {
+		dir := t.TempDir()
+		db, _, w, _, err := OpenDurable(dir, nil, DurableOpts{Policy: FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := schema.New(schema.Col("r", "n", types.KindInt))
+		if err := w.AppendDDL(NewTableDDL("r", s)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.AddTable(storage.NewTable("r", s)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendBatch("r", []schema.Row{{types.NewInt(1)}, {types.NewInt(2)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		blob, err := os.ReadFile(filepath.Join(dir, walFileName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, stray), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Reopen beside the stray file, then again once it is gone.
+		for _, phase := range []string{"beside " + stray, "after removing " + stray} {
+			db2, _, w2, _, err := OpenDurable(dir, nil, DurableOpts{Policy: FsyncAlways})
+			if err != nil {
+				t.Fatalf("reopen %s: %v", phase, err)
+			}
+			tab, ok := db2.Table("r")
+			if !ok || tab.RowCount() != 2 {
+				t.Fatalf("reopen %s: table %v, want the 2 acked rows", phase, tab)
+			}
+			w2.Close()
+			os.Remove(filepath.Join(dir, stray))
+		}
+	}
+}
+
+// TestOversizedBatchIsRefused: a batch whose record would exceed the
+// record limit is refused before anything is written, rather than acked
+// and then read by recovery as the end of the log. The WAL stays usable,
+// recovery returns exactly the acked batches, and a checkpoint of them
+// splits the table into frames under the limit.
+func TestOversizedBatchIsRefused(t *testing.T) {
+	old := maxRecordBytes
+	maxRecordBytes = 4 << 10
+	t.Cleanup(func() { maxRecordBytes = old })
+
+	dir := t.TempDir()
+	db, _, w, _, err := OpenDurable(dir, nil, DurableOpts{Policy: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := schema.New(schema.Col("r", "n", types.KindInt), schema.Col("r", "s", types.KindString))
+	if err := w.AppendDDL(NewTableDDL("r", s)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddTable(storage.NewTable("r", s)); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := db.Table("r")
+	next := int64(0)
+	batch := func(n int) []schema.Row {
+		rows := make([]schema.Row, n)
+		for i := range rows {
+			rows[i] = schema.Row{types.NewInt(next), types.NewString(strings.Repeat("x", 60))}
+			next++
+		}
+		return rows
+	}
+	var acked []schema.Row
+	ingest := func(rows []schema.Row) error {
+		if err := w.AppendBatch("r", rows); err != nil {
+			return err
+		}
+		if err := w.Commit(); err != nil {
+			return err
+		}
+		acked = append(acked, rows...)
+		return tab.Append(rows...)
+	}
+	for i := 0; i < 30; i++ {
+		if err := ingest(batch(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ingest(batch(100)); err == nil {
+		t.Fatal("a batch over the record limit was acked")
+	}
+	if err := ingest(batch(1)); err != nil {
+		t.Fatalf("append after the refused batch: %v", err)
+	}
+	w.Close()
+
+	check := func(phase string) (*catalog.Database, *core.Registry, *WAL) {
+		t.Helper()
+		db, reg, w, _, err := OpenDurable(dir, nil, DurableOpts{Policy: FsyncAlways})
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		tab, _ := db.Table("r")
+		got := tab.AllRows()
+		if len(got) != len(acked) {
+			t.Fatalf("%s: recovered %d rows, acked %d", phase, len(got), len(acked))
+		}
+		for i := range acked {
+			if !got[i][0].Equal(acked[i][0]) {
+				t.Fatalf("%s: row %d = %v, acked %v", phase, i, got[i][0], acked[i][0])
+			}
+		}
+		return db, reg, w
+	}
+	db, reg, w := check("replay")
+	if err := w.Checkpoint(db, reg); err != nil {
+		t.Fatalf("checkpoint of a table larger than one record: %v", err)
+	}
+	w.Close()
+	_, _, w = check("checkpoint")
+	w.Close()
+}
+
+// FuzzReplay feeds arbitrary bytes after a valid log header through both
+// readers, tolerant WAL replay and strict snapshot Load, as they are and
+// with every whole frame's checksum made valid, so that mutations also
+// reach the record decoders. Neither reader may panic, and Load must
+// refuse anything but a complete file: every frame intact, and the last
+// one, and only it, the end record.
+func FuzzReplay(f *testing.F) {
+	db, reg := buildSampleDB(f)
+	var snap bytes.Buffer
+	if err := writeSnapshot(&snap, db, reg, 0); err != nil {
+		f.Fatal(err)
+	}
+	body := snap.Bytes()[walHeaderSize:]
+	f.Add(body)
+	f.Add(body[:len(body)-recHeaderSize])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resealed := bytes.Clone(body)
+		for off := 0; len(resealed)-off >= recHeaderSize; {
+			end := off + recHeaderSize + int(binary.LittleEndian.Uint32(resealed[off:]))
+			if end > len(resealed) {
+				break
+			}
+			sealFrame(resealed[off:end], resealed[off+8])
+			off = end
+		}
+		for _, body := range [][]byte{body, resealed} {
+			dir := t.TempDir()
+			path := filepath.Join(dir, snapshotFile)
+			if err := os.WriteFile(path, append(logHeader(0), body...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var typs []byte
+			_, good, _, err := replayFile(path, false, func(r Record) error {
+				typs = append(typs, r.Type)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			complete := good == int64(walHeaderSize+len(body)) &&
+				len(typs) > 0 && bytes.IndexByte(typs, recEnd) == len(typs)-1
+
+			rp := newReplayer()
+			if _, _, _, err := replayFile(path, false, rp.apply); err == nil {
+				_ = rp.finish()
+			}
+			if _, _, err := Load(dir); err == nil && !complete {
+				t.Fatalf("Load accepted an incomplete log: record types %v, %d of %d bytes intact", typs, good, walHeaderSize+len(body))
+			}
+		}
+	})
 }
