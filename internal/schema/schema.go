@@ -30,6 +30,13 @@ func (c Column) QualifiedName() string {
 	return c.Table + "." + c.Name
 }
 
+// Admits reports whether v may be stored in the column: its kind is the
+// column's, or it is NULL.
+func (c Column) Admits(v types.Value) bool {
+	k := v.Kind()
+	return k == types.KindNull || k == c.Kind
+}
+
 // Schema is an ordered list of columns.
 type Schema struct {
 	Columns []Column
