@@ -79,6 +79,10 @@ func (c *Compiled) Vectorized() bool { return c.batch != nil }
 // (after constant folding) and whether the expression is such a constant.
 func (c *Compiled) ConstValue() (types.Value, bool) { return c.constV, c.isConst }
 
+// ColumnOrdinal returns the input ordinal of a bare column reference and
+// whether the expression is one.
+func (c *Compiled) ColumnOrdinal() (int, bool) { return c.colIdx, c.isCol }
+
 // ColumnOrdinals returns the input ordinal each expression reads when
 // every one of them is a bare column reference, and nil otherwise — a
 // projection that only selects columns can copy cells instead of

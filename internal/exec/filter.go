@@ -188,16 +188,45 @@ func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][
 }
 
 // open binds the projection as a pipeline stage: each morsel reserves
-// its output rows and projects through the worker's own scratch.
+// its output rows and projects through the worker's own scratch. A
+// projection of the first k input columns over rows the execution owns
+// (OwnsRows) keeps them: it re-slices each to its first k cells, or
+// passes the morsel through when k is the input's width.
 func (n *ProjectNode) open(c *Ctx) *level {
 	vec := c.useVector(n.Exprs...)
+	lv := &level{node: n, eval: evalMode(vec), parallel: true}
+	if k := len(n.ords); n.prefix() && OwnsRows(n.Input) {
+		if k < n.Input.Schema().Len() {
+			lv.inBytes = rowHdrBytes
+			lv.run = func(_ int, in []schema.Row) ([]schema.Row, error) {
+				out := make([]schema.Row, len(in))
+				for i, r := range in {
+					out[i] = r[:k:k]
+				}
+				return out, nil
+			}
+		}
+		return lv
+	}
 	cols := make([][][]types.Value, c.par)
-	return &level{node: n, inBytes: rowHdrBytes + int64(len(n.Exprs))*valueBytes, eval: evalMode(vec), parallel: true,
-		run: func(w int, in []schema.Row) ([]schema.Row, error) {
-			cols[w] = n.scratch(cols[w], vec, len(in))
-			out := make([]schema.Row, len(in))
-			return out, n.project(c, in, out, vec, cols[w])
-		}}
+	lv.inBytes = rowHdrBytes + int64(len(n.Exprs))*valueBytes
+	lv.run = func(w int, in []schema.Row) ([]schema.Row, error) {
+		cols[w] = n.scratch(cols[w], vec, len(in))
+		out := make([]schema.Row, len(in))
+		return out, n.project(c, in, out, vec, cols[w])
+	}
+	return lv
+}
+
+// prefix reports whether the projection selects the first columns of its
+// input, in order.
+func (n *ProjectNode) prefix() bool {
+	for j, o := range n.ords {
+		if o != j {
+			return false
+		}
+	}
+	return n.ords != nil
 }
 
 // SortNode orders rows by compiled key expressions.

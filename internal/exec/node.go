@@ -4,12 +4,12 @@
 // set operations, and the SQL/OLAP window operator with ROWS and RANGE
 // frames that the paper's cleansing templates compile into.
 //
-// Scans, Values, filters, projections, requalifications, limits and the
-// hash-join probe are pipelined (see stream.go): one morsel pipeline per
-// chain of them, which Open streams and Run drains. The breakers — sort,
-// aggregation, window, distinct, set operations, the nested-loop join —
-// materialize their output in Execute, consuming their inputs whole
-// through Run.
+// Scans, Values, filters, projections, requalifications, windows, limits
+// and the hash-join probe are pipelined (see stream.go): one morsel
+// pipeline per chain of them, which Open streams and Run drains. The
+// breakers — sort, aggregation, distinct, set operations, the nested-loop
+// join — materialize their output in Execute, consuming their inputs
+// whole through Run.
 //
 // Within a query, operators are morsel-parallel (see parallel.go and
 // pump.go): pipelines and the breakers' hot loops fan out over a worker

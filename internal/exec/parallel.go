@@ -19,9 +19,9 @@ import (
 )
 
 // Parallelism is the default worker-pool width for intra-query
-// parallelism: the morsel pipelines (scans, filters, projections, join
-// probes), join builds, sort, aggregation, window partitions, and
-// concurrent execution of independent plan children. Set to 1 to force serial
+// parallelism: the morsel pipelines (scans, filters, projections,
+// windows, join probes), join builds, sort, aggregation, and concurrent
+// execution of independent plan children. Set to 1 to force serial
 // execution process-wide; individual executions override it with
 // Ctx.SetParallelism (the repro.WithParallelism query option).
 var Parallelism = runtime.NumCPU()

@@ -193,6 +193,48 @@ func TestStreamSparsePredicateMatchesEager(t *testing.T) {
 	}
 }
 
+// TestResultRowsDoNotAliasStorage: rows handed to the caller are the
+// caller's. A projection of a scan's leading columns copies them (only
+// rows the execution itself produced are kept in place), so writing to
+// every row Query and QueryStream return leaves the table as it was.
+func TestResultRowsDoNotAliasStorage(t *testing.T) {
+	db := repro.Open()
+	if err := db.LoadRFIDWorkload(repro.WorkloadConfig{Scale: 1, AnomalyPct: 10, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT epc, rtime FROM caser`
+	scribble := func(row []repro.Value) {
+		for j := range row {
+			row[j] = repro.NewString("scribbled")
+		}
+	}
+	first, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]repro.Value, len(first.Data))
+	for i, row := range first.Data {
+		want[i] = append([]repro.Value(nil), row...)
+		scribble(row)
+	}
+	stream, err := db.QueryStream(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for stream.Next() {
+		scribble(stream.Row())
+	}
+	if err := stream.Err(); err != nil {
+		t.Fatal(err)
+	}
+	stream.Close()
+	again, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRows(t, "after writing to the results", want, again.Data)
+}
+
 func TestPreparedStreamMatchesRun(t *testing.T) {
 	db := newGovernDB(t)
 	p, err := db.Prepare(spillGroupQuery)
