@@ -302,8 +302,8 @@ func BenchmarkAblationWindowParallelism(b *testing.B) {
 
 // BenchmarkSpillOverhead prices the graceful-degradation paths: the same
 // sort / aggregation / join queries run fully in memory and again under a
-// budget low enough that every materializing operator goes through the
-// external-merge / grace-hash spill machinery. The inmem/spill ratio is
+// budget low enough that every materializing operator writes its sort
+// runs or hash partitions to spill files. The inmem/spill ratio is
 // the cost of completing a query that would otherwise fail with
 // ErrResourceExhausted; results are asserted bit-identical first.
 func BenchmarkSpillOverhead(b *testing.B) {

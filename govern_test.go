@@ -32,34 +32,37 @@ func newGovernDB(t testing.TB, opts ...repro.Option) *repro.DB {
 }
 
 // Corpus queries whose working sets dwarf a tens-of-KiB budget: a full
-// per-row sort and a grouped aggregation over caseR.
+// per-row sort, a grouped aggregation and an equi-join over caseR.
 const (
 	spillSortQuery  = `SELECT epc, rtime, biz_loc FROM caser ORDER BY rtime, epc, biz_loc`
 	spillGroupQuery = `SELECT biz_loc, COUNT(*) AS c, MIN(rtime) AS first_seen FROM caser GROUP BY biz_loc ORDER BY c DESC, biz_loc`
+	spillJoinQuery  = `SELECT a.epc, a.rtime, b.biz_loc FROM caser a JOIN caser b ON a.epc = b.epc AND a.rtime = b.rtime`
 )
 
 func TestCorpusQueriesSpillBitIdentically(t *testing.T) {
 	db := newGovernDB(t)
-	for _, q := range []string{spillSortQuery, spillGroupQuery} {
-		want, err := db.Query(q)
+	for _, q := range []string{spillSortQuery, spillGroupQuery, spillJoinQuery} {
+		want, err := db.Query(q, repro.WithParallelism(1))
 		if err != nil {
 			t.Fatalf("baseline: %v", err)
 		}
-		got, err := db.Query(q, repro.WithMemoryLimit(32<<10))
-		if err != nil {
-			t.Fatalf("budgeted run failed instead of spilling: %v", err)
-		}
-		if !got.Mem.Spilled() {
-			t.Fatalf("query under 32KiB budget did not spill (peak %d)", got.Mem.Peak)
-		}
-		if got.Mem.Limit != 32<<10 {
-			t.Errorf("Mem.Limit = %d, want %d", got.Mem.Limit, 32<<10)
-		}
-		if got.Mem.Peak <= 0 || got.Mem.SpillBytes <= 0 {
-			t.Errorf("empty accounting: %+v", got.Mem)
-		}
-		if !reflect.DeepEqual(got.Data, want.Data) {
-			t.Fatalf("spilled result differs from in-memory result for %q", q)
+		for _, par := range []int{1, 4} {
+			got, err := db.Query(q, repro.WithMemoryLimit(32<<10), repro.WithParallelism(par))
+			if err != nil {
+				t.Fatalf("par=%d: budgeted run failed instead of spilling: %v", par, err)
+			}
+			if !got.Mem.Spilled() {
+				t.Fatalf("par=%d: query under 32KiB budget did not spill (peak %d)", par, got.Mem.Peak)
+			}
+			if got.Mem.Limit != 32<<10 {
+				t.Errorf("Mem.Limit = %d, want %d", got.Mem.Limit, 32<<10)
+			}
+			if got.Mem.Peak <= 0 || got.Mem.SpillBytes <= 0 {
+				t.Errorf("empty accounting: %+v", got.Mem)
+			}
+			if !reflect.DeepEqual(got.Data, want.Data) {
+				t.Fatalf("par=%d: spilled result differs from in-memory result for %q", par, q)
+			}
 		}
 	}
 }

@@ -2,12 +2,10 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/eval"
-	"repro/internal/govern"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -154,203 +152,147 @@ type groupState struct {
 	first   int // global index of the group's first input row
 }
 
-// Execute implements Node. Aggregation runs in two phases: first every
-// row's group key is encoded (and every aggregate argument evaluated)
-// morsel-parallel, then the groups are partitioned by key hash and one
-// worker per partition folds its groups' rows in global input order.
-// Each group is wholly owned by a single worker, so floating-point
-// accumulation keeps the serial association order and the output is
-// bit-identical at any parallelism — unlike merge-combined partial
-// aggregates, which would reassociate sums.
+// Execute implements Node. Keyed aggregation routes the row indexes into
+// hash partitions by group key (see route: one per worker in memory,
+// spillPieces on disk when the budget refuses the working set), then one
+// worker per partition folds its rows in ascending input order. Each
+// group is wholly owned by one partition, so floating-point accumulation
+// keeps the serial association order and the output is bit-identical at
+// any parallelism and on disk — unlike merge-combined partial aggregates,
+// which would reassociate sums. Groups come out in first-appearance order.
+// Keyless aggregation folds the input in order, a chunk at a time.
 func (n *GroupNode) Execute(ctx *Ctx) (*Result, error) {
 	in, err := Run(ctx, n.Input)
 	if err != nil {
 		return nil, err
 	}
 	nrows := len(in.Rows)
-	// Reserve the hash-aggregation working set (encoded keys, hashes,
-	// evaluated aggregate arguments). A refused reservation degrades to
-	// the grace-hash path when spilling is enabled.
 	work := groupWorkBytes(nrows, len(n.Aggs))
+	spill := ""
 	if err := ctx.res.Reserve(work); err != nil {
 		if !ctx.res.CanSpill() {
 			return nil, err
 		}
-		return n.graceExecute(ctx, in)
+		spill = "group"
+	} else {
+		defer ctx.res.Release(work)
 	}
-	defer ctx.res.Release(work)
-	workers := ctx.workersFor(nrows)
-	ctx.noteWorkers(n, workers)
 	vec := ctx.useVector(n.Keys...)
 	for ai := range n.Aggs {
 		vec = vec && ctx.useVector(n.Aggs[ai].Arg)
 	}
 	ctx.noteEval(n, vec, nrows)
-
-	// Phase 1: encode group keys into per-morsel arenas and evaluate
-	// aggregate arguments. NULL keys form regular groups — the encoding
-	// distinguishes NULL from every concrete value. The vector path
-	// batch-evaluates keys into column vectors (feeding the encoder from
-	// those) and aggregate arguments straight into their argVals slices.
-	keyBytes := make([][]byte, nrows)
-	hashes := make([]uint64, nrows)
-	argVals := make([][]types.Value, len(n.Aggs))
-	for ai := range n.Aggs {
-		if n.Aggs[ai].Arg != nil {
-			argVals[ai] = make([]types.Value, nrows)
-		}
+	if len(n.Keys) == 0 {
+		return n.foldInOrder(ctx, in.Rows)
 	}
-	encs := make([]keyEnc, workers)
-	err = ctx.parallelFor(nrows, workers, func(w, _, lo, hi int) error {
-		enc := &encs[w]
-		var arena []byte
-		phase1Serial := func(b, e int) error {
-			for i := b; i < e; i++ {
-				if err := ctx.Tick(i - b); err != nil {
-					return err
-				}
-				r := in.Rows[i]
-				key, _, err := enc.funcs(n.Keys, r)
-				if err != nil {
-					return err
-				}
-				start := len(arena)
-				arena = append(arena, key...)
-				kb := arena[start:len(arena):len(arena)]
-				keyBytes[i] = kb
-				hashes[i] = hashKey(kb)
-				for ai := range n.Aggs {
-					if vals := argVals[ai]; vals != nil {
-						v, err := n.Aggs[ai].Arg.Eval(r)
-						if err != nil {
-							return err
-						}
-						vals[i] = v
-					}
-				}
-			}
-			return nil
+	workers := ctx.workersFor(nrows)
+	ctx.noteWorkers(n, workers)
+	nparts := workers
+	if spill != "" {
+		nparts = spillPieces(work, ctx.res.Limit())
+		buf := int64(nparts) * spillFileOverhead
+		ctx.res.Charge(buf)
+		defer ctx.res.Release(buf)
+	}
+	pieces, err := ctx.route(in.Rows, n.Keys, n.Aggs, false, nparts, workers, spill)
+	if err != nil {
+		return nil, err
+	}
+	defer discardPieces(pieces)
+	files, bytes := spilled(pieces)
+	groups := make([][]*groupState, nparts)
+	err = ctx.forEach(nparts, workers, func(_, p int) error {
+		pc := &pieces[p]
+		if err := pc.load(ctx, in.Rows, n.Keys, n.Aggs); err != nil {
+			return err
 		}
-		if !vec {
-			return phase1Serial(lo, hi)
+		if pc.byPos {
+			// One partition's fold state rides above the budget line briefly.
+			b := int64(len(pc.idx)) * (8 + keyRefBytes + int64(len(n.Aggs))*valueBytes)
+			ctx.res.Charge(b)
+			defer ctx.res.Release(b)
 		}
-		cols := evalScratch(len(n.Keys), hi-lo)
-		return ctx.forBatches(lo, hi, func(b, e int) error {
-			chunk := in.Rows[b:e]
-			ok := tryBatchAll(n.Keys, chunk, cols)
-			for ai := range n.Aggs {
-				if !ok {
-					break
-				}
-				if vals := argVals[ai]; vals != nil {
-					ok = n.Aggs[ai].Arg.TryBatch(chunk, vals[b:e], nil)
-				}
-			}
-			if !ok {
-				return phase1Serial(b, e)
-			}
-			for i := range chunk {
-				key, _ := enc.cols(cols, i)
-				start := len(arena)
-				arena = append(arena, key...)
-				kb := arena[start:len(arena):len(arena)]
-				keyBytes[b+i] = kb
-				hashes[b+i] = hashKey(kb)
-			}
-			return nil
-		})
+		var err error
+		groups[p], err = n.fold(ctx, in.Rows, pc, newKeyTable[*groupState](len(pc.idx)/4+1), nil)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2: partitioned fold. Each worker scans the rows in order and
-	// folds the ones whose key hash lands in its partition.
-	parts := make([]*keyTable[*groupState], workers)
-	foldPartition := func(p int) error {
-		t := newKeyTable[*groupState](nrows/(workers*4) + 1)
-		parts[p] = t
-		np := uint64(workers)
-		touched := 0
-		for i := 0; i < nrows; i++ {
-			if hashes[i]%np != uint64(p) {
-				continue
-			}
-			if err := ctx.Tick(touched); err != nil {
-				return err
-			}
-			touched++
-			var g *groupState
-			if gp := t.lookup(hashes[i], keyBytes[i]); gp != nil {
-				g = *gp
-			} else {
-				r := in.Rows[i]
-				keyVals := make(schema.Row, len(n.Keys))
-				for ki, f := range n.Keys {
-					v, err := f.Eval(r)
-					if err != nil {
-						return err
-					}
-					keyVals[ki] = v
-				}
-				g = &groupState{keyVals: keyVals, accs: make([]*accumulator, len(n.Aggs)), first: i}
-				for ai := range n.Aggs {
-					g.accs[ai] = newAccumulator(&n.Aggs[ai])
-				}
-				t.insert(hashes[i], keyBytes[i], g)
-			}
-			for ai := range n.Aggs {
-				if vals := argVals[ai]; vals != nil {
-					if err := g.accs[ai].add(vals[i]); err != nil {
-						return err
-					}
-				} else {
-					g.accs[ai].addRowCount()
-				}
-			}
-		}
-		return nil
+	if files > 0 {
+		ctx.noteSpill(n, files, bytes)
 	}
-	if workers == 1 {
-		if err := foldPartition(0); err != nil {
-			return nil, err
-		}
-	} else {
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for p := 0; p < workers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				defer func() {
-					if rec := recover(); rec != nil {
-						errs[p] = govern.Internalize(rec)
-					}
-				}()
-				errs[p] = foldPartition(p)
-			}(p)
-		}
-		wg.Wait()
-		if err := firstError(errs); err != nil {
-			return nil, err
-		}
-	}
-
-	// Sequence groups by first appearance — the serial output order.
-	var sequence []*groupState
-	for _, t := range parts {
-		for _, b := range t.buckets {
-			for i := range b {
-				sequence = append(sequence, b[i].val)
-			}
-		}
-	}
-	sort.Slice(sequence, func(i, j int) bool { return sequence[i].first < sequence[j].first })
+	sequence := slices.Concat(groups...)
+	slices.SortFunc(sequence, func(a, b *groupState) int { return a.first - b.first })
 	return n.emitGroups(ctx, sequence)
 }
 
+// foldInOrder is keyless aggregation: every row folds into the one group
+// in input order, MorselSize arguments evaluated at a time.
+func (n *GroupNode) foldInOrder(ctx *Ctx, rows []schema.Row) (*Result, error) {
+	t := newKeyTable[*groupState](1)
+	var groups []*groupState
+	idx := make([]int, 0, MorselSize)
+	err := ctx.forBatches(0, len(rows), func(b, e int) error {
+		h, err := ctx.hashRows(rows[b:e], nil, n.Aggs, false, 1)
+		if err != nil {
+			return err
+		}
+		idx = idx[:0]
+		for i := b; i < e; i++ {
+			idx = append(idx, i)
+		}
+		groups, err = n.fold(ctx, rows, &piece{idx: idx, h: h, byPos: true}, t, groups)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return n.emitGroups(ctx, groups)
+}
+
+// fold adds the rows of a loaded piece, in its ascending order, to the
+// groups of t, appending each group it creates to groups.
+func (n *GroupNode) fold(ctx *Ctx, rows []schema.Row, p *piece, t *keyTable[*groupState], groups []*groupState) ([]*groupState, error) {
+	for k, i := range p.idx {
+		if err := ctx.Tick(k); err != nil {
+			return nil, err
+		}
+		j := p.slot(k)
+		key, hash := p.h.keys[j], p.h.hashes[j]
+		var g *groupState
+		if gp := t.lookup(hash, key); gp != nil {
+			g = *gp
+		} else {
+			keyVals := make(schema.Row, len(n.Keys))
+			for ki, f := range n.Keys {
+				v, err := f.Eval(rows[i])
+				if err != nil {
+					return nil, err
+				}
+				keyVals[ki] = v
+			}
+			g = &groupState{keyVals: keyVals, accs: make([]*accumulator, len(n.Aggs)), first: i}
+			for ai := range n.Aggs {
+				g.accs[ai] = newAccumulator(&n.Aggs[ai])
+			}
+			// Arena-backed keys are stable; no copy needed.
+			t.insert(hash, key, g)
+			groups = append(groups, g)
+		}
+		for ai, vals := range p.h.args {
+			if vals == nil {
+				g.accs[ai].addRowCount()
+			} else if err := g.accs[ai].add(vals[j]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return groups, nil
+}
+
 // emitGroups materializes the output rows from groups already sequenced
-// in first-appearance order; the in-memory and grace-hash paths share it.
+// in first-appearance order.
 func (n *GroupNode) emitGroups(ctx *Ctx, sequence []*groupState) (*Result, error) {
 	if len(n.Keys) == 0 && len(sequence) == 0 {
 		// Global aggregate over empty input: one row of empty-group results.

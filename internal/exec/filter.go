@@ -2,11 +2,9 @@ package exec
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/eval"
-	"repro/internal/govern"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -251,98 +249,197 @@ func (n *SortNode) Label() string { return fmt.Sprintf("Sort(%d keys)", len(n.Ke
 // Children implements Node.
 func (n *SortNode) Children() []Node { return []Node{n.Input} }
 
-// Execute implements Node. Sort keys are evaluated exactly once per row
-// (never per comparison), morsel-parallel; the sort itself runs as
-// stable per-chunk sorts over contiguous input ranges followed by a
-// stable k-way merge (ties go to the earlier chunk), which yields the
-// same permutation as a serial stable sort.
+// Execute implements Node. The input is cut into contiguous chunks, one
+// per worker — or, when the budget refuses the working set and the query
+// may spill, spillPieces of them written to disk as they are made. Each
+// chunk's keys are evaluated exactly once per row (never per comparison)
+// and the chunk stable-sorted into a run on its own worker; merge then
+// interleaves the runs, which yields the serial stable sort's
+// permutation.
 func (n *SortNode) Execute(ctx *Ctx) (*Result, error) {
 	in, err := Run(ctx, n.Input)
 	if err != nil {
 		return nil, err
 	}
 	nrows := len(in.Rows)
-	nk := len(n.Keys)
-	// Reserve the full working set (key tuples, permutation, output row
-	// references). If the budget refuses it and the query may spill, fall
-	// back to the external merge sort; otherwise the reservation error is
-	// the query's clean failure.
-	work := sortWorkBytes(nrows, nk)
+	work := sortWorkBytes(nrows, len(n.Keys))
+	workers := ctx.workersFor(nrows)
+	nruns, onDisk := workers, false
+	// The output row references stay charged; the key tuples are scratch.
 	if err := ctx.res.Reserve(work + int64(nrows)*rowHdrBytes); err != nil {
 		if !ctx.res.CanSpill() {
 			return nil, err
 		}
-		return n.externalSort(ctx, in)
+		nruns, onDisk = spillPieces(work, ctx.res.Limit()), true
+	} else {
+		defer ctx.res.Release(work)
 	}
-	// The output row references stay charged; the key tuples are scratch.
-	defer ctx.res.Release(work)
-	workers := ctx.workersFor(nrows)
 	ctx.noteWorkers(n, workers)
 	vec := ctx.useVector(n.Keys...)
 	ctx.noteEval(n, vec, nrows)
 
-	keys := make([][]types.Value, nrows)
-	keysSerial := func(b, e int) error {
+	runRows := max((nrows+nruns-1)/nruns, 1)
+	runs := make([]*sortRun, (nrows+runRows-1)/runRows)
+	defer func() {
+		for _, r := range runs {
+			r.discard()
+		}
+	}()
+	var ents []sortEntry      // in memory: every run's entries
+	var scratch [][]sortEntry // on disk: each worker's chunk buffer
+	if onDisk {
+		scratch = make([][]sortEntry, workers)
+	} else {
+		ents = make([]sortEntry, nrows)
+	}
+	err = ctx.forEach(len(runs), workers, func(w, r int) error {
+		lo, hi := r*runRows, min((r+1)*runRows, nrows)
+		if !onDisk {
+			runs[r] = &sortRun{ents: ents[lo:hi]}
+			return n.sortChunk(ctx, in.Rows, lo, runs[r].ents, vec)
+		}
+		b := sortWorkBytes(hi-lo, len(n.Keys)) + spillFileOverhead
+		ctx.res.Charge(b)
+		defer ctx.res.Release(b)
+		if scratch[w] == nil {
+			scratch[w] = make([]sortEntry, runRows)
+		}
+		chunk := scratch[w][:hi-lo]
+		if err := n.sortChunk(ctx, in.Rows, lo, chunk, vec); err != nil {
+			return err
+		}
+		var err error
+		runs[r], err = spillRun(ctx.res, chunk)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if onDisk {
+		var bytes int64
+		for _, r := range runs {
+			bytes += r.bytes
+		}
+		ctx.noteSpill(n, len(runs), bytes)
+		// Merge cursors plus the output row references are the steady-state
+		// working set; charge it (non-failing — spill mode completes).
+		cursors := int64(len(runs)) * (spillFileOverhead + int64(len(n.Keys))*valueBytes)
+		ctx.res.Charge(cursors + int64(nrows)*rowHdrBytes)
+		defer ctx.res.Release(cursors)
+	}
+	out, err := n.merge(ctx, in.Rows, runs)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Schema: n.schema, Rows: out}, nil
+}
+
+// sortChunk evaluates the keys of rows[lo:lo+len(ents)] into ents, vector
+// kernels first, and stable-sorts the entries by key.
+func (n *SortNode) sortChunk(ctx *Ctx, rows []schema.Row, lo int, ents []sortEntry, vec bool) error {
+	nk := len(n.Keys)
+	serial := func(b, e int) error {
 		for i := b; i < e; i++ {
 			if err := ctx.Tick(i - b); err != nil {
 				return err
 			}
 			ks := make([]types.Value, nk)
 			for j, f := range n.Keys {
-				v, err := f.Eval(in.Rows[i])
+				v, err := f.Eval(rows[lo+i])
 				if err != nil {
 					return err
 				}
 				ks[j] = v
 			}
-			keys[i] = ks
+			ents[i] = sortEntry{row: lo + i, key: ks}
 		}
 		return nil
 	}
-	err = ctx.parallelFor(nrows, workers, func(_, _, lo, hi int) error {
-		if !vec {
-			return keysSerial(lo, hi)
-		}
-		cols := evalScratch(nk, hi-lo)
-		return ctx.forBatches(lo, hi, func(b, e int) error {
-			chunk := in.Rows[b:e]
+	var err error
+	if !vec {
+		err = serial(0, len(ents))
+	} else {
+		cols := evalScratch(nk, len(ents))
+		err = ctx.forBatches(0, len(ents), func(b, e int) error {
+			chunk := rows[lo+b : lo+e]
 			if !tryBatchAll(n.Keys, chunk, cols) {
-				return keysSerial(b, e)
+				return serial(b, e)
 			}
 			flat := make([]types.Value, len(chunk)*nk)
 			for i := range chunk {
 				ks := flat[i*nk : (i+1)*nk : (i+1)*nk]
-				for j := 0; j < nk; j++ {
+				for j := range ks {
 					ks[j] = cols[j][i]
 				}
-				keys[b+i] = ks
+				ents[b+i] = sortEntry{row: lo + b + i, key: ks}
 			}
 			return nil
 		})
-	})
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
+	slices.SortStableFunc(ents, func(a, b sortEntry) int { return n.cmpKeys(a.key, b.key) })
+	return nil
+}
 
-	idx := make([]int, nrows)
-	for i := range idx {
-		idx[i] = i
-	}
-	if workers <= 1 {
-		sort.SliceStable(idx, func(a, b int) bool {
-			return n.cmpKeys(keys[idx[a]], keys[idx[b]]) < 0
-		})
-	} else {
-		if err := n.parallelSort(ctx, idx, keys, workers); err != nil {
+// merge interleaves sorted runs of contiguous input chunks, given in
+// input order, through a binary heap of their heads: the smallest key
+// first, ties to the earliest run — the stability rule, since earlier runs
+// hold earlier rows.
+func (n *SortNode) merge(ctx *Ctx, rows []schema.Row, runs []*sortRun) ([]schema.Row, error) {
+	heap := make([]int, 0, len(runs))
+	for i, r := range runs {
+		if err := r.next(); err != nil {
 			return nil, err
 		}
+		if r.ok {
+			heap = append(heap, i)
+		}
 	}
-
-	out := make([]schema.Row, nrows)
-	for i, id := range idx {
-		out[i] = in.Rows[id]
+	less := func(a, b int) bool {
+		c := n.cmpKeys(runs[a].head.key, runs[b].head.key)
+		return c < 0 || c == 0 && a < b
 	}
-	return &Result{Schema: n.schema, Rows: out}, nil
+	down := func(i int) {
+		for {
+			m, l := i, 2*i+1
+			if l < len(heap) && less(heap[l], heap[m]) {
+				m = l
+			}
+			if l+1 < len(heap) && less(heap[l+1], heap[m]) {
+				m = l + 1
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]schema.Row, 0, len(rows))
+	for len(heap) > 0 {
+		if err := ctx.Tick(len(out)); err != nil {
+			return nil, err
+		}
+		r := runs[heap[0]]
+		out = append(out, rows[r.head.row])
+		if err := r.next(); err != nil {
+			return nil, err
+		}
+		if !r.ok {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	if len(out) != len(rows) {
+		return nil, fmt.Errorf("exec: sort runs ended at %d of %d rows", len(out), len(rows))
+	}
+	return out, nil
 }
 
 // cmpKeys orders two evaluated key tuples under the node's directions.
@@ -358,73 +455,6 @@ func (n *SortNode) cmpKeys(ka, kb []types.Value) int {
 		return c
 	}
 	return 0
-}
-
-// parallelSort stable-sorts idx in place: contiguous chunks sort on
-// separate goroutines, then a k-way merge picks the smallest head each
-// step, breaking ties toward the earliest chunk. Chunks are contiguous
-// input ranges, so earliest-chunk tie-breaking is exactly the stability
-// rule, and the merged permutation equals the serial stable sort's.
-func (n *SortNode) parallelSort(ctx *Ctx, idx []int, keys [][]types.Value, workers int) error {
-	nrows := len(idx)
-	chunk := (nrows + workers - 1) / workers
-	type span struct{ lo, hi int }
-	var spans []span
-	for lo := 0; lo < nrows; lo += chunk {
-		hi := lo + chunk
-		if hi > nrows {
-			hi = nrows
-		}
-		spans = append(spans, span{lo, hi})
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(spans))
-	for si, sp := range spans {
-		wg.Add(1)
-		go func(si int, sub []int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[si] = govern.Internalize(rec)
-				}
-			}()
-			ctx.res.MaybePanic()
-			sort.SliceStable(sub, func(a, b int) bool {
-				return n.cmpKeys(keys[sub[a]], keys[sub[b]]) < 0
-			})
-		}(si, idx[sp.lo:sp.hi])
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return err
-	}
-	if err := ctx.Canceled(); err != nil {
-		return err
-	}
-
-	heads := make([]int, len(spans))
-	for i, sp := range spans {
-		heads[i] = sp.lo
-	}
-	merged := make([]int, 0, nrows)
-	for len(merged) < nrows {
-		if err := ctx.Tick(len(merged)); err != nil {
-			return err
-		}
-		best := -1
-		for c, sp := range spans {
-			if heads[c] >= sp.hi {
-				continue
-			}
-			if best < 0 || n.cmpKeys(keys[idx[heads[c]]], keys[idx[heads[best]]]) < 0 {
-				best = c
-			}
-		}
-		merged = append(merged, idx[heads[best]])
-		heads[best]++
-	}
-	copy(idx, merged)
-	return nil
 }
 
 // compareForSort orders values with NULLS FIRST and falls back to kind

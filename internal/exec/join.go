@@ -2,11 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/eval"
-	"repro/internal/govern"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -130,127 +130,103 @@ func (jt *joinTable) lookupRows(h uint64, key []byte) []schema.Row {
 	return nil
 }
 
-// buildJoinTable evaluates the build-side keys morsel-parallel, then has
-// one goroutine per hash partition insert its share of the rows. Each
-// partition is filled by a single worker scanning rows in input order, so
-// the per-key row lists match the serial build exactly.
+// buildJoinTable routes the build rows into one hash partition per
+// worker and builds each partition's sub-table on its own worker.
 func buildJoinTable(ctx *Ctx, rows []schema.Row, keys []*eval.Compiled, workers int) (*joinTable, error) {
-	n := len(rows)
-	if w := ctx.workersFor(n); workers > w {
-		workers = w
+	pieces, err := ctx.route(rows, keys, nil, true, workers, workers, "")
+	if err != nil {
+		return nil, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	vec := ctx.useVector(keys...)
+	jt := &joinTable{parts: make([]*keyTable[[]schema.Row], workers)}
+	return jt, ctx.forEach(workers, workers, func(_, p int) error {
+		var err error
+		jt.parts[p], err = buildPart(ctx, rows, &pieces[p])
+		return err
+	})
+}
 
-	// Phase 1: encode every row's key into per-morsel arenas (NULL keys
-	// never join; they keep a nil slot). The vector path batch-evaluates
-	// the key expressions into column vectors and feeds the encoder from
-	// those.
-	keyBytes := make([][]byte, n)
-	hashes := make([]uint64, n)
-	encs := make([]keyEnc, workers)
-	err := ctx.parallelFor(n, workers, func(w, _, lo, hi int) error {
-		enc := &encs[w]
-		var arena []byte
-		encodeSerial := func(b, e int) error {
-			for i := b; i < e; i++ {
-				if err := ctx.Tick(i - b); err != nil {
-					return err
-				}
-				key, null, err := enc.funcs(keys, rows[i])
-				if err != nil {
-					return err
-				}
-				if null {
-					continue
-				}
-				start := len(arena)
-				arena = append(arena, key...)
-				kb := arena[start:len(arena):len(arena)]
-				keyBytes[i] = kb
-				hashes[i] = hashKey(kb)
-			}
-			return nil
+// buildPart builds one loaded piece's sub-table: each key's rows, in the
+// piece's ascending order — the serial build's row lists.
+func buildPart(ctx *Ctx, rows []schema.Row, p *piece) (*keyTable[[]schema.Row], error) {
+	t := newKeyTable[[]schema.Row](len(p.idx) + 1)
+	for k, i := range p.idx {
+		if err := ctx.Tick(k); err != nil {
+			return nil, err
 		}
-		if !vec {
-			return encodeSerial(lo, hi)
+		j := p.slot(k)
+		kb, h := p.h.keys[j], p.h.hashes[j]
+		if rp := t.lookup(h, kb); rp != nil {
+			*rp = append(*rp, rows[i])
+		} else {
+			// Arena-backed keys are stable; no copy needed.
+			t.insert(h, kb, []schema.Row{rows[i]})
 		}
-		cols := evalScratch(len(keys), hi-lo)
-		return ctx.forBatches(lo, hi, func(b, e int) error {
-			chunk := rows[b:e]
-			if !tryBatchAll(keys, chunk, cols) {
-				return encodeSerial(b, e)
-			}
-			for i := range chunk {
-				key, null := enc.cols(cols, i)
-				if null {
-					continue
-				}
-				start := len(arena)
-				arena = append(arena, key...)
-				kb := arena[start:len(arena):len(arena)]
-				keyBytes[b+i] = kb
-				hashes[b+i] = hashKey(kb)
-			}
-			return nil
-		})
+	}
+	return t, nil
+}
+
+// partitionedJoin is the join when the budget refuses its build table:
+// both inputs are routed into spillPieces hash partitions on disk, and per
+// partition, one worker each, the build rows build a table that the probe
+// rows probe through probeState. Every probe row belongs to one partition
+// and probes in its input order, so placing each row's output at its
+// index restores the serial probe order.
+func (n *HashJoinNode) partitionedJoin(c *Ctx, l, r *Result) (*Result, error) {
+	nparts := spillPieces(joinWorkBytes(len(l.Rows), len(r.Rows)), c.res.Limit())
+	buf := int64(nparts) * spillFileOverhead
+	c.res.Charge(buf)
+	defer c.res.Release(buf)
+	workers := c.workersFor(len(l.Rows) + len(r.Rows))
+	c.noteWorkers(n, workers)
+	build, err := c.route(r.Rows, n.RightKeys, nil, true, nparts, workers, "join-build")
+	if err != nil {
+		return nil, err
+	}
+	defer discardPieces(build)
+	// Probe rows are all routed — NULL keys too, so that left-join padding
+	// happens in the partition that owns the row.
+	probe, err := c.route(l.Rows, n.LeftKeys, nil, false, nparts, workers, "join-probe")
+	if err != nil {
+		return nil, err
+	}
+	defer discardPieces(probe)
+	files, bytes := spilled(build, probe)
+	vec := c.useVector(n.LeftKeys...) && c.useVector(n.Residual)
+	spans := make([][]schema.Row, len(l.Rows))
+	err = c.forEach(nparts, workers, func(_, p int) error {
+		b, pr := &build[p], &probe[p]
+		if err := b.load(c, r.Rows, n.RightKeys, nil); err != nil {
+			return err
+		}
+		if err := pr.load(c, l.Rows, nil, nil); err != nil || len(pr.idx) == 0 {
+			return err
+		}
+		partBytes := int64(len(b.idx))*(8+keyRefBytes+rowHdrBytes) + int64(len(pr.idx))*8
+		c.res.Charge(partBytes)
+		defer c.res.Release(partBytes)
+		t, err := buildPart(c, r.Rows, b)
+		if err != nil {
+			return err
+		}
+		ps := newProbeState(n, &joinTable{parts: []*keyTable[[]schema.Row]{t}}, vec)
+		ps.ends = make([]int, 0, len(pr.idx))
+		out, err := ps.probeRange(c, gather(l.Rows, pr.idx), nil)
+		if err != nil {
+			return err
+		}
+		lo := 0
+		for k, i := range pr.idx {
+			spans[i], lo = out[lo:ps.ends[k]], ps.ends[k]
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2: partitioned insert.
-	jt := &joinTable{parts: make([]*keyTable[[]schema.Row], workers)}
-	insertPartition := func(p int) error {
-		t := newKeyTable[[]schema.Row](n/workers + 1)
-		jt.parts[p] = t
-		np := uint64(workers)
-		touched := 0
-		for i := 0; i < n; i++ {
-			kb := keyBytes[i]
-			if kb == nil || hashes[i]%np != uint64(p) {
-				continue
-			}
-			if err := ctx.Tick(touched); err != nil {
-				return err
-			}
-			touched++
-			if rp := t.lookup(hashes[i], kb); rp != nil {
-				*rp = append(*rp, rows[i])
-			} else {
-				// Arena-backed keys are stable; no copy needed.
-				t.insert(hashes[i], kb, []schema.Row{rows[i]})
-			}
-		}
-		return nil
-	}
-	if workers == 1 {
-		if err := insertPartition(0); err != nil {
-			return nil, err
-		}
-		return jt, nil
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[p] = govern.Internalize(rec)
-				}
-			}()
-			errs[p] = insertPartition(p)
-		}(p)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return jt, nil
+	c.noteSpill(n, files, bytes)
+	out := slices.Concat(spans...)
+	c.res.Charge(int64(len(out)) * (rowHdrBytes + int64(n.schema.Len())*valueBytes))
+	return &Result{Schema: n.schema, Rows: out}, nil
 }
 
 // open binds the join as a probe stage: the build table comes from the
@@ -258,8 +234,8 @@ func buildJoinTable(ctx *Ctx, rows []schema.Row, keys []*eval.Compiled, workers 
 // pipeline closes; its distinct ProbeKey values become the probe keys of
 // a plain scan below; each probe morsel charges its joined output rows. A
 // refused reservation degrades the join to a breaker when spilling is
-// enabled: the grace-hash path runs both inputs through Run and its
-// result (non-nil) becomes the pipeline's source.
+// enabled: partitionedJoin runs both inputs through Run and its result
+// (non-nil) becomes the pipeline's source.
 func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 	lv := &level{node: n}
 	build, buildRows := n.cachedTable(c)
@@ -287,7 +263,7 @@ func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 		if err != nil {
 			return lv, nil, err
 		}
-		res, err := n.graceExecute(c, l, r)
+		res, err := n.partitionedJoin(c, l, r)
 		return lv, res, err
 	}
 	lv.reserved = work
@@ -299,8 +275,8 @@ func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 			return lv, nil, err
 		}
 		n.builds.Add(1)
-		// Only a complete in-memory build is cached — the grace path
-		// returned above, and errors never reach here.
+		// Only a complete in-memory build is cached — the partitioned
+		// join returned above, and errors never reach here.
 		n.storeTable(c, build, buildRows)
 	}
 	if lv.probe = c.probeFor(n.Left, n.ProbeCol); lv.probe != nil {
@@ -332,6 +308,9 @@ type probeState struct {
 	cand       []schema.Row
 	candStart  []int
 	sel        []int
+	// ends, when non-nil, collects the output length after each probe
+	// row, so partitionedJoin can place every row's output.
+	ends []int
 }
 
 func newProbeState(n *HashJoinNode, build *joinTable, vec bool) *probeState {
@@ -372,6 +351,7 @@ func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, out []schema.Row) 
 			if !matched && n.JoinType == JoinKindLeft {
 				out = append(out, concatRows(lrow, nullRow(ps.rightWidth)))
 			}
+			ps.mark(out)
 		}
 		return nil
 	}
@@ -426,10 +406,18 @@ func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, out []schema.Row) 
 			if !matched && n.JoinType == JoinKindLeft {
 				out = append(out, concatRows(chunk[i], nullRow(ps.rightWidth)))
 			}
+			ps.mark(out)
 		}
 		return nil
 	})
 	return out, err
+}
+
+// mark records where a probe row's output ends, when asked to.
+func (ps *probeState) mark(out []schema.Row) {
+	if ps.ends != nil {
+		ps.ends = append(ps.ends, len(out))
+	}
 }
 
 func concatRows(l, r schema.Row) schema.Row {

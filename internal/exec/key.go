@@ -78,6 +78,91 @@ func (k *keyEnc) cols(cols [][]types.Value, i int) (key []byte, null bool) {
 	return k.buf, null
 }
 
+// hashed is the encoded hash keys of a list of rows, by position: each
+// row's key bytes (in per-morsel arenas, so they stay valid; nil for a
+// NULL join key) and hash, and, per aggregate, its evaluated argument (nil
+// for COUNT(*)).
+type hashed struct {
+	keys   [][]byte
+	hashes []uint64
+	args   [][]types.Value
+}
+
+// hashRows encodes the keys of rows, and evaluates the arguments of aggs,
+// morsel-parallel over up to workers goroutines, through the vector
+// kernels when every expression has one. A NULL key is a regular value
+// unless nullNil (join keys never match on NULL), which leaves it nil. A
+// kernel failure reruns its chunk on the row path, so errors are the
+// serial ones.
+func (c *Ctx) hashRows(rows []schema.Row, keys []*eval.Compiled, aggs []AggSpec, nullNil bool, workers int) (*hashed, error) {
+	n := len(rows)
+	h := &hashed{keys: make([][]byte, n), hashes: make([]uint64, n), args: make([][]types.Value, len(aggs))}
+	vec := c.useVector(keys...)
+	for ai := range aggs {
+		if arg := aggs[ai].Arg; arg != nil {
+			h.args[ai] = make([]types.Value, n)
+			vec = vec && c.useVector(arg)
+		}
+	}
+	workers = min(workers, c.workersFor(n))
+	encs := make([]keyEnc, workers)
+	err := c.parallelFor(n, workers, func(w, lo, hi int) error {
+		enc := &encs[w]
+		var arena []byte
+		put := func(i int, key []byte, null bool) {
+			if null && nullNil {
+				return
+			}
+			start := len(arena)
+			arena = append(arena, key...)
+			kb := arena[start:len(arena):len(arena)]
+			h.keys[i], h.hashes[i] = kb, hashKey(kb)
+		}
+		serial := func(b, e int) error {
+			for i := b; i < e; i++ {
+				if err := c.Tick(i - b); err != nil {
+					return err
+				}
+				key, null, err := enc.funcs(keys, rows[i])
+				if err != nil {
+					return err
+				}
+				put(i, key, null)
+				for ai, vals := range h.args {
+					if vals != nil {
+						if vals[i], err = aggs[ai].Arg.Eval(rows[i]); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			return nil
+		}
+		if !vec {
+			return serial(lo, hi)
+		}
+		cols := evalScratch(len(keys), hi-lo)
+		return c.forBatches(lo, hi, func(b, e int) error {
+			chunk := rows[b:e]
+			ok := tryBatchAll(keys, chunk, cols)
+			for ai, vals := range h.args {
+				if ok && vals != nil {
+					ok = aggs[ai].Arg.TryBatch(chunk, vals[b:e], nil)
+				}
+			}
+			if !ok {
+				return serial(b, e)
+			}
+			for i := range chunk {
+				key, null := enc.cols(cols, i)
+				put(b+i, key, null)
+			}
+			return nil
+		})
+	})
+	return h, err
+}
+
 // keyTable is a hash table from encoded key bytes to a value of type T.
 // Buckets are keyed by the full 64-bit maphash; entries within a bucket
 // are verified by byte equality, so hashing is an accelerator, never a

@@ -9,7 +9,9 @@
 // pipeline per chain of them, which Open streams and Run drains. The
 // breakers — sort, aggregation, distinct, set operations, the nested-loop
 // join — materialize their output in Execute, consuming their inputs
-// whole through Run.
+// whole through Run. Sort, aggregation and the hash-join build run one
+// algorithm over pieces — sort runs, hash partitions — that live in
+// memory or, past the memory budget, in spill files (see spill.go).
 //
 // Within a query, operators are morsel-parallel (see parallel.go and
 // pump.go): pipelines and the breakers' hot loops fan out over a worker
@@ -103,7 +105,7 @@ type NodeStats struct {
 	// Batches counts vector-kernel chunks the operator processed
 	// (vector mode only).
 	Batches int
-	// SpillRuns counts external runs / grace partitions this operator
+	// SpillRuns counts the sort runs / hash partitions this operator
 	// wrote to temp files (0 = stayed in memory); SpillBytes is the data
 	// volume that went through disk.
 	SpillRuns  int

@@ -51,33 +51,47 @@ func (c *Ctx) workersFor(n int) int {
 	return w
 }
 
-// morselCount returns how many morsels parallelFor will dispatch for n
-// rows on the given worker count; callers size per-morsel output slots
-// with it. Serial execution runs as a single morsel.
-func morselCount(n, workers int) int {
-	if workers <= 1 || n == 0 {
-		return 1
-	}
-	return (n + MorselSize - 1) / MorselSize
-}
-
-// parallelFor processes [0,n) in morsels claimed off a shared atomic
-// counter by `workers` goroutines. fn(worker, morsel, lo, hi) must
-// confine its writes to state owned by its worker index or morsel index
-// (or to disjoint row positions) — that is what keeps parallel execution
-// deterministic. Workers poll the context between morsels, and fn should
-// Tick inside long loops; the first error (or the context's) aborts the
-// whole loop. With workers <= 1 it degenerates to fn(0, 0, 0, n) on the
-// calling goroutine.
-func (c *Ctx) parallelFor(n, workers int, fn func(worker, morsel, lo, hi int) error) error {
+// parallelFor processes [0,n) in MorselSize morsels (one morsel of n rows
+// with workers <= 1) spread over forEach's workers. fn(worker, lo, hi)
+// must confine its writes to state owned by its worker index or to
+// disjoint row positions — that is what keeps parallel execution
+// deterministic — and should Tick inside long loops.
+func (c *Ctx) parallelFor(n, workers int, fn func(worker, lo, hi int) error) error {
 	if n == 0 {
 		return nil
 	}
+	size := MorselSize
 	if workers <= 1 {
-		c.res.MaybePanic()
-		return fn(0, 0, 0, n)
+		size = n
 	}
-	morsels := morselCount(n, workers)
+	return c.forEach((n+size-1)/size, workers, func(w, m int) error {
+		lo := m * size
+		return fn(w, lo, min(lo+size, n))
+	})
+}
+
+// forEach runs fn(worker, i) for every i in [0,n), the items claimed off
+// a shared counter by up to `workers` goroutines — or, with one worker, in
+// order on the calling goroutine. It is the one fan-out of the breakers:
+// morsels, sort runs, hash partitions. Each item is preceded by a
+// cancellation poll and the WorkerPanic injection point; a panic in a
+// worker (a bug, or the injection) becomes this query's error instead of
+// crashing the process, and the first error stops further claims. fn must
+// write only state owned by its worker or its item.
+func (c *Ctx) forEach(n, workers int, fn func(worker, i int) error) error {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := c.Canceled(); err != nil {
+				return err
+			}
+			c.res.MaybePanic()
+			if err := fn(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var next atomic.Int64
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -85,12 +99,10 @@ func (c *Ctx) parallelFor(n, workers int, fn func(worker, morsel, lo, hi int) er
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// A panic in one morsel (a bug, or the WorkerPanic injection)
-			// becomes this query's error instead of crashing the process;
-			// sibling workers drain normally and the pool joins cleanly.
 			defer func() {
 				if rec := recover(); rec != nil {
 					errs[w] = govern.Internalize(rec)
+					next.Store(int64(n))
 				}
 			}()
 			for {
@@ -98,18 +110,14 @@ func (c *Ctx) parallelFor(n, workers int, fn func(worker, morsel, lo, hi int) er
 					errs[w] = err
 					return
 				}
-				m := int(next.Add(1)) - 1
-				if m >= morsels {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
 				c.res.MaybePanic()
-				lo := m * MorselSize
-				hi := lo + MorselSize
-				if hi > n {
-					hi = n
-				}
-				if err := fn(w, m, lo, hi); err != nil {
+				if err := fn(w, i); err != nil {
 					errs[w] = err
+					next.Store(int64(n))
 					return
 				}
 			}

@@ -196,21 +196,31 @@ func TestParallelIndexScanMatchesSerial(t *testing.T) {
 }
 
 // Sort keys must be computed once per row, never per comparison — a
-// counting key function proves it at both parallelism settings.
+// counting key function proves it at both parallelism settings, in
+// memory and spilled to disk under a 64 KiB budget.
 func TestSortEvaluatesKeysOncePerRow(t *testing.T) {
 	const n = 20000
-	for _, par := range []int{1, 8} {
-		in := NewValuesNode(bigSchema(), bigRows(n))
-		var calls atomic.Int64
-		key := eval.FromFunc(func(r schema.Row) (types.Value, error) {
-			calls.Add(1)
-			return r[1], nil
-		})
-		if _, err := Run(NewCtx().SetParallelism(par), NewSortNode(in, []*eval.Compiled{key}, []bool{false})); err != nil {
-			t.Fatal(err)
-		}
-		if got := calls.Load(); got != n {
-			t.Fatalf("par=%d: key func called %d times for %d rows", par, got, n)
+	for _, spill := range []bool{false, true} {
+		for _, par := range []int{1, 8} {
+			in := NewValuesNode(bigSchema(), bigRows(n))
+			var calls atomic.Int64
+			key := eval.FromFunc(func(r schema.Row) (types.Value, error) {
+				calls.Add(1)
+				return r[1], nil
+			})
+			ctx := NewCtx()
+			if spill {
+				ctx, _ = spillCtx(t, 64<<10)
+			}
+			if _, err := Run(ctx.SetParallelism(par), NewSortNode(in, []*eval.Compiled{key}, []bool{false})); err != nil {
+				t.Fatal(err)
+			}
+			if spill && !ctx.Resources().Stats().Spilled() {
+				t.Fatalf("par=%d: sort did not spill", par)
+			}
+			if got := calls.Load(); got != n {
+				t.Fatalf("spill=%v par=%d: key func called %d times for %d rows", spill, par, got, n)
+			}
 		}
 	}
 }

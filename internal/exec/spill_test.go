@@ -2,12 +2,12 @@ package exec
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -18,7 +18,7 @@ import (
 )
 
 // mixedRows builds a deterministic input with heavy key ties (so run
-// merges and grace partitions exercise stability), float payloads (so
+// merges and hash partitions exercise stability), float payloads (so
 // accumulation order is observable bit-for-bit), and strings (so the
 // spill codec's variable-length path runs).
 func mixedRows(n int) []schema.Row {
@@ -52,23 +52,36 @@ func spillCtx(t *testing.T, limit int64) (*Ctx, *govern.Resources) {
 	return NewCtx().SetResources(res), res
 }
 
-func TestExternalSortBitIdenticalToInMemory(t *testing.T) {
-	in := NewValuesNode(mixedSchema(), mixedRows(20000))
-	sortn := NewSortNode(in, []*eval.Compiled{colFn(0), colFn(2)}, []bool{false, true})
-
-	want := mustExec(t, sortn)
-
-	ctx, res := spillCtx(t, 64<<10)
-	got, err := Run(ctx, sortn)
+// checkSpillParity runs n under a 64 KiB budget at parallelism 1 and 4:
+// each run must spill and return exactly the in-memory result at
+// parallelism 1.
+func checkSpillParity(t *testing.T, what string, n Node) {
+	t.Helper()
+	want, err := Run(NewCtx().SetParallelism(1), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stats().Spilled() {
-		t.Fatal("sort did not spill under a 64KiB budget")
+	for _, par := range []int{1, 4} {
+		ctx, res := spillCtx(t, 64<<10)
+		got, err := Run(ctx.SetParallelism(par), n)
+		if err != nil {
+			t.Fatalf("%s par=%d: %v", what, par, err)
+		}
+		if !res.Stats().Spilled() {
+			t.Fatalf("%s par=%d did not spill under a 64KiB budget", what, par)
+		}
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s par=%d: spilled rows = %d, in-memory = %d", what, par, len(got.Rows), len(want.Rows))
+		}
+		if !reflect.DeepEqual(want.Rows, got.Rows) {
+			t.Fatalf("%s par=%d: spilled output differs from in-memory output", what, par)
+		}
 	}
-	if !reflect.DeepEqual(want.Rows, got.Rows) {
-		t.Fatal("external sort output differs from in-memory sort")
-	}
+}
+
+func TestExternalSortBitIdenticalToInMemory(t *testing.T) {
+	in := NewValuesNode(mixedSchema(), mixedRows(20000))
+	checkSpillParity(t, "sort", NewSortNode(in, []*eval.Compiled{colFn(0), colFn(2)}, []bool{false, true}))
 }
 
 func TestGraceGroupBitIdenticalToInMemory(t *testing.T) {
@@ -80,21 +93,7 @@ func TestGraceGroupBitIdenticalToInMemory(t *testing.T) {
 		{Func: "avg", Arg: colFn(1), OutName: "avg"},
 		{Func: "min", Arg: colFn(3), OutName: "min"},
 	}
-	group := NewGroupNode(in, out, []*eval.Compiled{colFn(0), colFn(2)}, aggs)
-
-	want := mustExec(t, group)
-
-	ctx, res := spillCtx(t, 64<<10)
-	got, err := Run(ctx, group)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats().Spilled() {
-		t.Fatal("aggregation did not spill under a 64KiB budget")
-	}
-	if !reflect.DeepEqual(want.Rows, got.Rows) {
-		t.Fatal("grace-hash aggregation output differs from in-memory aggregation")
-	}
+	checkSpillParity(t, "group", NewGroupNode(in, out, []*eval.Compiled{colFn(0), colFn(2)}, aggs))
 }
 
 func TestKeylessAggregationStreamsWithoutFiles(t *testing.T) {
@@ -121,44 +120,34 @@ func TestKeylessAggregationStreamsWithoutFiles(t *testing.T) {
 	}
 }
 
-func TestGraceJoinBitIdenticalToInMemory(t *testing.T) {
-	lrows := mixedRows(12000)
+// spillJoinInputs is the join the spill tests share: a left input of
+// mixedRows joined on d%300 to a right input with repeated keys, NULL keys
+// that never join (so left rows pad on the left-join path), and a
+// residual over both sides.
+func spillJoinInputs() (left, right Node, lk, rk []*eval.Compiled, residual *eval.Compiled) {
 	rrows := make([]schema.Row, 6000)
 	for i := range rrows {
 		key := types.NewInt(int64(i % 300))
 		if i%37 == 0 {
-			key = types.Null // never joins; left rows pad on the left-join path
+			key = types.Null
 		}
 		rrows[i] = schema.Row{key, types.NewFloat(float64(i) * 0.5)}
 	}
-	left := NewValuesNode(mixedSchema(), lrows)
-	right := NewValuesNode(intSchema("k", "v"), rrows)
-	lk := []*eval.Compiled{eval.FromFunc(func(r schema.Row) (types.Value, error) {
+	left = NewValuesNode(mixedSchema(), mixedRows(12000))
+	right = NewValuesNode(intSchema("k", "v"), rrows)
+	lk = []*eval.Compiled{eval.FromFunc(func(r schema.Row) (types.Value, error) {
 		return types.NewInt(r[3].Int() % 300), nil
 	})}
-	rk := []*eval.Compiled{colFn(0)}
-	residual := eval.FromFunc(func(r schema.Row) (types.Value, error) {
+	residual = eval.FromFunc(func(r schema.Row) (types.Value, error) {
 		return types.NewBool((r[3].Int()+int64(r[5].Float()))%3 != 0), nil
 	})
+	return left, right, lk, []*eval.Compiled{colFn(0)}, residual
+}
 
+func TestGraceJoinBitIdenticalToInMemory(t *testing.T) {
+	left, right, lk, rk, residual := spillJoinInputs()
 	for _, kind := range []JoinKind{JoinKindInner, JoinKindLeft} {
-		join := NewHashJoinNode(left, right, lk, rk, kind, residual, "t.d%300 = r.k")
-		want := mustExec(t, join)
-
-		ctx, res := spillCtx(t, 64<<10)
-		got, err := Run(ctx, join)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if !res.Stats().Spilled() {
-			t.Fatalf("%s join did not spill under a 64KiB budget", kind)
-		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("%s: grace join rows = %d, in-memory = %d", kind, len(got.Rows), len(want.Rows))
-		}
-		if !reflect.DeepEqual(want.Rows, got.Rows) {
-			t.Fatalf("%s: grace-hash join output differs from in-memory join", kind)
-		}
+		checkSpillParity(t, kind.String()+" join", NewHashJoinNode(left, right, lk, rk, kind, residual, "t.d%300 = r.k"))
 	}
 }
 
@@ -177,18 +166,51 @@ func TestSpillDisabledFailsWithResourceExhausted(t *testing.T) {
 	}
 }
 
-func TestSpillIOErrorFailsQueryCleanly(t *testing.T) {
-	in := NewValuesNode(mixedSchema(), mixedRows(20000))
-	sortn := NewSortNode(in, []*eval.Compiled{colFn(0)}, []bool{false})
-
-	res := govern.NewResources(64<<10, true, t.TempDir(), govern.Inject{SpillErr: true})
-	defer res.Close()
-	_, err := Run(NewCtx().SetResources(res), sortn)
-	if err == nil || !errors.Is(err, govern.ErrResourceExhausted) && err.Error() == "" {
-		t.Fatalf("expected an error from the injected spill failure, got %v", err)
+// spillNodes builds one sort, one grouped aggregation and one join over
+// 20 000 input rows whose working sets dwarf a 64 KiB budget, with key
+// wrapping every key expression (the identity when nil).
+func spillNodes(key func(*eval.Compiled) *eval.Compiled) map[string]Node {
+	if key == nil {
+		key = func(f *eval.Compiled) *eval.Compiled { return f }
 	}
-	if err == nil {
-		t.Fatal("query succeeded despite injected spill I/O error")
+	in := NewValuesNode(mixedSchema(), mixedRows(20000))
+	aggs := []AggSpec{{Func: "sum", Arg: colFn(1), OutName: "sum"}, {Func: "count", OutName: "cnt"}}
+	left, right, lk, rk, residual := spillJoinInputs()
+	return map[string]Node{
+		"sort":  NewSortNode(in, []*eval.Compiled{key(colFn(0))}, []bool{false}),
+		"group": NewGroupNode(in, intSchema("a", "sum", "cnt"), []*eval.Compiled{key(colFn(0))}, aggs),
+		"join":  NewHashJoinNode(left, right, []*eval.Compiled{key(lk[0])}, []*eval.Compiled{key(rk[0])}, JoinKindLeft, residual, "t.d%300 = r.k"),
+	}
+}
+
+// spillDirEntries lists what a query left in its spill directory before
+// Resources.Close removes the directory itself.
+func spillDirEntries(t *testing.T, res *govern.Resources) []os.DirEntry {
+	t.Helper()
+	dir, err := res.SpillDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ents
+}
+
+func TestSpillIOErrorFailsQueryCleanly(t *testing.T) {
+	for name, n := range spillNodes(nil) {
+		for _, par := range []int{1, 4} {
+			res := govern.NewResources(64<<10, true, t.TempDir(), govern.Inject{SpillErr: true})
+			_, err := Run(NewCtx().SetResources(res).SetParallelism(par), n)
+			if err == nil || !strings.Contains(err.Error(), "injected spill I/O error") {
+				t.Fatalf("%s par=%d: err = %v, want the injected spill I/O error", name, par, err)
+			}
+			if ents := spillDirEntries(t, res); len(ents) != 0 {
+				t.Fatalf("%s par=%d: failed query left %d spill files behind", name, par, len(ents))
+			}
+			res.Close()
+		}
 	}
 }
 
@@ -220,41 +242,55 @@ func TestWorkerPanicBecomesErrInternal(t *testing.T) {
 	}
 }
 
+// TestCancelDuringExternalSortRemovesSpillFiles cancels spilling sorts,
+// aggregations and joins from inside their key functions at points spread
+// over both passes — run generation or partitioning, then the merge,
+// folds and builds — and requires every spill file to be gone as soon as
+// the operator returns, before Resources.Close removes the directory.
 func TestCancelDuringExternalSortRemovesSpillFiles(t *testing.T) {
-	cctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
+	// A dry run counts each operator's key evaluations.
 	var calls atomic.Int64
-	// The sort key cancels the query partway through run generation, after
-	// several run files exist on disk.
-	key := eval.FromFunc(func(r schema.Row) (types.Value, error) {
-		if calls.Add(1) == 8000 {
-			cancel()
+	count := func(f *eval.Compiled) *eval.Compiled {
+		return eval.FromFunc(func(r schema.Row) (types.Value, error) {
+			calls.Add(1)
+			return f.Eval(r)
+		})
+	}
+	totals := map[string]int64{}
+	for name, n := range spillNodes(count) {
+		calls.Store(0)
+		ctx, _ := spillCtx(t, 64<<10)
+		if _, err := Run(ctx.SetParallelism(1), n); err != nil {
+			t.Fatal(err)
 		}
-		return r[0], nil
-	})
-	in := NewValuesNode(mixedSchema(), mixedRows(20000))
-	sortn := NewSortNode(in, []*eval.Compiled{key}, []bool{false})
-
-	dir := t.TempDir()
-	res := govern.NewResources(64<<10, true, dir, govern.Inject{})
-	defer res.Close()
-	_, err := Run(NewCtxWith(cctx).SetResources(res), sortn)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		totals[name] = calls.Load()
 	}
-	// Every run file written before the cancellation must already be gone,
-	// even before Resources.Close removes the directory itself.
-	spillDir, err := res.SpillDir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(spillDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("canceled sort left %d spill files behind", len(ents))
+	for name, total := range totals {
+		for _, frac := range []int64{10, 35, 65, 90} {
+			for _, par := range []int{1, 4} {
+				cctx, cancel := context.WithCancel(context.Background())
+				var seen atomic.Int64
+				at := total * frac / 100
+				n := spillNodes(func(f *eval.Compiled) *eval.Compiled {
+					return eval.FromFunc(func(r schema.Row) (types.Value, error) {
+						if seen.Add(1) == at {
+							cancel()
+						}
+						return f.Eval(r)
+					})
+				})[name]
+				res := govern.NewResources(64<<10, true, t.TempDir(), govern.Inject{})
+				_, err := Run(NewCtxWith(cctx).SetResources(res).SetParallelism(par), n)
+				cancel()
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s canceled at call %d of %d, par=%d: err = %v, want context.Canceled", name, at, total, par, err)
+				}
+				if ents := spillDirEntries(t, res); len(ents) != 0 {
+					t.Fatalf("%s canceled at call %d of %d, par=%d: %d spill files left behind", name, at, total, par, len(ents))
+				}
+				res.Close()
+			}
+		}
 	}
 }
 
@@ -287,10 +323,10 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-// TestSpillValueCodecRoundTrip writes values as sort-run records to a
-// spill file, framed as externalSort frames them, and reads them back
-// through advanceRun: every kind and the payloads a lossy encoding would
-// mangle come back bit-identical, in order, with the row index intact.
+// TestSpillValueCodecRoundTrip writes values as the keys of a sort run
+// through spillRun and reads them back through the run's cursor: every
+// kind and the payloads a lossy encoding would mangle come back
+// bit-identical, in order, with the row index intact.
 func TestSpillValueCodecRoundTrip(t *testing.T) {
 	vals := []types.Value{
 		types.Null,
@@ -313,36 +349,23 @@ func TestSpillValueCodecRoundTrip(t *testing.T) {
 	}
 	res := govern.NewResources(0, true, t.TempDir(), govern.Inject{})
 	defer res.Close()
-	sf, err := res.NewSpillFile("codec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec []byte
+	ents := make([]sortEntry, len(vals))
 	for i, v := range vals {
-		rec = binary.AppendUvarint(rec[:0], uint64(1000+i))
-		rec = types.AppendValue(rec, v)
-		if err := writeUvarint(sf, uint64(len(rec))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sf.Write(rec); err != nil {
-			t.Fatal(err)
-		}
+		ents[i] = sortEntry{row: 1000 + i, key: []types.Value{v}}
 	}
-	rd, err := sf.Finish()
+	run, err := spillRun(res, ents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &sortRun{rd: rd, key: make([]types.Value, 1)}
-	defer rd.Discard()
-	var n SortNode
+	defer run.discard()
 	for i, want := range vals {
-		if err := n.advanceRun(run, 1); err != nil {
+		if err := run.next(); err != nil {
 			t.Fatalf("value %d: %v", i, err)
 		}
-		if !run.ok || run.rowIdx != 1000+i {
-			t.Fatalf("value %d: ok %v, row index %d", i, run.ok, run.rowIdx)
+		if !run.ok || run.head.row != 1000+i {
+			t.Fatalf("value %d: ok %v, row index %d", i, run.ok, run.head.row)
 		}
-		got := run.key[0]
+		got := run.head.key[0]
 		if got.Kind() != want.Kind() {
 			t.Fatalf("value %d: kind %s, want %s", i, got.Kind(), want.Kind())
 		}
@@ -362,7 +385,7 @@ func TestSpillValueCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if err := n.advanceRun(run, 1); err != nil || run.ok {
+	if err := run.next(); err != nil || run.ok {
 		t.Fatalf("after the last value: ok %v, err %v; want end of run", run.ok, err)
 	}
 }

@@ -16,7 +16,7 @@
 // first rows leave the engine while the scan is still running, and Run
 // drains it into a Result. Breakers — sort, aggregation, distinct, set
 // operations, the nested-loop join, and a hash join whose build
-// reservation is refused (the grace path) — materialize through their
+// reservation is refused (the partitioned join) — materialize through their
 // Execute and reach their inputs through Run.
 //
 // Either way the execution contract is the same:
@@ -422,10 +422,10 @@ func (p *pipeline) open() error {
 		case *RequalifyNode:
 			lv = &level{node: t}
 		case *HashJoinNode:
-			var grace *Result
-			lv, grace, err = t.open(c)
-			if grace != nil {
-				p.src, found = sliceSource(grace.Rows), true
+			var joined *Result
+			lv, joined, err = t.open(c)
+			if joined != nil {
+				p.src, found = sliceSource(joined.Rows), true
 			}
 		default:
 			err = fmt.Errorf("exec: %T is neither a breaker nor a pipelined operator", n)

@@ -200,7 +200,7 @@ func (s *winScratch) run(c *Ctx, n *WindowNode, in []schema.Row, vec, needKeys b
 			s.args[ai] = grow(s.args[ai], len(in))
 		}
 	}
-	err := c.parallelFor(len(in), workers, func(_, _, lo, hi int) error {
+	err := c.parallelFor(len(in), workers, func(_, lo, hi int) error {
 		for ai := range n.Aggs {
 			if arg := n.Aggs[ai].Arg; arg != nil {
 				if err := evalInto(c, arg, in[lo:hi], s.args[ai][lo:hi], vec); err != nil {
@@ -229,7 +229,7 @@ func (s *winScratch) run(c *Ctx, n *WindowNode, in []schema.Row, vec, needKeys b
 	width, inWidth := n.schema.Len(), n.Input.Schema().Len()
 	flat := make([]types.Value, len(in)*width)
 	out := make([]schema.Row, len(in))
-	return out, c.parallelFor(len(in), workers, func(_, _, lo, hi int) error {
+	return out, c.parallelFor(len(in), workers, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			row := flat[i*width : (i+1)*width : (i+1)*width]
 			copy(row, in[i][:inWidth])

@@ -105,7 +105,7 @@ func newDBMetrics(db *DB, latency []float64) *dbMetrics {
 		opRows:     r.CounterVec("repro_operator_rows_total", "Rows produced per operator kind.", "op"),
 		opBatches:  r.CounterVec("repro_operator_batches_total", "Vector-kernel batches processed per operator kind.", "op"),
 		evalOps:    r.CounterVec("repro_eval_operators_total", "Expression-evaluating operator executions by eval mode (vector, row).", "mode"),
-		spillRuns:  r.Counter("repro_spill_runs_total", "External runs / grace partitions written to spill files."),
+		spillRuns:  r.Counter("repro_spill_runs_total", "Sort runs / hash partitions written to spill files."),
 		spillBytes: r.Counter("repro_spill_bytes_total", "Bytes written through spill files."),
 		spilledQ:   r.Counter("repro_spilled_queries_total", "Queries in which at least one operator spilled to disk."),
 		slowQ:      r.Counter("repro_slow_queries_total", "Queries at or over the slow-query threshold."),
