@@ -201,6 +201,31 @@ func BenchmarkPlanCache(b *testing.B) {
 			}
 		}
 	})
+	// shape: the EPC lookup with a fresh literal every iteration — one
+	// statement shape, so every lookup after the first binds its value
+	// into the cached plan instead of recompiling.
+	b.Run("shape", func(b *testing.B) {
+		rows, err := e.DB.Query("SELECT DISTINCT epc FROM caser", repro.WithStrategy(repro.Dirty))
+		if err != nil {
+			b.Fatal(err)
+		}
+		lookup := func(i int) string {
+			return "SELECT rtime, reader, biz_loc, biz_step FROM caser WHERE epc = '" + rows.Data[i%len(rows.Data)][0].Str() + "' ORDER BY rtime"
+		}
+		if _, err := e.DB.Rewrite(lookup(0)); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ri, err := e.DB.Rewrite(lookup(i + 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ri.CacheHit {
+				b.Fatalf("lookup %d missed the shape's plan (%+v)", i+1, e.DB.PlanCacheStats())
+			}
+		}
+	})
 	e.DB.ResetPlanCache()
 }
 

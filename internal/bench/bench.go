@@ -97,7 +97,7 @@ func (e *Env) tsAtFraction(f float64) string {
 // consecutive locations, for reads with rtime <= T1, where T1 is placed so
 // the predicate selects about sel of caseR.
 func (e *Env) Q1(sel float64) string {
-	t1 := e.tsAtFraction(sel)
+	t1 := e.Q1Bound(sel)
 	return fmt.Sprintf(`
 		WITH v1 AS (
 		  SELECT biz_loc AS current_loc, rtime,
@@ -110,11 +110,17 @@ func (e *Env) Q1(sel float64) string {
 		GROUP BY l1.loc_desc, l2.loc_desc`, t1)
 }
 
+// Q1Bound is Q1's T1 literal at selectivity sel.
+func (e *Env) Q1Bound(sel float64) string { return e.tsAtFraction(sel) }
+
+// Q2Bound is Q2's T2 literal at selectivity sel.
+func (e *Env) Q2Bound(sel float64) string { return e.tsAtFraction(1 - sel) }
+
 // Q2 is the paper's site analysis (Figure 6): reader utilization and
 // business steps per manufacturer at one distribution center, for reads
 // with rtime >= T2 selecting about sel of caseR.
 func (e *Env) Q2(sel float64) string {
-	t2 := e.tsAtFraction(1 - sel)
+	t2 := e.Q2Bound(sel)
 	return fmt.Sprintf(`
 		SELECT p.manufacturer, COUNT(DISTINCT s.type), COUNT(DISTINCT c.reader)
 		FROM caser c, steps s, locs l, epc_info i, product p

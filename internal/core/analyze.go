@@ -8,6 +8,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sqlast"
 	"repro/internal/sqlts"
+	"repro/internal/types"
 )
 
 // targetRef is one reference to the rules' ON table inside a user query:
@@ -322,17 +323,18 @@ func (rw *Rewriter) columnsOf(name string) ([]string, error) {
 }
 
 // skeyInterval extracts the closed interval (in microseconds) implied by
-// the s-conjuncts on the sequence key. Returns an unbounded interval when
-// s does not constrain skey.
-func skeyInterval(s []sqlast.Expr, binding, skey string) interval {
+// the s-conjuncts on the sequence key, under the planning binding
+// params. Returns an unbounded interval when s does not constrain skey,
+// and errConcrete when two bounds on one side cannot be compared.
+func skeyInterval(s []sqlast.Expr, binding, skey string, params []types.Value) (interval, error) {
 	iv := interval{}
 	for _, c := range s {
 		bin, ok := c.(*sqlast.Bin)
 		if !ok || !bin.Op.IsComparison() {
 			continue
 		}
-		cr, lit, op := matchColConstExpr(bin)
-		if cr == nil || lit == nil {
+		cr, operand, op := matchColOperand(bin)
+		if cr == nil {
 			continue
 		}
 		if !strings.EqualFold(cr.Name, skey) {
@@ -341,25 +343,34 @@ func skeyInterval(s []sqlast.Expr, binding, skey string) interval {
 		if cr.Table != "" && !strings.EqualFold(cr.Table, binding) {
 			continue
 		}
-		v, ok := usecOf(lit)
+		b, ok, err := boundOf(operand, params)
+		if err != nil {
+			return interval{}, err
+		}
 		if !ok {
 			continue
 		}
+		less, more := b, b
+		less.off--
+		more.off++
+		fits := true
 		switch op {
 		case sqlast.OpLt:
-			iv.tightenHi(v - 1)
+			fits = iv.tightenHi(less)
 		case sqlast.OpLe:
-			iv.tightenHi(v)
+			fits = iv.tightenHi(b)
 		case sqlast.OpGt:
-			iv.tightenLo(v + 1)
+			fits = iv.tightenLo(more)
 		case sqlast.OpGe:
-			iv.tightenLo(v)
+			fits = iv.tightenLo(b)
 		case sqlast.OpEq:
-			iv.tightenLo(v)
-			iv.tightenHi(v)
+			fits = iv.tightenLo(b) && iv.tightenHi(b)
+		}
+		if !fits {
+			return interval{}, errConcrete
 		}
 	}
-	return iv
+	return iv, nil
 }
 
 // modifiedColumns returns the set of columns any rule in the list assigns.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sqlast"
 	"repro/internal/sqlparser"
+	"repro/internal/types"
 )
 
 // Strategy selects a rewrite family.
@@ -76,6 +77,10 @@ type Result struct {
 	// and latency metrics. A cached Result keeps its original phase
 	// timings.
 	Phases Phases
+	// Bind is the planning binding of a statement with placeholders: the
+	// values every candidate was costed under and the bands those costs
+	// hold for. nil for a statement without placeholders.
+	Bind *plan.Binding
 }
 
 // Phases is the compilation-time breakdown of one rewrite: parsing the
@@ -108,16 +113,23 @@ func (rw *Rewriter) RewriteSQL(query string, ruleNames []string, strat Strategy)
 		return nil, err
 	}
 	parse := time.Since(parseStart)
-	rules, err := rw.resolveRules(stmt, ruleNames)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rw.Rewrite(stmt, rules, strat)
+	res, err := rw.RewriteStmt(stmt, ruleNames, strat, nil)
 	if err != nil {
 		return nil, err
 	}
 	res.Phases.Parse = parse
 	return res, nil
+}
+
+// RewriteStmt rewrites a parsed statement under the named rules, as
+// RewriteSQL. A statement with placeholders is rewritten symbolically
+// and costed under bind.Params (see Rewrite); bind is nil without them.
+func (rw *Rewriter) RewriteStmt(stmt sqlast.Stmt, ruleNames []string, strat Strategy, bind *plan.Binding) (*Result, error) {
+	rules, err := rw.resolveRules(stmt, ruleNames)
+	if err != nil {
+		return nil, err
+	}
+	return rw.Rewrite(stmt, rules, strat, bind)
 }
 
 // resolveRules picks the rule list: explicitly named, or every registered
@@ -150,20 +162,26 @@ func (rw *Rewriter) resolveRules(stmt sqlast.Stmt, ruleNames []string) ([]*Regis
 }
 
 // Rewrite generates the rewritten statement for stmt under the ordered
-// rule list.
-func (rw *Rewriter) Rewrite(stmt sqlast.Stmt, rules []*RegisteredRule, strat Strategy) (*Result, error) {
+// rule list. A statement with placeholders is rewritten symbolically — a
+// relaxed sequence-key bound is the placeholder shifted by an interval,
+// the join-back key-set subquery copies the conjunct that holds it — and
+// every candidate is planned with plan.PlanBound under bind, so the
+// chosen plan serves any binding whose costs stay within bind's bands. A
+// placeholder the rewrite must see as a value fails with ErrConcrete.
+// bind is nil for a statement without placeholders.
+func (rw *Rewriter) Rewrite(stmt sqlast.Stmt, rules []*RegisteredRule, strat Strategy, bind *plan.Binding) (*Result, error) {
 	rewriteStart := time.Now()
 	var planTime time.Duration
 	if strat == StrategyDirty || len(rules) == 0 {
 		planStart := time.Now()
-		node, err := rw.Planner.Plan(stmt)
+		node, err := rw.Planner.PlanBound(stmt, bind)
 		if err != nil {
 			return nil, err
 		}
 		planTime = time.Since(planStart)
 		return &Result{
 			Stmt: stmt, SQL: sqlast.SQL(stmt), Strategy: StrategyDirty,
-			EstCost: node.EstCost(), Plan: node,
+			EstCost: node.EstCost(), Plan: node, Bind: bind,
 			Phases: Phases{Rewrite: time.Since(rewriteStart) - planTime, Plan: planTime},
 		}, nil
 	}
@@ -202,7 +220,7 @@ func (rw *Rewriter) Rewrite(stmt sqlast.Stmt, rules []*RegisteredRule, strat Str
 	var best *Result
 	seen := map[string]bool{}
 	for _, c := range cands {
-		out, err := rw.buildCandidate(stmt, rules, c.strat, c.pushes)
+		out, err := rw.buildCandidateBound(stmt, rules, c.strat, c.pushes, bind)
 		if err != nil {
 			if err == errInfeasible || err == errNoMorePushes {
 				continue
@@ -215,7 +233,7 @@ func (rw *Rewriter) Rewrite(stmt sqlast.Stmt, rules []*RegisteredRule, strat Str
 		}
 		seen[text] = true
 		planStart := time.Now()
-		node, err := rw.Planner.Plan(out)
+		node, err := rw.Planner.PlanBound(out, bind)
 		if err != nil {
 			return nil, fmt.Errorf("core: planning %s candidate: %w", c.strat, err)
 		}
@@ -225,7 +243,7 @@ func (rw *Rewriter) Rewrite(stmt sqlast.Stmt, rules []*RegisteredRule, strat Str
 		if best == nil || node.EstCost() < best.EstCost ||
 			// Prefer non-naive at equal cost: tighter data touched.
 			(node.EstCost() == best.EstCost && best.Strategy == StrategyNaive && c.strat != StrategyNaive) {
-			best = &Result{Stmt: out, SQL: text, Strategy: c.strat, EstCost: node.EstCost(), Plan: node}
+			best = &Result{Stmt: out, SQL: text, Strategy: c.strat, EstCost: node.EstCost(), Plan: node, Bind: bind}
 		}
 	}
 	if best == nil {
@@ -238,6 +256,14 @@ func (rw *Rewriter) Rewrite(stmt sqlast.Stmt, rules []*RegisteredRule, strat Str
 	}
 	best.Phases = Phases{Rewrite: time.Since(rewriteStart) - planTime, Plan: planTime}
 	return best, nil
+}
+
+// bindParams is the planning binding's values, nil without one.
+func bindParams(bind *plan.Binding) []types.Value {
+	if bind == nil {
+		return nil
+	}
+	return bind.Params
 }
 
 // maxDims bounds the candidate enumeration (m+1 statements in §5.2).
@@ -264,6 +290,12 @@ func (rw *Rewriter) checkKeysUnmodified(rules []*RegisteredRule) error {
 // buildCandidate clones the user statement and rewrites every reference
 // to the rules' ON table according to the strategy.
 func (rw *Rewriter) buildCandidate(stmt sqlast.Stmt, rules []*RegisteredRule, strat Strategy, pushes int) (sqlast.Stmt, error) {
+	return rw.buildCandidateBound(stmt, rules, strat, pushes, nil)
+}
+
+// buildCandidateBound is buildCandidate for a statement with
+// placeholders, read under the planning binding.
+func (rw *Rewriter) buildCandidateBound(stmt sqlast.Stmt, rules []*RegisteredRule, strat Strategy, pushes int, bind *plan.Binding) (sqlast.Stmt, error) {
 	out := sqlast.CloneStmt(stmt)
 	table := rules[0].Rule.On
 	targets, err := rw.analyzeQuery(out, table)
@@ -274,7 +306,7 @@ func (rw *Rewriter) buildCandidate(stmt sqlast.Stmt, rules []*RegisteredRule, st
 		return nil, fmt.Errorf("core: query does not reference table %q", table)
 	}
 	for _, t := range targets {
-		if err := rw.rewriteTarget(t, rules, strat, pushes); err != nil {
+		if err := rw.rewriteTarget(t, rules, strat, pushes, bind); err != nil {
 			return nil, err
 		}
 	}
@@ -282,12 +314,15 @@ func (rw *Rewriter) buildCandidate(stmt sqlast.Stmt, rules []*RegisteredRule, st
 }
 
 // rewriteTarget rewrites one reference to R inside its SELECT.
-func (rw *Rewriter) rewriteTarget(t *targetRef, rules []*RegisteredRule, strat Strategy, pushes int) error {
+func (rw *Rewriter) rewriteTarget(t *targetRef, rules []*RegisteredRule, strat Strategy, pushes int, bind *plan.Binding) error {
 	ckey := rules[0].Rule.ClusterBy
 	skey := rules[0].Rule.SequenceBy
 	mod := modifiedColumns(rules)
 
-	queryIv := skeyInterval(t.s, t.binding, skey)
+	queryIv, err := skeyInterval(t.s, t.binding, skey, bindParams(bind))
+	if err != nil {
+		return err
+	}
 	analyses := make([]*contextAnalysis, len(rules))
 	ecIv := queryIv
 	expandedOK := true
@@ -305,7 +340,7 @@ func (rw *Rewriter) rewriteTarget(t *targetRef, rules []*RegisteredRule, strat S
 	// are not position-preserving). Join-back may semi-join any dim.
 	dims := append([]dimJoin{}, t.dims...)
 	sort.Slice(dims, func(i, j int) bool {
-		return rw.dimSelectivity(dims[i]) < rw.dimSelectivity(dims[j])
+		return rw.dimSelectivity(dims[i], bind) < rw.dimSelectivity(dims[j], bind)
 	})
 
 	var baseFilter sqlast.Expr
@@ -395,8 +430,8 @@ func isSkeyConjunct(e sqlast.Expr, binding, skey string) bool {
 	if !ok || !bin.Op.IsComparison() {
 		return false
 	}
-	cr, lit, _ := matchColConstExpr(bin)
-	if cr == nil || lit == nil {
+	cr, _, _ := matchColOperand(bin)
+	if cr == nil {
 		return false
 	}
 	if cr.Table != "" && !strings.EqualFold(cr.Table, binding) {
@@ -422,16 +457,16 @@ func dimInExpr(d dimJoin) sqlast.Expr {
 // dimSelectivity estimates a dimension's local-predicate selectivity via
 // the planner (estimated rows out / table size), the §5.2 ordering
 // heuristic.
-func (rw *Rewriter) dimSelectivity(d dimJoin) float64 {
+func (rw *Rewriter) dimSelectivity(d dimJoin, bind *plan.Binding) float64 {
 	t, ok := rw.DB.Table(d.dim)
 	if !ok || t.RowCount() == 0 {
 		return 1
 	}
-	node, err := rw.Planner.Plan(&sqlast.SelectStmt{
+	node, err := rw.Planner.PlanBound(&sqlast.SelectStmt{
 		Items: []sqlast.SelectItem{{Expr: sqlast.Col("", d.dimCol)}},
 		From:  []sqlast.TableExpr{&sqlast.TableName{Name: d.dim}},
 		Where: sqlast.And(stripQualifiers(d.local)...),
-	})
+	}, bind)
 	if err != nil {
 		return 1
 	}
@@ -608,7 +643,10 @@ func (rw *Rewriter) ExpandedConditions(query string, ruleNames []string) (map[st
 	}
 	t := targets[0]
 	skey := rules[0].Rule.SequenceBy
-	queryIv := skeyInterval(t.s, t.binding, skey)
+	queryIv, err := skeyInterval(t.s, t.binding, skey, nil)
+	if err != nil {
+		return nil, err
+	}
 	out := map[string]string{}
 	for _, r := range rules {
 		out[r.Rule.Name] = analyzeRule(r, queryIv).describe(skey)

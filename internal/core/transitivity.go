@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -11,22 +12,56 @@ import (
 	"repro/internal/types"
 )
 
-// interval is a closed interval over the sequence key in microseconds;
-// nil bounds are unbounded.
+// bound is one end of a sequence-key interval: the value of placeholder
+// param plus off microseconds, or off itself when param is 0. The
+// rewrite carries a query's placeholder symbolically this way — a
+// relaxed bound `$1 + 5 minutes` is {1, 5·60·10⁶} — and compares two
+// bounds only when they share a placeholder, on their offsets alone.
+type bound struct {
+	param int
+	off   int64
+}
+
+// interval is a closed interval over the sequence key; nil bounds are
+// unbounded.
 type interval struct {
-	lo, hi *int64
+	lo, hi *bound
 }
 
-func (iv *interval) tightenLo(v int64) {
-	if iv.lo == nil || v > *iv.lo {
-		iv.lo = &v
+// errConcrete reports a placeholder the rewrite cannot carry
+// symbolically; the caller compiles the statement with its values
+// folded in instead, which is always correct.
+var errConcrete = fmt.Errorf("core: %w", ErrConcrete)
+
+// ErrConcrete marks a statement whose placeholders the rewrite needs as
+// literal values.
+var ErrConcrete = errors.New("placeholder must be a literal for this rewrite")
+
+// tightenLo raises the lower bound to b; false when the two bounds are
+// over different placeholders and so cannot be compared.
+func (iv *interval) tightenLo(b bound) bool {
+	switch {
+	case iv.lo == nil:
+		iv.lo = &b
+	case iv.lo.param != b.param:
+		return false
+	case b.off > iv.lo.off:
+		iv.lo = &b
 	}
+	return true
 }
 
-func (iv *interval) tightenHi(v int64) {
-	if iv.hi == nil || v < *iv.hi {
-		iv.hi = &v
+// tightenHi lowers the upper bound to b, as tightenLo.
+func (iv *interval) tightenHi(b bound) bool {
+	switch {
+	case iv.hi == nil:
+		iv.hi = &b
+	case iv.hi.param != b.param:
+		return false
+	case b.off < iv.hi.off:
+		iv.hi = &b
 	}
+	return true
 }
 
 func (iv interval) unbounded() bool { return iv.lo == nil && iv.hi == nil }
@@ -36,36 +71,33 @@ func (iv interval) unbounded() bool { return iv.lo == nil && iv.hi == nil }
 func (iv interval) shift(dLo, dHi *int64) interval {
 	out := interval{}
 	if iv.lo != nil && dLo != nil {
-		v := satAdd(*iv.lo, *dLo)
-		out.lo = &v
+		out.lo = &bound{iv.lo.param, satAdd(iv.lo.off, *dLo)}
 	}
 	if iv.hi != nil && dHi != nil {
-		v := satAdd(*iv.hi, *dHi)
-		out.hi = &v
+		out.hi = &bound{iv.hi.param, satAdd(iv.hi.off, *dHi)}
 	}
 	return out
 }
 
-// union widens to cover both intervals.
+// union widens to cover both intervals; a side whose bounds are over
+// different placeholders widens to unbounded.
 func (iv interval) union(o interval) interval {
 	out := interval{}
-	if iv.lo != nil && o.lo != nil {
-		v := min64(*iv.lo, *o.lo)
-		out.lo = &v
+	if iv.lo != nil && o.lo != nil && iv.lo.param == o.lo.param {
+		out.lo = &bound{iv.lo.param, min64(iv.lo.off, o.lo.off)}
 	}
-	if iv.hi != nil && o.hi != nil {
-		v := max64(*iv.hi, *o.hi)
-		out.hi = &v
+	if iv.hi != nil && o.hi != nil && iv.hi.param == o.hi.param {
+		out.hi = &bound{iv.hi.param, max64(iv.hi.off, o.hi.off)}
 	}
 	return out
 }
 
 // contains reports iv ⊇ o.
 func (iv interval) contains(o interval) bool {
-	if iv.lo != nil && (o.lo == nil || *o.lo < *iv.lo) {
+	if iv.lo != nil && (o.lo == nil || o.lo.param != iv.lo.param || o.lo.off < iv.lo.off) {
 		return false
 	}
-	if iv.hi != nil && (o.hi == nil || *o.hi > *iv.hi) {
+	if iv.hi != nil && (o.hi == nil || o.hi.param != iv.hi.param || o.hi.off > iv.hi.off) {
 		return false
 	}
 	return true
@@ -216,12 +248,28 @@ func stripQualifier(e sqlast.Expr) sqlast.Expr {
 func intervalExpr(iv interval, skey string) sqlast.Expr {
 	var conjs []sqlast.Expr
 	if iv.lo != nil {
-		conjs = append(conjs, sqlast.Cmp(sqlast.OpGe, sqlast.Col("", skey), sqlast.Lit(types.NewTime(*iv.lo))))
+		conjs = append(conjs, sqlast.Cmp(sqlast.OpGe, sqlast.Col("", skey), boundExpr(*iv.lo)))
 	}
 	if iv.hi != nil {
-		conjs = append(conjs, sqlast.Cmp(sqlast.OpLe, sqlast.Col("", skey), sqlast.Lit(types.NewTime(*iv.hi))))
+		conjs = append(conjs, sqlast.Cmp(sqlast.OpLe, sqlast.Col("", skey), boundExpr(*iv.hi)))
 	}
 	return sqlast.And(conjs...)
+}
+
+// boundExpr renders a bound: a timestamp literal, or its placeholder
+// shifted by an interval literal.
+func boundExpr(b bound) sqlast.Expr {
+	if b.param == 0 {
+		return sqlast.Lit(types.NewTime(b.off))
+	}
+	p := &sqlast.Param{N: b.param}
+	switch {
+	case b.off > 0:
+		return &sqlast.Bin{Op: sqlast.OpAdd, L: p, R: sqlast.Lit(types.NewInterval(b.off))}
+	case b.off < 0:
+		return &sqlast.Bin{Op: sqlast.OpSub, L: p, R: sqlast.Lit(types.NewInterval(-b.off))}
+	}
+	return p
 }
 
 // describe renders a context analysis in Table-1 style ("rtime <= T1+5min
@@ -252,23 +300,6 @@ func (ca *contextAnalysis) describe(skey string) string {
 	return "(" + strings.Join(parts, ") OR (") + ")"
 }
 
-// matchColConstExpr extracts (colref, const, op-with-col-left) from a
-// comparison after constant folding.
-func matchColConstExpr(bin *sqlast.Bin) (*sqlast.ColRef, *sqlast.Const, sqlast.BinOp) {
-	l, r := foldConstExpr(bin.L), foldConstExpr(bin.R)
-	if cr, ok := l.(*sqlast.ColRef); ok {
-		if c, ok := r.(*sqlast.Const); ok {
-			return cr, c, bin.Op
-		}
-	}
-	if cr, ok := r.(*sqlast.ColRef); ok {
-		if c, ok := l.(*sqlast.Const); ok {
-			return cr, c, bin.Op.Flip()
-		}
-	}
-	return nil, nil, bin.Op
-}
-
 // foldConstExpr folds constant arithmetic (T1 + 5 minutes → literal).
 func foldConstExpr(e sqlast.Expr) sqlast.Expr {
 	bin, ok := e.(*sqlast.Bin)
@@ -296,6 +327,65 @@ func foldConstExpr(e sqlast.Expr) sqlast.Expr {
 		return e
 	}
 	return sqlast.Lit(v)
+}
+
+// boundOf reads a comparison operand as a sequence-key bound. A literal
+// is its microseconds; a TIME placeholder, alone or shifted by an
+// interval literal, is carried symbolically. ok is false for an operand
+// that does not bound the key (a string, say), and err is errConcrete
+// for a placeholder the rewrite cannot carry.
+func boundOf(e sqlast.Expr, params []types.Value) (b bound, ok bool, err error) {
+	if c, isConst := foldConstExpr(e).(*sqlast.Const); isConst {
+		v, ok := usecOf(c)
+		return bound{off: v}, ok, nil
+	}
+	if !sqlast.HasParam(e) {
+		return bound{}, false, nil
+	}
+	var p *sqlast.Param
+	var off int64
+	switch x := e.(type) {
+	case *sqlast.Param:
+		p = x
+	case *sqlast.Bin:
+		pl, lok := x.L.(*sqlast.Param)
+		c, cok := x.R.(*sqlast.Const)
+		if !lok || !cok || c.V.Kind() != types.KindInterval || (x.Op != sqlast.OpAdd && x.Op != sqlast.OpSub) {
+			return bound{}, false, errConcrete
+		}
+		p, off = pl, c.V.IntervalUsec()
+		if x.Op == sqlast.OpSub {
+			off = -off
+		}
+	default:
+		return bound{}, false, errConcrete
+	}
+	if p.N > len(params) {
+		return bound{}, false, errConcrete
+	}
+	switch params[p.N-1].Kind() {
+	case types.KindTime:
+		return bound{param: p.N, off: off}, true, nil
+	case types.KindInt, types.KindInterval:
+		return bound{}, false, errConcrete
+	}
+	return bound{}, false, nil
+}
+
+// matchColOperand extracts (colref, operand, op-with-col-left) from a
+// comparison whose other side folds to a literal or holds a placeholder.
+func matchColOperand(bin *sqlast.Bin) (*sqlast.ColRef, sqlast.Expr, sqlast.BinOp) {
+	operand := func(e sqlast.Expr) bool {
+		_, isConst := foldConstExpr(e).(*sqlast.Const)
+		return isConst || sqlast.HasParam(e)
+	}
+	if cr, ok := bin.L.(*sqlast.ColRef); ok && operand(bin.R) {
+		return cr, bin.R, bin.Op
+	}
+	if cr, ok := bin.R.(*sqlast.ColRef); ok && operand(bin.L) {
+		return cr, bin.L, bin.Op.Flip()
+	}
+	return nil, nil, bin.Op
 }
 
 func usecOf(c *sqlast.Const) (int64, bool) {

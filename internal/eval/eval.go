@@ -15,6 +15,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -34,7 +35,15 @@ type Env struct {
 	// returning the first output column's values. It is called once at
 	// compile time; nil forbids subqueries.
 	SubEval func(sqlast.Stmt) ([]types.Value, error)
+	// Params binds placeholders: $N compiles to the constant Params[N-1].
+	// A placeholder without a value is ErrUnbound.
+	Params []types.Value
 }
+
+// ErrUnbound reports a placeholder compiled without a value: either its
+// statement ran without one, or it sits where the planner compiles
+// expressions once per plan rather than once per execution.
+var ErrUnbound = errors.New("eval: placeholder has no value here")
 
 // Compile translates e into an executable Compiled expression.
 func Compile(e sqlast.Expr, env *Env) (*Compiled, error) {
@@ -43,6 +52,11 @@ func Compile(e sqlast.Expr, env *Env) (*Compiled, error) {
 		return nil, fmt.Errorf("eval: nil expression")
 	case *sqlast.Const:
 		return constCompiled(e.V), nil
+	case *sqlast.Param:
+		if e.N < 1 || e.N > len(env.Params) {
+			return nil, fmt.Errorf("%w: $%d", ErrUnbound, e.N)
+		}
+		return constCompiled(env.Params[e.N-1]), nil
 	case *sqlast.ColRef:
 		idx, err := env.Schema.Resolve(e.Table, e.Name)
 		if err != nil {

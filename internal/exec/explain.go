@@ -4,18 +4,57 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/sqlast"
+	"repro/internal/types"
 )
 
 // Explain renders the plan tree with the planner's cardinality and cost
 // estimates, in the style of a DBMS access plan printout.
-func Explain(n Node) string {
+func Explain(n Node) string { return ExplainBound(n, nil) }
+
+// ExplainBound is Explain with predicates printed under a binding: each
+// placeholder expression is shown as the literal it denotes.
+func ExplainBound(n Node, params []types.Value) string {
 	var b strings.Builder
-	explainNode(&b, n, 0)
+	explainNode(&b, n, params, 0)
 	return b.String()
 }
 
-func explainNode(b *strings.Builder, n Node, depth int) {
-	fmt.Fprintf(b, "%s%s  [rows=%.0f cost=%.0f", strings.Repeat("  ", depth), n.Label(), n.EstRows(), n.EstCost())
+// LabelBound is n's EXPLAIN label with its predicate rendered under a
+// binding, as ExplainBound prints it.
+func LabelBound(n Node, params []types.Value) string {
+	if params == nil {
+		return n.Label()
+	}
+	switch v := n.(type) {
+	case *ScanNode:
+		if v.ParamPred != nil && v.IndexOrd < 0 {
+			return v.label(boundDesc(v.ParamPred, params))
+		}
+	case *FilterNode:
+		if v.ParamPred != nil {
+			return "Filter(" + boundDesc(v.ParamPred, params) + ")"
+		}
+	}
+	return n.Label()
+}
+
+// boundDesc is a predicate's label text with its placeholders bound.
+func boundDesc(pred sqlast.Expr, params []types.Value) string {
+	return Abbreviate(sqlast.ExprSQL(sqlast.BindExpr(pred, params)))
+}
+
+// Abbreviate shortens a predicate's text for a plan label.
+func Abbreviate(s string) string {
+	if len(s) > 60 {
+		return s[:57] + "..."
+	}
+	return s
+}
+
+func explainNode(b *strings.Builder, n Node, params []types.Value, depth int) {
+	fmt.Fprintf(b, "%s%s  [rows=%.0f cost=%.0f", strings.Repeat("  ", depth), LabelBound(n, params), n.EstRows(), n.EstCost())
 	if m := EstMem(n); m > 0 {
 		fmt.Fprintf(b, " mem=%s", fmtBytes(m))
 	}
@@ -25,7 +64,7 @@ func explainNode(b *strings.Builder, n Node, depth int) {
 	}
 	b.WriteString("\n")
 	for _, c := range n.Children() {
-		explainNode(b, c, depth+1)
+		explainNode(b, c, params, depth+1)
 	}
 }
 
@@ -53,7 +92,7 @@ func ExplainAnalyze(n Node, ctx *Ctx) string {
 }
 
 func explainAnalyzeNode(b *strings.Builder, n Node, ctx *Ctx, depth int) {
-	fmt.Fprintf(b, "%s%s  [est rows=%.0f cost=%.0f]", strings.Repeat("  ", depth), n.Label(), n.EstRows(), n.EstCost())
+	fmt.Fprintf(b, "%s%s  [est rows=%.0f cost=%.0f]", strings.Repeat("  ", depth), LabelBound(n, ctx.params), n.EstRows(), n.EstCost())
 	if st := ctx.Stats(n); st != nil {
 		fmt.Fprintf(b, "  [actual rows=%d time=%s", st.Rows, st.Elapsed.Round(10*time.Microsecond))
 		if st.Workers > 1 {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/schema"
+	"repro/internal/sqlast"
 	"repro/internal/types"
 )
 
@@ -28,8 +29,11 @@ type FilterNode struct {
 	// indexed on it: the subquery's values become index probes that
 	// narrow the scan (probe.go).
 	ProbeCol int
-	// Desc describes the predicate for EXPLAIN.
-	Desc string
+	// Desc describes the predicate for EXPLAIN; ParamPred, when the
+	// predicate holds placeholders, is the predicate, which EXPLAIN prints
+	// under a binding.
+	Desc      string
+	ParamPred sqlast.Expr
 }
 
 // NewFilterNode wraps child with a compiled predicate.

@@ -29,7 +29,9 @@ import (
 	"repro/internal/eval"
 	"repro/internal/govern"
 	"repro/internal/schema"
+	"repro/internal/sqlast"
 	"repro/internal/storage"
+	"repro/internal/types"
 )
 
 // Result is a materialized relation.
@@ -59,6 +61,9 @@ type Ctx struct {
 	// cached under epoch buildEpoch; see Ctx.EnableBuildReuse.
 	buildReuse bool
 	buildEpoch uint64
+	// params is the statement's binding, the values of its placeholders;
+	// plans are shared between executions and never hold them.
+	params []types.Value
 
 	mu    sync.Mutex
 	cache map[Node]*inflight
@@ -213,6 +218,17 @@ func (c *Ctx) EnableBuildReuse(epoch uint64) *Ctx {
 	c.buildEpoch = epoch
 	return c
 }
+
+// SetParams binds the statement's placeholders for executions under this
+// context: $N takes vals[N-1]. It returns c for chaining and must be
+// called before Run.
+func (c *Ctx) SetParams(vals []types.Value) *Ctx {
+	c.params = vals
+	return c
+}
+
+// Params returns the execution's binding.
+func (c *Ctx) Params() []types.Value { return c.params }
 
 // Resources returns the execution's governance handle (never nil).
 func (c *Ctx) Resources() *govern.Resources { return c.res }
@@ -548,7 +564,24 @@ type ScanNode struct {
 	// vectorized mode only; the row path (WithRowEval) reads every
 	// segment and is the pruning correctness baseline.
 	Zone []storage.ZonePred
+	// Bind, when set, resolves Bounds, Zone and Pred per execution from
+	// the statement's binding (Ctx.Params) for a scan whose sargable
+	// conjuncts or fused predicate hold placeholders; ParamPred is then
+	// that predicate, which EXPLAIN prints under a binding.
+	Bind      func(c *Ctx) (ScanBinding, error)
+	ParamPred sqlast.Expr
 }
+
+// ScanBinding is the part of a scan one binding determines.
+type ScanBinding struct {
+	Bounds storage.Bounds
+	Zone   []storage.ZonePred
+	Pred   *eval.Compiled
+}
+
+// Plain reports whether the scan reads its whole table with no index
+// range or predicate, under every binding.
+func (s *ScanNode) Plain() bool { return s.IndexOrd < 0 && s.Pred == nil && s.Bind == nil }
 
 // NewScanNode builds a scan. alias qualifies the output schema.
 func NewScanNode(t *storage.Table, alias string) *ScanNode {
@@ -562,8 +595,12 @@ func (s *ScanNode) Label() string {
 	if s.IndexOrd >= 0 {
 		return fmt.Sprintf("IndexScan(%s.%s)", s.Table.Name, s.Table.Schema.Columns[s.IndexOrd].Name)
 	}
-	if s.Pred != nil {
-		return fmt.Sprintf("Scan(%s | %s)", s.Table.Name, s.PredDesc)
+	return s.label(s.PredDesc)
+}
+
+func (s *ScanNode) label(desc string) string {
+	if desc != "" {
+		return fmt.Sprintf("Scan(%s | %s)", s.Table.Name, desc)
 	}
 	return fmt.Sprintf("Scan(%s)", s.Table.Name)
 }
@@ -580,24 +617,31 @@ func (s *ScanNode) Children() []Node { return nil }
 // reserve their output's row references up front.
 func (s *ScanNode) open(c *Ctx, probe *scanProbe) (*level, source, error) {
 	lv := &level{node: s, parallel: true}
+	sb := ScanBinding{Bounds: s.Bounds, Zone: s.Zone, Pred: s.Pred}
+	if s.Bind != nil {
+		var err error
+		if sb, err = s.Bind(c); err != nil {
+			return lv, source{}, err
+		}
+	}
 	switch {
 	case s.IndexOrd >= 0:
-		parts := s.Table.Lookup(s.IndexOrd, []storage.Bounds{s.Bounds})
+		parts := s.Table.Lookup(s.IndexOrd, []storage.Bounds{sb.Bounds})
 		if parts == nil {
 			return lv, source{}, fmt.Errorf("exec: plan expects index on %s column %d but none exists", s.Table.Name, s.IndexOrd)
 		}
 		src, err := s.idSource(c, parts[0])
 		return lv, src, err
-	case s.Pred != nil:
-		vec := c.useVector(s.Pred)
-		morsels, total := s.planFilteredMorsels(c, vec)
+	case sb.Pred != nil:
+		vec := c.useVector(sb.Pred)
+		morsels, total := s.planFilteredMorsels(c, sb.Zone, vec)
 		bytes := int64(total) * rowHdrBytes
 		if err := c.reserveOrCharge(bytes); err != nil {
 			return lv, source{}, err
 		}
 		lv.eval, lv.batchRows = evalMode(vec), total
 		return lv, source{nm: len(morsels), rows: total, charged: bytes,
-			morsel: func(m int) ([]schema.Row, error) { return s.filterMorsel(c, morsels[m], vec) }}, nil
+			morsel: func(m int) ([]schema.Row, error) { return s.filterMorsel(c, sb.Pred, morsels[m], vec) }}, nil
 	}
 	if ids, keys, ok := probe.ids(s); ok {
 		c.noteProbe(s, keys)
@@ -643,14 +687,14 @@ type scanMorsel struct {
 // baseline) and splits the surviving segments into segment-local
 // morsels, recording the pruning outcome. It returns the morsels and
 // their total row count.
-func (s *ScanNode) planFilteredMorsels(ctx *Ctx, vec bool) ([]scanMorsel, int) {
+func (s *ScanNode) planFilteredMorsels(ctx *Ctx, zone []storage.ZonePred, vec bool) ([]scanMorsel, int) {
 	segs := s.Table.Segments()
 	considered := len(segs)
 	pruned := 0
-	if vec && len(s.Zone) > 0 {
+	if vec && len(zone) > 0 {
 		kept := make([]*storage.Segment, 0, len(segs))
 		for _, seg := range segs {
-			if seg.CanMatchAll(s.Zone) {
+			if seg.CanMatchAll(zone) {
 				kept = append(kept, seg)
 			} else {
 				pruned++
@@ -679,12 +723,12 @@ func (s *ScanNode) planFilteredMorsels(ctx *Ctx, vec bool) ([]scanMorsel, int) {
 // fall back to materialized rows with the same batch/row machinery
 // FilterNode uses, so results and errors are byte-identical across
 // modes and parallelism levels.
-func (s *ScanNode) filterMorsel(ctx *Ctx, mo scanMorsel, vec bool) ([]schema.Row, error) {
+func (s *ScanNode) filterMorsel(ctx *Ctx, pred *eval.Compiled, mo scanMorsel, vec bool) ([]schema.Row, error) {
 	var out []schema.Row
 	var sel []int
 	if vec && mo.seg.Sealed() {
 		var ok bool
-		sel, ok = eval.TryPredicateCols(s.Pred, mo.seg.Cols(), mo.lo, mo.hi-mo.lo, sel[:0])
+		sel, ok = eval.TryPredicateCols(pred, mo.seg.Cols(), mo.lo, mo.hi-mo.lo, sel[:0])
 		if ok {
 			if len(sel) > 0 {
 				rows := mo.seg.Rows()
@@ -700,7 +744,7 @@ func (s *ScanNode) filterMorsel(ctx *Ctx, mo scanMorsel, vec bool) ([]schema.Row
 	if vec {
 		// Row-form tail, or a kernel error: EvalPredicateBatch's own
 		// row-path fallback restores exact serial error semantics.
-		sel, err := eval.EvalPredicateBatch(s.Pred, rows[mo.lo:mo.hi], nil, sel[:0])
+		sel, err := eval.EvalPredicateBatch(pred, rows[mo.lo:mo.hi], nil, sel[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -713,7 +757,7 @@ func (s *ScanNode) filterMorsel(ctx *Ctx, mo scanMorsel, vec bool) ([]schema.Row
 		if err := ctx.Tick(i - mo.lo); err != nil {
 			return nil, err
 		}
-		keep, err := eval.EvalPredicate(s.Pred, rows[i])
+		keep, err := eval.EvalPredicate(pred, rows[i])
 		if err != nil {
 			return nil, err
 		}

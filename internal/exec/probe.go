@@ -39,7 +39,7 @@ func ProbeScan(n Node) *ScanNode {
 		case *RequalifyNode:
 			n = t.Input
 		case *ScanNode:
-			if t.IndexOrd < 0 && t.Pred == nil {
+			if t.Plain() {
 				return t
 			}
 			return nil

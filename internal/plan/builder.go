@@ -23,8 +23,14 @@ type Planner struct {
 func New(db *catalog.Database) *Planner { return &Planner{DB: db} }
 
 // Plan builds a physical plan for stmt.
-func (p *Planner) Plan(stmt sqlast.Stmt) (exec.Node, error) {
-	b := &builder{db: p.DB}
+func (p *Planner) Plan(stmt sqlast.Stmt) (exec.Node, error) { return p.PlanBound(stmt, nil) }
+
+// PlanBound plans a statement with placeholders, costing it under
+// bind.Params and recording in bind.Bands what the costs made of those
+// values. The plan serves any binding: executions supply theirs through
+// exec.Ctx.SetParams. A nil bind plans a statement without placeholders.
+func (p *Planner) PlanBound(stmt sqlast.Stmt, bind *Binding) (exec.Node, error) {
+	b := &builder{db: p.DB, bind: bind}
 	pl, err := b.planStmt(stmt, nil)
 	if err != nil {
 		return nil, err
@@ -67,6 +73,8 @@ func (s *cteScope) lookup(name string) (*planned, bool) {
 
 type builder struct {
 	db *catalog.Database
+	// bind is the planning binding of a statement with placeholders.
+	bind *Binding
 	// subqueries memoizes IN/EXISTS subquery plans by scope and SQL text,
 	// so the copies a rewrite inlines or pushdown clones share one node,
 	// which the execution then runs once.
@@ -499,12 +507,20 @@ func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*p
 	sel := b.selectivity(expr, pl, subplans)
 	rows := pl.node.EstRows() * sel
 	cost := pl.node.EstCost() + evalCPU(pl.node.EstRows(), costFilterRow) + subCost
-	desc := abbreviate(sqlast.ExprSQL(expr))
+	desc := exec.Abbreviate(sqlast.ExprSQL(expr))
 	n := exec.NewFilterNode(pl.node, nil, desc)
-	if len(subplans) > 0 {
+	param := sqlast.HasParam(expr)
+	if param {
+		n.ParamPred = expr
+	}
+	if len(subplans) > 0 || param {
 		var probe sqlast.Stmt
-		n.ProbeCol, probe = probeConjunct(expr, pl)
-		n.Bind, n.Subplans = bindSubqueries(expr, pl.schema(), subplans, probe, desc), order
+		if len(subplans) > 0 {
+			n.ProbeCol, probe = probeConjunct(expr, pl)
+		} else if _, err := eval.Compile(expr, &eval.Env{Schema: pl.schema(), Params: b.params()}); err != nil {
+			return nil, err
+		}
+		n.Bind, n.Subplans = bindPredicate(expr, pl.schema(), subplans, probe, desc), order
 	} else if n.Pred, err = eval.Compile(expr, &eval.Env{Schema: pl.schema()}); err != nil {
 		return nil, err
 	}
@@ -551,11 +567,4 @@ func (b *builder) planSubqueries(expr sqlast.Expr, scope *cteScope) (map[sqlast.
 		cost += node.EstCost()
 	}
 	return plans, order, cost, nil
-}
-
-func abbreviate(s string) string {
-	if len(s) > 60 {
-		return s[:57] + "..."
-	}
-	return s
 }

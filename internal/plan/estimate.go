@@ -7,6 +7,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/storage"
+	"repro/internal/types"
 )
 
 // sschema is a local alias used where the schema package name would
@@ -129,8 +130,15 @@ func (b *builder) selectivity(expr sqlast.Expr, pl *planned, subplans map[sqlast
 }
 
 func (b *builder) cmpSelectivity(e *sqlast.Bin, pl *planned) float64 {
-	cr, lit, op := matchColConst(e)
-	if cr == nil || lit == nil {
+	cr, val, op := matchColConst(e)
+	var v types.Value
+	if cr != nil {
+		var ok bool
+		if v, ok = resolveConst(val, b.params()); !ok {
+			cr = nil
+		}
+	}
+	if cr == nil {
 		// col = col within one input, or non-foldable expression.
 		if e.Op == sqlast.OpEq {
 			return 0.1
@@ -144,18 +152,31 @@ func (b *builder) cmpSelectivity(e *sqlast.Bin, pl *planned) float64 {
 		}
 		return defaultSel
 	}
-	v := lit.V
 	switch op {
 	case sqlast.OpEq:
 		return st.EqSelectivity()
 	case sqlast.OpNe:
 		return 1 - st.EqSelectivity()
-	case sqlast.OpLt, sqlast.OpLe:
-		return st.RangeSelectivity(nil, &v)
-	case sqlast.OpGt, sqlast.OpGe:
-		return st.RangeSelectivity(&v, nil)
+	case sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe:
+		sel := rangeSel(st, op, v)
+		if sqlast.HasParam(val) {
+			rows := float64(st.NonNull)
+			b.bind.note(e, cr.Name+" rows", rows*sel, func(params []types.Value) (float64, bool) {
+				v, ok := resolveConst(val, params)
+				return rows * rangeSel(st, op, v), ok
+			})
+		}
+		return sel
 	}
 	return defaultSel
+}
+
+// rangeSel is the selectivity of `col op v` for a range comparison.
+func rangeSel(st *storage.ColStats, op sqlast.BinOp, v types.Value) float64 {
+	if op == sqlast.OpLt || op == sqlast.OpLe {
+		return st.RangeSelectivity(nil, &v)
+	}
+	return st.RangeSelectivity(&v, nil)
 }
 
 // statsFor resolves an expression to base-column statistics when it is a

@@ -98,7 +98,7 @@ func replaceByCanon(e sqlast.Expr, repl map[string]sqlast.Expr) sqlast.Expr {
 		return sqlast.CloneExpr(r)
 	}
 	switch e := e.(type) {
-	case *sqlast.ColRef, *sqlast.Const, *sqlast.Exists:
+	case *sqlast.ColRef, *sqlast.Const, *sqlast.Param, *sqlast.Exists:
 		return e
 	case *sqlast.Bin:
 		return &sqlast.Bin{Op: e.Op, L: replaceByCanon(e.L, repl), R: replaceByCanon(e.R, repl)}

@@ -171,7 +171,7 @@ func (b *builder) buildJoin(l, r *planned, conjs []sqlast.Expr, kind exec.JoinKi
 			return nil, err
 		}
 		var res *eval.Compiled
-		desc := abbreviate(sqlast.ExprSQL(sqlast.And(conjs...)))
+		desc := exec.Abbreviate(sqlast.ExprSQL(sqlast.And(conjs...)))
 		if len(residual) > 0 {
 			f, err := eval.Compile(sqlast.And(residual...), &eval.Env{Schema: outSchema})
 			if err != nil {
@@ -185,7 +185,7 @@ func (b *builder) buildJoin(l, r *planned, conjs []sqlast.Expr, kind exec.JoinKi
 		// a catalog mutation bumps the epoch — mark it reusable so
 		// prepared statements probing a static dimension table skip the
 		// rebuild (the executor still requires Ctx.EnableBuildReuse).
-		if sc, ok := r.node.(*exec.ScanNode); ok && sc.IndexOrd < 0 && sc.Pred == nil {
+		if sc, ok := r.node.(*exec.ScanNode); ok && sc.Plain() {
 			n.CacheBuild = true
 		}
 		// An inner join's build keys can narrow a plain probe-side scan to
@@ -207,7 +207,7 @@ func (b *builder) buildJoin(l, r *planned, conjs []sqlast.Expr, kind exec.JoinKi
 	var pred *eval.Compiled
 	desc := "cross"
 	if len(residual) > 0 {
-		desc = abbreviate(sqlast.ExprSQL(sqlast.And(residual...)))
+		desc = exec.Abbreviate(sqlast.ExprSQL(sqlast.And(residual...)))
 		f, err := eval.Compile(sqlast.And(residual...), &eval.Env{Schema: outSchema})
 		if err != nil {
 			return nil, err

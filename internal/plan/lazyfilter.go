@@ -18,18 +18,21 @@ import (
 	"repro/internal/types"
 )
 
-// bindSubqueries returns the open-time binder of a filter predicate that
-// contains uncorrelated IN/EXISTS subqueries: it runs their plans through
-// the statement's execution context (so a repeated subquery runs once)
-// and compiles the predicate over the values they produce, handing back
-// those of the probe subquery (nil for none) as the scan's probe keys.
-// Compilation waits for execution because planning must never execute
-// anything, or costing candidate rewrites would pay for running them.
-func bindSubqueries(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.Stmt]exec.Node, probe sqlast.Stmt, desc string) func(*exec.Ctx) (*eval.Compiled, []types.Value, error) {
+// bindPredicate returns the open-time binder of a filter predicate that
+// contains uncorrelated IN/EXISTS subqueries or placeholders: it runs the
+// subqueries' plans through the statement's execution context (so a
+// repeated subquery runs once) and compiles the predicate over the values
+// they produce and the statement's binding, handing back those of the
+// probe subquery (nil for none) as the scan's probe keys. Compilation
+// waits for execution because planning must never execute anything, or
+// costing candidate rewrites would pay for running them, and because
+// one plan serves every binding.
+func bindPredicate(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.Stmt]exec.Node, probe sqlast.Stmt, desc string) func(*exec.Ctx) (*eval.Compiled, []types.Value, error) {
 	return func(ctx *exec.Ctx) (*eval.Compiled, []types.Value, error) {
 		var keys []types.Value
 		pred, err := eval.Compile(expr, &eval.Env{
 			Schema: sch,
+			Params: ctx.Params(),
 			SubEval: func(s sqlast.Stmt) ([]types.Value, error) {
 				node, ok := subplans[s]
 				if !ok {

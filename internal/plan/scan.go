@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/eval"
@@ -48,46 +49,17 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 
 	// Gather sargable bounds per column — every column feeds the zone
 	// preds of a fused sequential scan; indexed ones additionally compete
-	// for an index range scan.
-	type colBounds struct {
-		ord    int
-		bounds storage.Bounds
-		used   map[sqlast.Expr]bool
-		sel    float64
-	}
-	byCol := map[int]*colBounds{}
-	for _, c := range conjs {
-		ord, op, lit, ok := sargable(c, t, binding)
-		if !ok {
-			continue
-		}
-		cb := byCol[ord]
-		if cb == nil {
-			cb = &colBounds{ord: ord, used: map[sqlast.Expr]bool{}}
-			byCol[ord] = cb
-		}
-		v := lit
-		switch op {
-		case sqlast.OpEq:
-			cb.bounds.Equals = &v
-		case sqlast.OpLt:
-			tightenHi(&cb.bounds, v, false)
-		case sqlast.OpLe:
-			tightenHi(&cb.bounds, v, true)
-		case sqlast.OpGt:
-			tightenLo(&cb.bounds, v, false)
-		case sqlast.OpGe:
-			tightenLo(&cb.bounds, v, true)
-		default:
-			continue
-		}
-		cb.used[c] = true
-	}
+	// for an index range scan. Bounds over placeholders are costed under
+	// the planning binding and recorded as bands.
+	byCol := sargBounds(conjs, t, binding, b.params())
 
 	// Choose the most selective indexed column.
 	var best *colBounds
 	for _, cb := range byCol {
 		cb.sel = boundsSelectivity(stats[cb.ord], cb.bounds)
+		if cb.param {
+			b.noteColBand(t, binding, cb, total)
+		}
 		if !t.HasIndex(cb.ord) {
 			continue
 		}
@@ -111,10 +83,7 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 			fuse = append(fuse, c)
 		}
 	}
-	var zone []storage.ZonePred
-	for _, cb := range byCol {
-		zone = append(zone, storage.ZonePred{Col: cb.ord, Bounds: cb.bounds})
-	}
+	zone := zonePreds(byCol)
 
 	// Zone-aware sequential cost: consult the actual segment zone maps for
 	// how many rows survive pruning (safe at plan time — the plan cache is
@@ -122,13 +91,8 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 	// predicate itself is charged at the filter rate over surviving rows.
 	seqRows := total
 	if len(zone) > 0 && len(fuse) > 0 {
-		kept := 0
-		for _, seg := range t.Segments() {
-			if seg.CanMatchAll(zone) {
-				kept += seg.Len()
-			}
-		}
-		seqRows = float64(kept)
+		seqRows = float64(zoneKept(t, zone))
+		b.noteZoneBand(t, binding, conjs, seqRows)
 	}
 	seqCost := cpu(seqRows * costSeqRow)
 	if len(fuse) > 0 {
@@ -145,14 +109,26 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 		if idxCost < cpu(seqRows*costSeqRow) {
 			scan.IndexOrd = best.ord
 			scan.Bounds = best.bounds
-			exec.SetEstimates(scan, matched, idxCost)
-			exec.SetOrdering(scan, []exec.OrderCol{{Col: best.ord}})
-			var remaining []sqlast.Expr
+			var used, remaining []sqlast.Expr
 			for _, c := range conjs {
-				if !best.used[c] {
+				if best.used[c] {
+					used = append(used, c)
+				} else {
 					remaining = append(remaining, c)
 				}
 			}
+			if best.param {
+				ord := best.ord
+				scan.Bind = func(c *exec.Ctx) (exec.ScanBinding, error) {
+					cb := sargBounds(used, t, binding, c.Params())[ord]
+					if cb == nil {
+						return exec.ScanBinding{}, fmt.Errorf("plan: index bounds of %s.%s: %w", t.Name, t.Schema.Columns[ord].Name, eval.ErrUnbound)
+					}
+					return exec.ScanBinding{Bounds: cb.bounds}, nil
+				}
+			}
+			exec.SetEstimates(scan, matched, idxCost)
+			exec.SetOrdering(scan, []exec.OrderCol{{Col: best.ord}})
 			pl.node = scan
 			return b.applyFilter(pl, remaining, scope)
 		}
@@ -164,16 +140,58 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 		return b.applyFilter(pl, residual, scope)
 	}
 	expr := sqlast.And(fuse...)
-	pred, err := eval.Compile(expr, &eval.Env{Schema: scan.Schema()})
+	pred, err := eval.Compile(expr, &eval.Env{Schema: scan.Schema(), Params: b.params()})
 	if err != nil {
 		return nil, err
 	}
 	sel := b.selectivity(expr, pl, nil)
-	scan.Pred = pred
-	scan.PredDesc = abbreviate(sqlast.ExprSQL(expr))
-	scan.Zone = zone
+	scan.PredDesc = exec.Abbreviate(sqlast.ExprSQL(expr))
+	if sqlast.HasParam(expr) {
+		sch := scan.Schema()
+		scan.ParamPred = expr
+		scan.Bind = func(c *exec.Ctx) (exec.ScanBinding, error) {
+			pred, err := eval.Compile(expr, &eval.Env{Schema: sch, Params: c.Params()})
+			if err != nil {
+				return exec.ScanBinding{}, err
+			}
+			return exec.ScanBinding{Pred: pred, Zone: zonePreds(sargBounds(conjs, t, binding, c.Params()))}, nil
+		}
+	} else {
+		scan.Pred = pred
+		scan.Zone = zone
+	}
 	exec.SetEstimates(scan, total*sel, seqCost)
 	return b.applyFilter(pl, residual, scope)
+}
+
+// noteColBand records a placeholder-dependent column selectivity, in
+// rows, as a band.
+func (b *builder) noteColBand(t *storage.Table, binding string, cb *colBounds, total float64) {
+	var deps []sqlast.Expr
+	for c := range cb.used {
+		deps = append(deps, c)
+	}
+	st, ord := t.Stats(cb.ord), cb.ord
+	b.bind.note(sqlast.And(deps...), t.Name+"."+t.Schema.Columns[ord].Name+" rows", total*cb.sel,
+		func(params []types.Value) (float64, bool) {
+			nb := sargBounds(deps, t, binding, params)[ord]
+			if nb == nil {
+				return 0, false
+			}
+			return total * boundsSelectivity(st, nb.bounds), true
+		})
+}
+
+// noteZoneBand records the rows a scan's zone maps keep as a band when
+// its zone preds depend on placeholders.
+func (b *builder) noteZoneBand(t *storage.Table, binding string, conjs []sqlast.Expr, kept float64) {
+	deps := sqlast.And(conjs...)
+	if !sqlast.HasParam(deps) {
+		return
+	}
+	b.bind.note(deps, t.Name+" zone-kept rows", kept, func(params []types.Value) (float64, bool) {
+		return float64(zoneKept(t, zonePreds(sargBounds(conjs, t, binding, params)))), true
+	})
 }
 
 // hasSubquery reports whether the expression contains an IN or EXISTS
@@ -193,38 +211,37 @@ func hasSubquery(e sqlast.Expr) bool {
 	return found
 }
 
-// sargable matches "col op literal" (or flipped) on the given table
-// binding and returns the column ordinal, normalized operator, and value.
-func sargable(e sqlast.Expr, t *storage.Table, binding string) (int, sqlast.BinOp, types.Value, bool) {
+// sargable matches "col op operand" (or flipped) on the given table
+// binding, the operand a literal, a placeholder, or arithmetic over them
+// (`$1 + INTERVAL ...`), and returns the column ordinal, normalized
+// operator, and operand.
+func sargable(e sqlast.Expr, t *storage.Table, binding string) (int, sqlast.BinOp, sqlast.Expr, bool) {
 	bin, ok := e.(*sqlast.Bin)
 	if !ok || !bin.Op.IsComparison() || bin.Op == sqlast.OpNe {
-		return 0, 0, types.Null, false
+		return 0, 0, nil, false
 	}
-	cr, lit, op := matchColConst(bin)
-	if cr == nil || lit == nil || lit.V.IsNull() {
-		return 0, 0, types.Null, false
+	cr, val, op := matchColConst(bin)
+	if cr == nil {
+		return 0, 0, nil, false
 	}
 	if cr.Table != "" && cr.Table != binding {
-		return 0, 0, types.Null, false
+		return 0, 0, nil, false
 	}
 	ord := t.Schema.IndexOf(cr.Name)
 	if ord < 0 {
-		return 0, 0, types.Null, false
+		return 0, 0, nil, false
 	}
-	return ord, op, lit.V, true
+	return ord, op, val, true
 }
 
-// matchColConst extracts (colref, literal, op-with-col-on-left).
-func matchColConst(bin *sqlast.Bin) (*sqlast.ColRef, *sqlast.Const, sqlast.BinOp) {
-	if cr, ok := bin.L.(*sqlast.ColRef); ok {
-		if c, ok := bin.R.(*sqlast.Const); ok {
-			return cr, c, bin.Op
-		}
+// matchColConst extracts (colref, operand, op-with-col-on-left) where the
+// operand is constLike.
+func matchColConst(bin *sqlast.Bin) (*sqlast.ColRef, sqlast.Expr, sqlast.BinOp) {
+	if cr, ok := bin.L.(*sqlast.ColRef); ok && constLike(bin.R) {
+		return cr, bin.R, bin.Op
 	}
-	if cr, ok := bin.R.(*sqlast.ColRef); ok {
-		if c, ok := bin.L.(*sqlast.Const); ok {
-			return cr, c, bin.Op.Flip()
-		}
+	if cr, ok := bin.R.(*sqlast.ColRef); ok && constLike(bin.L) {
+		return cr, bin.L, bin.Op.Flip()
 	}
 	return nil, nil, bin.Op
 }

@@ -174,6 +174,70 @@ func appendChunk(dst []byte, rows [][]repro.Value) []byte {
 	return append(dst, "]}\n"...)
 }
 
+// appendHeader appends the stream header line, byte-identical to
+// encoding/json's rendering of streamHeader.
+func appendHeader(dst []byte, h streamHeader) []byte {
+	dst = append(dst, `{"query_id":`...)
+	dst = appendString(dst, h.QueryID)
+	dst = append(dst, `,"columns":`...)
+	if h.Columns == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range h.Columns {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendString(dst, c)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendFooter appends the stream footer line, as encoding/json renders
+// streamFooter.
+func appendFooter(dst []byte, f streamFooter) []byte {
+	dst = append(dst, `{"status":`...)
+	dst = appendString(dst, f.Status)
+	dst = append(dst, `,"row_count":`...)
+	dst = strconv.AppendInt(dst, int64(f.RowCount), 10)
+	dst = append(dst, `,"strategy":`...)
+	dst = appendString(dst, f.Strategy)
+	dst = append(dst, `,"cache_hit":`...)
+	dst = strconv.AppendBool(dst, f.CacheHit)
+	dst = append(dst, `,"elapsed_ms":`...)
+	dst = appendFloat(dst, f.ElapsedMS)
+	return append(dst, "}\n"...)
+}
+
+// appendError appends an error body line, as encoding/json renders
+// errorBody (query_id omitted when empty).
+func appendError(dst []byte, e errorBody) []byte {
+	dst = append(dst, `{"status":`...)
+	dst = appendString(dst, e.Status)
+	dst = append(dst, `,"code":`...)
+	dst = appendString(dst, e.Code)
+	dst = append(dst, `,"error":`...)
+	dst = appendString(dst, e.Error)
+	if e.QueryID != "" {
+		dst = append(dst, `,"query_id":`...)
+		dst = appendString(dst, e.QueryID)
+	}
+	return append(dst, "}\n"...)
+}
+
+// writeLine sends one once-per-response line — header, footer or error —
+// built by build into the encoder's buffer, and flushes it.
+func (e *chunkEncoder) writeLine(w http.ResponseWriter, build func([]byte) []byte) error {
+	e.buf = build(e.buf[:0])
+	_, err := w.Write(e.buf)
+	if f, ok := w.(http.Flusher); ok && err == nil {
+		f.Flush()
+	}
+	return err
+}
+
 // chunkEncoder is one response's encoding state: the rows of the chunk
 // being gathered, the buffer they are encoded into, and the account of
 // what has gone out. Rows and buffer are reused chunk after chunk, and

@@ -302,3 +302,42 @@ func FuzzAppendFloat(f *testing.F) {
 		}
 	})
 }
+
+// TestOncePerResponseLinesMatchEncodingJSON pins the header, footer and
+// error lines to encoding/json's bytes, for query IDs, strategies and
+// messages carrying quotes, control bytes, HTML characters, invalid
+// UTF-8 and non-ASCII text.
+func TestOncePerResponseLinesMatchEncodingJSON(t *testing.T) {
+	texts := []string{"", "q-00000007", "join-back", `say "hi"`, "tab\tnew\nline\x01\x1f", "<a & b>", "bad \xff utf8", "naïve ✓ \u2028 日本", `back\slash`}
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	for _, s := range texts {
+		for _, cols := range [][]string{nil, {}, {s, "c"}} {
+			h := streamHeader{QueryID: s, Columns: cols}
+			if got, want := appendHeader(nil, h), marshal(h); !bytes.Equal(got, want) {
+				t.Errorf("header %+v:\n got %q\nwant %q", h, got, want)
+			}
+		}
+		for _, f := range []streamFooter{
+			{Status: "ok", RowCount: 3, Strategy: s, CacheHit: true, ElapsedMS: 4.21},
+			{Status: s, RowCount: -1, ElapsedMS: 1e-7},
+		} {
+			if got, want := appendFooter(nil, f), marshal(f); !bytes.Equal(got, want) {
+				t.Errorf("footer %+v:\n got %q\nwant %q", f, got, want)
+			}
+		}
+		for _, e := range []errorBody{
+			{Status: "error", Code: "invalid", Error: s, QueryID: s},
+			{Status: "error", Code: s, Error: s},
+		} {
+			if got, want := appendError(nil, e), marshal(e); !bytes.Equal(got, want) {
+				t.Errorf("error %+v:\n got %q\nwant %q", e, got, want)
+			}
+		}
+	}
+}

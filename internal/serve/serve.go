@@ -395,6 +395,42 @@ type queryRequest struct {
 	// Session targets an existing session on /v1/prepare; empty creates
 	// one. Ignored on /v1/query.
 	Session string `json:"session,omitempty"`
+	// Params binds the statement's $1, $2, … on /v1/query.
+	Params []any `json:"params,omitempty"`
+}
+
+// runRequest is the optional body of a prepared-statement run.
+type runRequest struct {
+	Params []any `json:"params,omitempty"`
+}
+
+// paramValues converts JSON placeholder values to engine values: strings,
+// numbers (integral ones as INT), booleans and null. The engine coerces
+// each to the kind of the column it is compared with — an RFC 3339
+// string to TIME, say.
+func paramValues(raw []any) ([]repro.Value, error) {
+	out := make([]repro.Value, len(raw))
+	for i, v := range raw {
+		switch v := v.(type) {
+		case nil:
+			out[i] = repro.Null
+		case bool:
+			out[i] = repro.NewBool(v)
+		case string:
+			out[i] = repro.NewString(v)
+		case json.Number:
+			if n, err := v.Int64(); err == nil {
+				out[i] = repro.NewInt(n)
+			} else if f, err := v.Float64(); err == nil {
+				out[i] = repro.NewFloat(f)
+			} else {
+				return nil, fmt.Errorf("params[%d]: bad number %s", i, v)
+			}
+		default:
+			return nil, fmt.Errorf("params[%d]: want a string, number, boolean or null", i)
+		}
+	}
+	return out, nil
 }
 
 // options translates the request into engine query options, appended
@@ -429,6 +465,13 @@ func (q *queryRequest) options(base []repro.QueryOption) ([]repro.QueryOption, e
 	if q.NoSpill {
 		opts = append(opts, repro.WithoutSpill())
 	}
+	if len(q.Params) > 0 {
+		vals, err := paramValues(q.Params)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, repro.WithParams(vals...))
+	}
 	return opts, nil
 }
 
@@ -436,6 +479,7 @@ func (q *queryRequest) options(base []repro.QueryOption) ([]repro.QueryOption, e
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
+	dec.UseNumber()
 	if err := dec.Decode(into); err != nil {
 		s.writeCode(w, http.StatusBadRequest, CodeBadRequest, "invalid request body: "+err.Error(), 0)
 		return false
@@ -466,11 +510,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // prepareResponse is the body of a successful /v1/prepare.
+// prepareResponse answers /v1/prepare. A statement with placeholders
+// plans at each run, so it reports how many values a run takes instead
+// of a strategy and cache outcome.
 type prepareResponse struct {
 	Session       string `json:"session"`
 	Statement     string `json:"statement"`
-	Strategy      string `json:"strategy"`
-	CacheHit      bool   `json:"cache_hit"`
+	Strategy      string `json:"strategy,omitempty"`
+	CacheHit      *bool  `json:"cache_hit,omitempty"`
+	Params        int    `json:"params,omitempty"`
 	IdleTimeoutMS int64  `json:"idle_timeout_ms"`
 }
 
@@ -504,16 +552,19 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		sess = s.sessions.create()
 	}
 	stmtID := sess.addStmt(p, req.SQL)
-	inf := p.Rewrite()
-	s.cfg.Logger.Debug("prepare", "session", sess.id, "statement", stmtID, "strategy", inf.Strategy)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(prepareResponse{
+	resp := prepareResponse{
 		Session:       sess.id,
 		Statement:     stmtID,
-		Strategy:      inf.Strategy.String(),
-		CacheHit:      inf.CacheHit,
+		Params:        p.NumParams(),
 		IdleTimeoutMS: s.cfg.SessionIdleTimeout.Milliseconds(),
-	})
+	}
+	if resp.Params == 0 {
+		inf := p.Rewrite()
+		resp.Strategy, resp.CacheHit = inf.Strategy.String(), &inf.CacheHit
+	}
+	s.cfg.Logger.Debug("prepare", "session", sess.id, "statement", stmtID, "strategy", resp.Strategy, "params", resp.Params)
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(resp)
 }
 
 // handleRun executes a prepared statement, streaming like /v1/query.
@@ -528,8 +579,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeCode(w, http.StatusNotFound, CodeNoStatement, "no such statement: "+r.PathValue("stmt"), 0)
 		return
 	}
+	var req runRequest
+	if r.ContentLength != 0 {
+		if !s.decode(w, r, &req) {
+			return
+		}
+	}
+	args, err := paramValues(req.Params)
+	if err != nil {
+		s.writeCode(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+		return
+	}
 	start := time.Now()
-	rows, err := p.StreamContext(r.Context())
+	rows, err := p.StreamContext(r.Context(), args...)
 	if err != nil {
 		s.writeErr(w, obs.NextQueryID(), err)
 		return
@@ -596,6 +658,9 @@ func statusOf(code string, err error) int {
 func (s *Server) writeErr(w http.ResponseWriter, qid obs.QueryID, err error) {
 	code := repro.Code(err)
 	status := statusOf(code, err)
+	if errors.Is(err, repro.ErrParams) {
+		code, status = CodeBadRequest, http.StatusBadRequest
+	}
 	if status == http.StatusTooManyRequests {
 		secs := max(int64(s.cfg.RetryAfter/time.Second), 1)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
@@ -615,5 +680,5 @@ func (s *Server) writeCode(w http.ResponseWriter, status int, code, msg string, 
 	if qid != 0 {
 		body.QueryID = qid.String()
 	}
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(appendError(nil, body))
 }

@@ -783,3 +783,58 @@ func TestSparsePredicateStreamsEveryMatch(t *testing.T) {
 		t.Fatalf("footer = %v, want 10 rows", foot)
 	}
 }
+
+// TestParamsOnTheWire binds placeholders from a request's "params", on
+// /v1/query and on a prepared statement's runs; a wrong count or kind is
+// 400 bad_request.
+func TestParamsOnTheWire(t *testing.T) {
+	db := newTestDB(t, 10)
+	_, hs := newTestServer(t, db, nil)
+	resp, body := post(t, hs.URL+"/v1/query", map[string]any{"sql": "SELECT s FROM t WHERE a >= $1 AND s <> $2", "params": []any{7, "row-008"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	objs := ndjson(t, body)
+	if got := objs[len(objs)-1]["row_count"]; got != float64(2) {
+		t.Errorf("row_count = %v, want 2: %s", got, body)
+	}
+	for _, bad := range []map[string]any{
+		{"sql": "SELECT s FROM t WHERE a >= $1", "params": []any{}},
+		{"sql": "SELECT s FROM t WHERE a >= $1", "params": []any{"seven"}},
+		{"sql": "SELECT s FROM t WHERE a >= $1", "params": []any{[]any{1}}},
+	} {
+		resp, body := post(t, hs.URL+"/v1/query", bad)
+		if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != CodeBadRequest {
+			t.Errorf("%v: status %d code %q, want 400 bad_request", bad, resp.StatusCode, body)
+		}
+	}
+
+	resp, body = post(t, hs.URL+"/v1/prepare", map[string]any{"sql": "SELECT a FROM t WHERE a = $1"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prepare: %d %s", resp.StatusCode, body)
+	}
+	var prep prepareResponse
+	if err := json.Unmarshal(body, &prep); err != nil {
+		t.Fatal(err)
+	}
+	if prep.Params != 1 || prep.Strategy != "" || prep.CacheHit != nil {
+		t.Errorf("prepare of a statement with one placeholder answered %s, want params 1 and no strategy", body)
+	}
+	if resp, body := post(t, hs.URL+"/v1/prepare", map[string]any{"sql": "SELECT a FROM no_such WHERE a = $1"}); resp.StatusCode != http.StatusBadRequest || errCode(t, body) != repro.CodeNoTable {
+		t.Errorf("prepare over an unknown table: status %d body %s, want 400 no_table", resp.StatusCode, body)
+	}
+	run := hs.URL + "/v1/sessions/" + prep.Session + "/run/" + prep.Statement
+	for _, a := range []float64{3, 4} {
+		resp, body := post(t, run, map[string]any{"params": []any{a}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run: %d %s", resp.StatusCode, body)
+		}
+		objs := ndjson(t, body)
+		if rows := objs[1]["rows"].([]any); len(rows) != 1 || rows[0].([]any)[0] != a {
+			t.Errorf("run with %v returned %s", a, body)
+		}
+	}
+	if resp, body := post(t, run, map[string]any{}); resp.StatusCode != http.StatusBadRequest || errCode(t, body) != CodeBadRequest {
+		t.Errorf("run without params: status %d body %s, want 400 bad_request", resp.StatusCode, body)
+	}
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -49,24 +48,6 @@ type errorBody struct {
 	QueryID string `json:"query_id,omitempty"`
 }
 
-// writeNDJSON encodes one object followed by a newline and flushes when
-// the writer supports it. It serves the once-per-response objects —
-// header, footer, error; row chunks go through chunkEncoder.flush.
-func writeNDJSON(w http.ResponseWriter, obj any) error {
-	b, err := json.Marshal(obj)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-	return nil
-}
-
 // streamLive pulls rows from a streaming result and writes them as an
 // NDJSON stream, chunkRows rows per chunk, while the engine is still
 // producing: each chunk is flushed as soon as it fills, so a client
@@ -87,21 +68,22 @@ func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, rows *repro.
 		qid = obs.NextQueryID()
 	}
 	enc := chunkEncoders.Get().(*chunkEncoder)
+	defer enc.release()
 	ok := s.streamRows(w, r, qid, rows, enc)
 	count := enc.settle(s.metrics)
 	rows.Close()
-	enc.release()
 	if !ok {
 		return
 	}
 	s.cfg.Logger.Debug("query", "query_id", qid, "rows", count, "elapsed", time.Since(start))
-	_ = writeNDJSON(w, streamFooter{
+	footer := streamFooter{
 		Status:    "ok",
 		RowCount:  count,
 		Strategy:  rows.Rewrite.Strategy.String(),
 		CacheHit:  rows.Rewrite.CacheHit,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-	})
+	}
+	_ = enc.writeLine(w, func(b []byte) []byte { return appendFooter(b, footer) })
 }
 
 // streamRows writes the stream up to the footer and reports whether the
@@ -120,7 +102,8 @@ func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, qid obs.Quer
 	sendHeader := func() bool {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.Header().Set("X-Query-Id", qid.String())
-		if err := writeNDJSON(w, streamHeader{QueryID: qid.String(), Columns: rows.Columns}); err != nil {
+		header := streamHeader{QueryID: qid.String(), Columns: rows.Columns}
+		if err := enc.writeLine(w, func(b []byte) []byte { return appendHeader(b, header) }); err != nil {
 			awaitDisconnect(r)
 			return false
 		}
@@ -153,7 +136,8 @@ func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, qid obs.Quer
 		if statusOf(code, err) >= 500 {
 			s.cfg.Logger.Error("query failed mid-stream", "query_id", qid, "code", code, "err", err)
 		}
-		_ = writeNDJSON(w, errorBody{Status: "error", Code: code, Error: err.Error(), QueryID: qid.String()})
+		body := errorBody{Status: "error", Code: code, Error: err.Error(), QueryID: qid.String()}
+		_ = enc.writeLine(w, func(b []byte) []byte { return appendError(b, body) })
 		return false
 	}
 	return (headerSent || sendHeader()) && flushChunk()

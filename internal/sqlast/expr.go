@@ -330,6 +330,9 @@ func CloneExpr(e Expr) Expr {
 	case *Const:
 		c := *e
 		return &c
+	case *Param:
+		c := *e
+		return &c
 	case *Bin:
 		return &Bin{Op: e.Op, L: CloneExpr(e.L), R: CloneExpr(e.R)}
 	case *Un:
@@ -429,7 +432,7 @@ func MapColRefs(e Expr, f func(*ColRef) Expr) Expr {
 		return nil
 	case *ColRef:
 		return f(e)
-	case *Const:
+	case *Const, *Param:
 		return e
 	case *Bin:
 		return &Bin{Op: e.Op, L: MapColRefs(e.L, f), R: MapColRefs(e.R, f)}

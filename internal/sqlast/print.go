@@ -2,6 +2,7 @@ package sqlast
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/types"
@@ -12,19 +13,27 @@ import (
 // function before being handed back to the engine, so print → parse must
 // round-trip; the tests enforce that.
 func SQL(s Stmt) string {
-	var b strings.Builder
+	var b printer
 	printStmt(&b, s)
 	return b.String()
 }
 
 // ExprSQL renders a scalar expression.
 func ExprSQL(e Expr) string {
-	var b strings.Builder
+	var b printer
 	printExpr(&b, e, 0)
 	return b.String()
 }
 
-func printStmt(b *strings.Builder, s Stmt) {
+// printer accumulates printed SQL. With cut set it prints a Template
+// instead: each maximal expression over placeholders and literals is cut
+// out of the text as one of the template's holes.
+type printer struct {
+	strings.Builder
+	cut *Template
+}
+
+func printStmt(b *printer, s Stmt) {
 	switch s := s.(type) {
 	case *SelectStmt:
 		printSelect(b, s)
@@ -42,7 +51,7 @@ func printStmt(b *strings.Builder, s Stmt) {
 	}
 }
 
-func printSelect(b *strings.Builder, s *SelectStmt) {
+func printSelect(b *printer, s *SelectStmt) {
 	if len(s.With) > 0 {
 		b.WriteString("WITH ")
 		for i, c := range s.With {
@@ -116,7 +125,7 @@ func printSelect(b *strings.Builder, s *SelectStmt) {
 	}
 }
 
-func printOrder(b *strings.Builder, items []OrderItem) {
+func printOrder(b *printer, items []OrderItem) {
 	for i, o := range items {
 		if i > 0 {
 			b.WriteString(", ")
@@ -128,7 +137,7 @@ func printOrder(b *strings.Builder, items []OrderItem) {
 	}
 }
 
-func printTable(b *strings.Builder, t TableExpr) {
+func printTable(b *printer, t TableExpr) {
 	switch t := t.(type) {
 	case *TableName:
 		b.WriteString(t.Name)
@@ -195,7 +204,11 @@ func nodePrec(e Expr) int {
 	return 6
 }
 
-func printExpr(b *strings.Builder, e Expr, parentPrec int) {
+func printExpr(b *printer, e Expr, parentPrec int) {
+	if b.cut != nil && paramOnly(e) {
+		b.cut.cutHole(b, e, parentPrec)
+		return
+	}
 	if e != nil {
 		if p := nodePrec(e); p < parentPrec {
 			b.WriteString("(")
@@ -215,6 +228,9 @@ func printExpr(b *strings.Builder, e Expr, parentPrec int) {
 		b.WriteString(e.Name)
 	case *Const:
 		b.WriteString(e.V.SQL())
+	case *Param:
+		b.WriteString("$")
+		b.WriteString(strconv.Itoa(e.N))
 	case *Bin:
 		p := prec(e.Op)
 		left := p
@@ -246,7 +262,12 @@ func printExpr(b *strings.Builder, e Expr, parentPrec int) {
 			}
 			// Render the operand first: a leading '-' would fuse into a
 			// SQL line comment ("--"), so parenthesize in that case.
-			var inner strings.Builder
+			// Whether a '-' leads the operand's text depends on a bound
+			// value, so a template cannot cut placeholders out of it.
+			if b.cut != nil && HasParam(e.E) {
+				b.cut.uncut = true
+			}
+			var inner printer
 			printExpr(&inner, e.E, 6)
 			b.WriteString("-")
 			if strings.HasPrefix(inner.String(), "-") {
@@ -365,7 +386,7 @@ func printExpr(b *strings.Builder, e Expr, parentPrec int) {
 	}
 }
 
-func printBound(b *strings.Builder, fb FrameBound) {
+func printBound(b *printer, fb FrameBound) {
 	switch fb.Type {
 	case BoundUnboundedPreceding:
 		b.WriteString("UNBOUNDED PRECEDING")

@@ -123,3 +123,26 @@ func TestExprSQLCoversScalarShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestTemplateRendersBoundPrint checks a template's text under a binding
+// is what binding the statement and printing it gives: holes at several
+// precedences, a placeholder under a negation (not cut), a subquery, and
+// string literals and values made of NUL bytes and digits.
+func TestTemplateRendersBoundPrint(t *testing.T) {
+	vals := []types.Value{types.NewString("\x000\x00"), types.NewInt(-7), types.NewTime(60_000_000)}
+	for _, src := range []string{
+		"SELECT '\x000\x00', a FROM t WHERE a = $1 AND b > $2 * 3 + c",
+		"SELECT a FROM t WHERE a IN (SELECT b FROM u WHERE u.r <= $3 + INTERVAL '5' MINUTE) AND c <> $1",
+		"SELECT -$2, -(a + $2) FROM t WHERE NOT ($2 < 0) AND a = 'x\x00'",
+		"SELECT a FROM t WHERE a = 1",
+	} {
+		stmt, err := sqlparser.Parse(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		want := sqlast.SQL(sqlast.BindStmt(stmt, vals))
+		if got := sqlast.NewTemplate(stmt).Render(vals); got != want {
+			t.Errorf("%q:\n got %q\nwant %q", src, got, want)
+		}
+	}
+}

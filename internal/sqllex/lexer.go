@@ -7,7 +7,6 @@ package sqllex
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokenKind classifies a token.
@@ -174,10 +173,13 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
+// Identifiers are ASCII: the lexer scans bytes, and a byte of a
+// multi-byte sequence read as a rune would split the sequence (or, after
+// lower-casing, turn invalid UTF-8 into text that no longer lexes).
 func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+	return r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
 }
 
 func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+	return isIdentStart(r) || (r >= '0' && r <= '9')
 }

@@ -154,3 +154,70 @@ func TestRandomExprPrintParseRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// parseSeeds are the fuzz corpus's starting points: the paper's
+// queries, the join-back and window shapes rewrites produce, `$n`
+// placeholders, and a rule template's `$input` table name.
+var parseSeeds = []string{
+	"SELECT rtime, reader, biz_loc, biz_step FROM caser WHERE epc = 'urn:epc:1' ORDER BY rtime",
+	"SELECT epc, rtime, reader, biz_loc FROM caser WHERE rtime <= TIMESTAMP '2021-03-04 05:06:07.000001'",
+	`WITH v1 AS (SELECT biz_loc AS current_loc, rtime, MAX(rtime) OVER (PARTITION BY epc ORDER BY rtime ROWS BETWEEN 1 PRECEDING AND 1 PRECEDING) AS prev_time FROM caser WHERE rtime <= TIMESTAMP '2021-01-01 00:00:00')
+	 SELECT l1.loc_desc, AVG(rtime - prev_time) FROM v1, locs l1 WHERE v1.current_loc = l1.gln GROUP BY l1.loc_desc`,
+	`SELECT p.manufacturer, COUNT(DISTINCT s.type) FROM caser c, steps s, locs l, epc_info i, product p
+	 WHERE c.biz_step = s.biz_step AND c.biz_loc = l.gln AND c.epc = i.epc AND i.product = p.product AND c.rtime >= TIMESTAMP '2021-06-01 00:00:00' AND l.site = 'dc 1' GROUP BY p.manufacturer`,
+	"SELECT * FROM caser WHERE epc IN (SELECT DISTINCT epc FROM caser WHERE epc = 'e1') AND rtime >= 5 minutes AND rtime <= TIMESTAMP '2021-01-01 00:00:00' + INTERVAL '5' MINUTE",
+	"SELECT * FROM caser WHERE epc = $1 AND rtime >= $2 - INTERVAL '300000000' MICROSECOND ORDER BY rtime LIMIT 10",
+	"SELECT a FROM t WHERE a > -5 AND b <> 'x' AND c >= 1.5 AND d = TRUE OR e < $3",
+	"SELECT epc, rtime FROM $input WHERE epc = 'e'",
+	"select a from t where a between $1 and $2 union all select b from u where b = 'k'",
+	"SELECT '\x000\x00', -$1, -(a + $2), a FROM t WHERE a = 'x\x00' AND b < $2 * 2 AND c IN ($1, 3)",
+}
+
+// templateVals bind the placeholders of fuzzed statements: negative
+// numbers (the printer folds a negated literal), a string made of NUL
+// bytes and digits, a timestamp.
+var templateVals = []types.Value{types.NewInt(-3), types.NewString("\x000\x00"), types.NewTime(1), types.NewFloat(-1.5)}
+
+// FuzzParse feeds arbitrary text to the parser. It must not panic or
+// hang; whatever parses must print to text that parses back to the same
+// print (a fixed point); lifting a statement's literals into
+// placeholders and binding them back must print the original; and a
+// template of a statement with placeholders must render what binding and
+// printing it does.
+func FuzzParse(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		stmt, err := Parse(src)
+		if err != nil {
+			return
+		}
+		printed := sqlast.SQL(stmt)
+		again, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("printed statement does not parse: %v\n%s", err, printed)
+		}
+		if p2 := sqlast.SQL(again); p2 != printed {
+			t.Fatalf("print→parse→print is not a fixed point:\n%s\n%s", printed, p2)
+		}
+		if n := sqlast.MaxParam(stmt); n > 0 {
+			vals := make([]types.Value, n)
+			for i := range vals {
+				vals[i] = templateVals[i%len(templateVals)]
+			}
+			want := sqlast.SQL(sqlast.BindStmt(stmt, vals))
+			if got := sqlast.NewTemplate(stmt).Render(vals); got != want {
+				t.Fatalf("template render differs from bind→print:\n%s\n%s", want, got)
+			}
+			return
+		}
+		shape, vals := sqlast.Parameterize(stmt)
+		if bound := sqlast.SQL(sqlast.BindStmt(shape, vals)); bound != printed {
+			t.Fatalf("parameterize→bind→print differs:\n%s\n%s", printed, bound)
+		}
+		if got := sqlast.NewTemplate(shape).Render(vals); got != printed {
+			t.Fatalf("parameterize→template render differs:\n%s\n%s", printed, got)
+		}
+	})
+}

@@ -780,6 +780,12 @@ func (p *parser) parsePrimary() (sqlast.Expr, error) {
 		return p.numberOrInterval(t)
 	case sqllex.TokString:
 		return sqlast.Lit(types.NewString(t.Text)), nil
+	case sqllex.TokParam:
+		n, err := strconv.Atoi(t.Text)
+		if err != nil || n < 1 || n > sqlast.MaxParams || strconv.Itoa(n) != t.Text {
+			return nil, p.lex.Errorf(t.Pos, "bad placeholder $%s: want $1 … $%d", t.Text, sqlast.MaxParams)
+		}
+		return &sqlast.Param{N: n}, nil
 	case sqllex.TokOp:
 		if t.Text == "(" {
 			e, err := p.parseExpr()

@@ -8,6 +8,7 @@ package types
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -189,7 +190,13 @@ func (v Value) SQL() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		// No exponent: the lexer reads digits and one decimal point, and
+		// a float keeps its point so it reads back as a float.
+		s := strconv.FormatFloat(v.f, 'f', -1, 64)
+		if !strings.ContainsAny(s, ".NI") {
+			s += ".0"
+		}
+		return s
 	case KindString:
 		return quoteSQLString(v.s)
 	case KindTime:

@@ -28,10 +28,13 @@
 // definitions and data loads serialize behind them, every entry point has
 // a Context variant (QueryContext, PrepareContext, ExplainContext,
 // Prepared.RunContext) that cancels cooperatively mid-operator, and a
-// rewrite+plan cache keyed by (SQL, strategy, rules, catalog epoch) lets
+// rewrite+plan cache keyed by (shape, strategy, rules, catalog epoch) lets
 // repeated queries skip parse, rewrite, and costing entirely — the
 // amortization a long-lived cleansing service needs, since the paper's
-// rewrites are recomputed per query otherwise.
+// rewrites are recomputed per query otherwise. The cache key is the
+// statement's shape: comparison literals become $n placeholders before
+// the lookup, so a lookup for a new EPC binds its value into the cached
+// plan instead of recompiling.
 package repro
 
 import (
@@ -185,7 +188,7 @@ type DB struct {
 	// rewrite+execute span (plans read table row slices in place), writers
 	// take the write side.
 	mu sync.RWMutex
-	// cache memoizes rewrites+plans per (SQL, strategy, rules, epoch).
+	// cache memoizes rewrites+plans per (shape, strategy, rules, epoch).
 	cache *planCache
 
 	// admit bounds concurrent query execution; nil admits everything.
@@ -616,6 +619,9 @@ type queryOpts struct {
 	// receives the finished trace even on query failure.
 	traceSet  bool
 	traceHook func(*Trace)
+
+	// params binds the statement's placeholders (WithParams).
+	params []Value
 }
 
 // WithStrategy forces a rewrite strategy (default Auto).
@@ -763,7 +769,8 @@ func (db *DB) Query(sql string, opts ...QueryOption) (*Rows, error) {
 // expiry stops execution cooperatively mid-operator, and the query fails
 // with an error matching ErrCanceled and the context's own error.
 func (db *DB) QueryContext(ctx context.Context, sql string, opts ...QueryOption) (*Rows, error) {
-	return (&statement{db: db, sql: sql, o: applyOpts(opts)}).run(ctx)
+	o := applyOpts(opts)
+	return (&statement{db: db, sql: sql, o: o, args: o.params}).run(ctx)
 }
 
 // Rewrite returns the rewritten SQL without executing it.
@@ -781,8 +788,11 @@ func (db *DB) RewriteContext(ctx context.Context, sql string, opts ...QueryOptio
 	o := applyOpts(opts)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	_, inf, err := db.rewriteCached(sql, o)
-	return inf, err
+	c, err := db.compile(sql, o.params, o)
+	if err != nil {
+		return RewriteInfo{}, err
+	}
+	return c.info, nil
 }
 
 // Explain returns the physical plan of the rewritten query, with
@@ -802,13 +812,14 @@ func (db *DB) ExplainContext(ctx context.Context, sql string, opts ...QueryOptio
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	res, _, err := db.rewriteCached(sql, o)
+	c, err := db.compile(sql, o.params, o)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n-- %s\n", res.Strategy, res.EstCost, res.SQL)
-	b.WriteString(exec.Explain(res.Plan))
+	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n-- %s\n", c.info.Strategy, c.info.EstCost, c.info.SQL)
+	b.WriteString(exec.ExplainBound(c.res.Plan, c.params))
+	b.WriteString(paramsLine(c.res, c.params))
 	return b.String(), nil
 }
 
@@ -816,17 +827,23 @@ func (db *DB) ExplainContext(ctx context.Context, sql string, opts ...QueryOptio
 // executed repeatedly. Plans hold no per-execution state, so a Prepared is
 // safe for concurrent Run calls; it does not observe rules defined or data
 // loaded after Prepare.
+//
+// A statement with $n placeholders takes their values per run (Run's
+// args). Prepare checks it compiles, and each run resolves its plan
+// through the plan cache's entry for its shape under the run's binding:
+// the first run plans it, later runs bind into it, and a binding whose
+// estimates fit none of the shape's plans re-plans.
 type Prepared struct {
-	db   *DB
-	sql  string
-	plan exec.Node
-	info RewriteInfo
+	db  *DB
+	sql string
+	// c is the statement compiled at Prepare; nil when it has
+	// placeholders, which each run resolves with its own values.
+	c *compiled
+	// stmt is the parsed statement with placeholders that runs compile.
+	stmt sqlast.Stmt
 	// opts are the Prepare-time query options (timeout, parallelism,
 	// row-eval, memory limit, spill, faults), applied to every run.
 	opts *queryOpts
-	// key is the plan-cache entry this Prepared was resolved through; a
-	// run that exhausts its memory budget evicts it.
-	key cacheKey
 }
 
 // Prepare rewrites and plans a query once.
@@ -844,22 +861,48 @@ func (db *DB) PrepareContext(ctx context.Context, sql string, opts ...QueryOptio
 		return nil, wrapCanceled(err)
 	}
 	o := applyOpts(opts)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	key := newCacheKey(sql, o, db.Catalog.Epoch())
-	res, inf, err := db.rewriteCached(sql, o)
+	start := time.Now()
+	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{db: db, sql: sql, plan: res.Plan, info: inf, opts: o, key: key}, nil
+	p := &Prepared{db: db, sql: sql, opts: o}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if n := sqlast.MaxParam(stmt); n > 0 {
+		if err := db.checkCompiles(stmt, n, o); err != nil {
+			return nil, err
+		}
+		p.stmt = stmt
+		return p, nil
+	}
+	if p.c, err = db.compileStmt(stmt, start, nil, o); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// Rewrite reports how the prepared query will execute.
-func (p *Prepared) Rewrite() RewriteInfo { return p.info }
+// Rewrite reports how the prepared query will execute; for a statement
+// with placeholders, which plans at each run, it is empty.
+func (p *Prepared) Rewrite() RewriteInfo {
+	if p.c == nil {
+		return RewriteInfo{}
+	}
+	return p.c.info
+}
 
-// Run executes the prepared plan.
-func (p *Prepared) Run() (*Rows, error) {
-	return p.RunContext(context.Background())
+// NumParams returns the number of values each run takes: the highest
+// $n placeholder of the statement, 0 for none.
+func (p *Prepared) NumParams() int {
+	if p.stmt == nil {
+		return 0
+	}
+	return sqlast.MaxParam(p.stmt)
+}
+
+// Run executes the prepared plan, args binding its placeholders.
+func (p *Prepared) Run(args ...Value) (*Rows, error) {
+	return p.RunContext(context.Background(), args...)
 }
 
 // RunContext executes the prepared plan under a context; cancellation
@@ -868,13 +911,13 @@ func (p *Prepared) Run() (*Rows, error) {
 // memory options; a run that exhausts its budget also evicts the plan's
 // cache entry, so a later Query or Prepare under a raised limit replans
 // fresh.
-func (p *Prepared) RunContext(ctx context.Context) (*Rows, error) {
-	return p.statement().run(ctx)
+func (p *Prepared) RunContext(ctx context.Context, args ...Value) (*Rows, error) {
+	return p.statement(args).run(ctx)
 }
 
 // statement is one governed run of the prepared plan.
-func (p *Prepared) statement() *statement {
-	return &statement{db: p.db, sql: p.sql, o: p.opts, prep: p}
+func (p *Prepared) statement(args []Value) *statement {
+	return &statement{db: p.db, sql: p.sql, o: p.opts, prep: p, args: args}
 }
 
 // ExplainAnalyze rewrites and executes the query, returning the plan
@@ -889,7 +932,8 @@ func (db *DB) ExplainAnalyze(sql string, opts ...QueryOption) (string, error) {
 // operators that spilled are annotated with their run counts, and a
 // trailer line reports the query's peak memory and spill volume.
 func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string, opts ...QueryOption) (string, error) {
-	st := &statement{db: db, sql: sql, o: applyOpts(opts), analyze: true}
+	o := applyOpts(opts)
+	st := &statement{db: db, sql: sql, o: o, args: o.params, analyze: true}
 	if err := st.begin(ctx); err != nil {
 		return "", err
 	}
@@ -900,6 +944,7 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string, opts ...Que
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n", st.info.Strategy, st.info.EstCost)
 	b.WriteString(exec.ExplainAnalyze(st.plan, st.ectx))
+	b.WriteString(paramsLine(st.res, st.ectx.Params()))
 	m := st.mem
 	fmt.Fprintf(&b, "-- mem: peak=%s", FormatBytes(m.Peak))
 	if m.Limit > 0 {
@@ -1181,28 +1226,6 @@ func applyOpts(opts []QueryOption) *queryOpts {
 		f(o)
 	}
 	return o
-}
-
-// rewriteCached resolves a query to its rewritten plan through the plan
-// cache: a hit skips parse, rewrite, and costing entirely; a miss runs
-// the rewriter and stores the result under the current catalog epoch.
-// Callers must hold db.mu (either side).
-func (db *DB) rewriteCached(sql string, o *queryOpts) (*core.Result, RewriteInfo, error) {
-	key := newCacheKey(sql, o, db.Catalog.Epoch())
-	if res, ok := db.cache.get(key); ok {
-		inf := info(res)
-		inf.CacheHit = true
-		inf.CacheHits, inf.CacheMisses = db.cache.counters()
-		return res, inf, nil
-	}
-	res, err := db.Rewriter.RewriteSQL(sql, o.rules, o.strategy)
-	if err != nil {
-		return nil, RewriteInfo{}, err
-	}
-	db.cache.put(key, res)
-	inf := info(res)
-	inf.CacheHits, inf.CacheMisses = db.cache.counters()
-	return res, inf, nil
 }
 
 func info(res *core.Result) RewriteInfo {

@@ -38,21 +38,22 @@ func (db *DB) QueryStream(sql string, opts ...QueryOption) (*Rows, error) {
 // everything, making a later Close a no-op). Canceling ctx aborts the
 // stream cooperatively with an error matching ErrCanceled.
 func (db *DB) QueryStreamContext(ctx context.Context, sql string, opts ...QueryOption) (*Rows, error) {
-	return (&statement{db: db, sql: sql, o: applyOpts(opts)}).stream(ctx)
+	o := applyOpts(opts)
+	return (&statement{db: db, sql: sql, o: o, args: o.params}).stream(ctx)
 }
 
-// Stream begins executing the prepared plan incrementally; see
-// StreamContext.
-func (p *Prepared) Stream() (*Rows, error) {
-	return p.StreamContext(context.Background())
+// Stream begins executing the prepared plan incrementally, args binding
+// its placeholders; see StreamContext.
+func (p *Prepared) Stream(args ...Value) (*Rows, error) {
+	return p.StreamContext(context.Background(), args...)
 }
 
 // StreamContext executes the prepared plan as an incremental stream,
 // with the same lifecycle as QueryStreamContext (Close required) and
 // the same per-run governance as RunContext, including build-side reuse
 // for CacheBuild joins.
-func (p *Prepared) StreamContext(ctx context.Context) (*Rows, error) {
-	return p.statement().stream(ctx)
+func (p *Prepared) StreamContext(ctx context.Context, args ...Value) (*Rows, error) {
+	return p.statement(args).stream(ctx)
 }
 
 // rowsStream is the live half of a streaming Rows: the executor iterator

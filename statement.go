@@ -2,8 +2,10 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/govern"
 )
@@ -21,9 +23,13 @@ type statement struct {
 	db  *DB
 	sql string
 	o   *queryOpts
-	// prep, when non-nil, is the Prepared whose plan the statement adopts
-	// instead of compiling sql; such runs also reuse join build sides.
+	// prep, when non-nil, is the Prepared the statement runs: its plan
+	// compiled at Prepare, or for a statement with placeholders the plan
+	// cache's plan for its shape under args. Such runs also reuse join
+	// build sides.
 	prep *Prepared
+	// args bind the statement's placeholders.
+	args []Value
 	// nested marks a sub-query of an operation that already holds the
 	// catalog read lock (DryRunRule): it takes no lock or admission slot of
 	// its own and is not observed by telemetry.
@@ -42,6 +48,7 @@ type statement struct {
 
 	key  cacheKey
 	plan exec.Node
+	res  *core.Result
 	info RewriteInfo
 	grs  *govern.Resources
 	ectx *exec.Ctx
@@ -80,22 +87,28 @@ func (st *statement) begin(ctx context.Context) error {
 		db.mu.RLock()
 		st.release = release
 	}
-	if p := st.prep; p != nil {
-		st.key, st.plan, st.info = p.key, p.plan, p.info
-		st.tel.notePrepared(p.info.CacheHit)
+	c := st.prep.compiled()
+	if c != nil {
+		if len(st.args) > 0 {
+			return st.finish(nil, fmt.Errorf("%w: the statement has no placeholders, got %d values", ErrParams, len(st.args)))
+		}
+		st.tel.notePrepared(c)
 	} else {
-		st.key = newCacheKey(st.sql, o, db.Catalog.Epoch())
 		st.tel.setPhase("compile")
-		compileStart := time.Now()
-		res, inf, err := db.rewriteCached(st.sql, o)
+		var err error
+		if st.prep != nil {
+			c, err = db.compileStmt(st.prep.stmt, time.Now(), st.args, o)
+		} else {
+			c, err = db.compile(st.sql, st.args, o)
+		}
 		if err != nil {
 			return st.finish(nil, err)
 		}
-		st.tel.notePhases(res.Phases, inf.CacheHit, compileStart)
-		st.plan, st.info = res.Plan, inf
+		st.tel.notePhases(c)
 	}
+	st.key, st.plan, st.res, st.info = c.key, c.res.Plan, c.res, c.info
 	st.grs = db.resources(o)
-	st.ectx = o.execCtx(ctx).SetResources(st.grs)
+	st.ectx = o.execCtx(ctx).SetResources(st.grs).SetParams(c.params)
 	if st.prep != nil {
 		st.ectx.EnableBuildReuse(db.Catalog.Epoch())
 	}
@@ -176,4 +189,14 @@ func (st *statement) finish(rows *Rows, err error) error {
 	}
 	st.cancel()
 	return st.err
+}
+
+// compiled is the plan a run of p adopts: the one compiled at Prepare,
+// or nil for a statement with placeholders (or no Prepared at all),
+// which the run compiles under its own values.
+func (p *Prepared) compiled() *compiled {
+	if p == nil {
+		return nil
+	}
+	return p.c
 }

@@ -18,10 +18,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/govern"
 	"repro/internal/obs"
+	"repro/internal/types"
 )
 
 // Telemetry types, re-exported from internal/obs so callers can consume
@@ -127,6 +127,9 @@ func newDBMetrics(db *DB, latency []float64) *dbMetrics {
 	r.CounterFunc("repro_plan_cache_misses_total", "Rewrite+plan cache misses.", func() float64 {
 		_, miss := db.cache.counters()
 		return float64(miss)
+	})
+	r.CounterFunc("repro_plan_cache_replans_total", "Plan-cache lookups of a cached shape re-planned because the binding left every plan's estimate band.", func() float64 {
+		return float64(db.cache.stats().Replans)
 	})
 	r.GaugeFunc("repro_plan_cache_entries", "Plans currently cached.", func() float64 {
 		return float64(db.cache.stats().Entries)
@@ -386,17 +389,24 @@ func (q *qtel) noteAdmit(start time.Time, d time.Duration) {
 }
 
 // notePhases records compilation-stage timings. On a plan-cache miss the
-// rewriter's measured parse/rewrite/plan phases become histogram samples
-// and trace spans; on a hit compilation was skipped entirely, so the trace
-// gets a single "plan-cache" span instead and no phase histograms move.
-func (q *qtel) notePhases(ph core.Phases, cacheHit bool, at time.Time) {
+// measured parse/rewrite/plan phases become histogram samples and trace
+// spans; on a hit rewrite and planning were skipped, so the trace gets a
+// single "plan-cache" span covering parse, parameterize, lookup and bind
+// instead, and no phase histograms move. The root span counts the
+// statement's bound placeholders.
+func (q *qtel) notePhases(c *compiled) {
 	if q == nil {
 		return
 	}
-	q.cacheHit = cacheHit
-	if cacheHit {
+	q.cacheHit = c.info.CacheHit
+	at, ph := c.start, c.res.Phases
+	ph.Parse = c.parse
+	if q.trace != nil {
+		q.trace.Root.SetAttr("params", strconv.Itoa(len(c.params)))
+	}
+	if q.cacheHit {
 		if q.trace != nil {
-			sp := &obs.Span{Name: "plan-cache", Start: at}
+			sp := &obs.Span{Name: "plan-cache", Start: at, Dur: c.compile}
 			sp.SetAttr("hit", "true")
 			q.trace.Root.AddChild(sp)
 		}
@@ -421,14 +431,15 @@ func (q *qtel) notePhases(ph core.Phases, cacheHit bool, at time.Time) {
 
 // notePrepared marks a Prepared.Run execution: compilation happened at
 // Prepare time, so the trace gets a zero-duration "prepared" span in the
-// compile position and no phase histograms move. hit is the plan-cache
-// status the statement was prepared with.
-func (q *qtel) notePrepared(hit bool) {
+// compile position and no phase histograms move. The plan-cache status
+// is the one the statement was prepared with.
+func (q *qtel) notePrepared(c *compiled) {
 	if q == nil {
 		return
 	}
-	q.cacheHit = hit
+	q.cacheHit = c.info.CacheHit
 	if q.trace != nil {
+		q.trace.Root.SetAttr("params", strconv.Itoa(len(c.params)))
 		q.trace.Root.AddChild(&obs.Span{Name: "prepared", Start: time.Now()})
 	}
 }
@@ -461,7 +472,7 @@ func (q *qtel) noteExec(plan exec.Node, ectx *exec.Ctx, mem MemStats, start time
 	}
 	if q.trace != nil {
 		ex := &obs.Span{Name: "execute", Start: start, Dur: d}
-		ex.AddChild(operatorSpan(plan, snap))
+		ex.AddChild(operatorSpan(plan, snap, ectx.Params()))
 		q.trace.Root.AddChild(ex)
 	}
 }
@@ -470,8 +481,8 @@ func (q *qtel) noteExec(plan exec.Node, ectx *exec.Ctx, mem MemStats, start time
 // span subtree. Span names are the operators' EXPLAIN labels, so a trace
 // lines up 1:1 with the EXPLAIN / EXPLAIN ANALYZE printout of the same
 // plan.
-func operatorSpan(n exec.Node, stats map[exec.Node]*exec.NodeStats) *obs.Span {
-	sp := &obs.Span{Name: n.Label()}
+func operatorSpan(n exec.Node, stats map[exec.Node]*exec.NodeStats, params []types.Value) *obs.Span {
+	sp := &obs.Span{Name: exec.LabelBound(n, params)}
 	if st := stats[n]; st != nil {
 		sp.Start, sp.Dur = st.Start, st.Elapsed
 		sp.SetAttr("op", exec.Kind(n))
@@ -497,7 +508,7 @@ func operatorSpan(n exec.Node, stats map[exec.Node]*exec.NodeStats) *obs.Span {
 		}
 	}
 	for _, c := range n.Children() {
-		sp.AddChild(operatorSpan(c, stats))
+		sp.AddChild(operatorSpan(c, stats, params))
 	}
 	return sp
 }
