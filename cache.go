@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/sqlast"
 	"repro/internal/types"
 )
 
@@ -56,45 +55,32 @@ const plansPerShape = 4
 // their values folded in, under their own text. Entries are shared with
 // running statements and never modified; a re-plan puts a new one.
 type planEntry struct {
-	plans    []shapePlan
+	plans    []*core.Result
 	concrete bool
-}
-
-// shapePlan is one rewrite and plan of a shape, with the template its
-// rewritten text renders from under a binding (nil when the statement
-// has no placeholders). Rendering the template instead of printing the
-// bound statement keeps a hit's cost independent of the rewrite's size.
-type shapePlan struct {
-	res *core.Result
-	sql *sqlast.Template
 }
 
 // plan returns the entry's plan that suits a binding: every plan-time
 // estimate computed from its planning values stays within its band
 // under params.
-func (e *planEntry) plan(params []types.Value) (shapePlan, bool) {
+func (e *planEntry) plan(params []types.Value) (*core.Result, bool) {
 	for _, p := range e.plans {
-		if p.res.Bind == nil || p.res.Bind.Holds(params) {
+		if p.Bind == nil || p.Bind.Holds(params) {
 			return p, true
 		}
 	}
-	return shapePlan{}, false
+	return nil, false
 }
 
 // with returns the entry with res added to its plans (e may be nil).
-func (e *planEntry) with(res *core.Result) (*planEntry, shapePlan) {
-	p := shapePlan{res: res}
-	if res.Bind != nil {
-		p.sql = sqlast.NewTemplate(res.Stmt)
-	}
-	var plans []shapePlan
+func (e *planEntry) with(res *core.Result) *planEntry {
+	var plans []*core.Result
 	if e != nil {
 		plans = e.plans
 		if len(plans) >= plansPerShape {
 			plans = plans[1:]
 		}
 	}
-	return &planEntry{plans: append(append([]shapePlan(nil), plans...), p)}, p
+	return &planEntry{plans: append(append([]*core.Result(nil), plans...), res)}
 }
 
 // planCache memoizes finished rewrites (chosen statement, cost, physical

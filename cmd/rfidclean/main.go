@@ -123,7 +123,7 @@ func realMain(ctx context.Context) error {
 	}
 	if *showSQL {
 		fmt.Println("\nrewritten SQL:")
-		fmt.Println(ri.SQL)
+		fmt.Println(ri.SQL())
 	}
 	if *explain {
 		plan, err := db.Explain(query, opts...)

@@ -93,7 +93,7 @@ func TestContextVariants(t *testing.T) {
 	}
 
 	// The plain forms are context.Background() wrappers and still work.
-	if info, err := db.Rewrite("SELECT count(*) FROM reads"); err != nil || info.SQL == "" {
+	if info, err := db.Rewrite("SELECT count(*) FROM reads"); err != nil || info.SQL() == "" {
 		t.Errorf("Rewrite = %+v, %v", info, err)
 	}
 	if eff, err := db.DryRunRule("dedup", 10); err != nil || eff == nil {

@@ -58,7 +58,7 @@ func ExampleDB_Rewrite() {
 	fmt.Println("strategy:", info.Strategy)
 	// The pushed predicate is the query bound relaxed by the rule's
 	// 10-minute correlation window.
-	fmt.Println("widened:", strings.Contains(info.SQL, "2026-01-01 00:09:59.999999"))
+	fmt.Println("widened:", strings.Contains(info.SQL(), "2026-01-01 00:09:59.999999"))
 	// Output:
 	// strategy: expanded
 	// widened: true

@@ -71,7 +71,7 @@ func main() {
 	fmt.Println("\ncounts over dirty data:   ", render(dirty))
 	fmt.Println("counts after cleansing:   ", render(clean))
 	fmt.Println("\nchosen strategy:", clean.Rewrite.Strategy)
-	fmt.Println("rewritten SQL:  ", clean.Rewrite.SQL)
+	fmt.Println("rewritten SQL:  ", clean.Rewrite.SQL())
 }
 
 func render(r *repro.Rows) string {

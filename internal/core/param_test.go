@@ -101,9 +101,6 @@ func TestRelaxedBoundIsSymbolic(t *testing.T) {
 	if got := sqlast.SQL(sqlast.BindStmt(sym.Stmt, vals)); got != lit.SQL {
 		t.Errorf("bound symbolic rewrite differs from the literal one:\n got %s\nwant %s", got, lit.SQL)
 	}
-	if got := sqlast.NewTemplate(sym.Stmt).Render(vals); got != lit.SQL {
-		t.Errorf("template render differs from the literal rewrite:\n got %s\nwant %s", got, lit.SQL)
-	}
 }
 
 // bindMode is one way of executing a bound plan: row or vector

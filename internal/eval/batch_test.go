@@ -117,7 +117,7 @@ func (g *exprGen) randRow() schema.Row {
 }
 
 func sameValue(a, b types.Value) bool {
-	return a.Kind() == b.Kind() && a.GroupKey() == b.GroupKey()
+	return a.Kind() == b.Kind() && string(a.AppendGroupKey(nil)) == string(b.AppendGroupKey(nil))
 }
 
 // TestBatchMatchesRowProperty cross-checks EvalBatch against the row path

@@ -362,7 +362,7 @@ func compileIn(e *sqlast.In, env *Env) (*Compiled, error) {
 				setHasNull = true
 				continue
 			}
-			set[v.GroupKey()] = struct{}{}
+			set[string(v.AppendGroupKey(nil))] = struct{}{}
 		}
 	} else {
 		for _, m := range e.List {
@@ -370,7 +370,7 @@ func compileIn(e *sqlast.In, env *Env) (*Compiled, error) {
 				if cst.V.IsNull() {
 					setHasNull = true
 				} else {
-					set[cst.V.GroupKey()] = struct{}{}
+					set[string(cst.V.AppendGroupKey(nil))] = struct{}{}
 				}
 				continue
 			}
@@ -390,10 +390,8 @@ func compileIn(e *sqlast.In, env *Env) (*Compiled, error) {
 		if v.IsNull() {
 			return types.Null, nil
 		}
-		found := false
-		if _, ok := set[v.GroupKey()]; ok {
-			found = true
-		}
+		var buf [64]byte
+		_, found := set[string(v.AppendGroupKey(buf[:0]))]
 		sawNull := setHasNull
 		if !found {
 			for _, m := range members {

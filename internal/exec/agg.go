@@ -49,11 +49,12 @@ func (a *accumulator) add(v types.Value) error {
 		return nil
 	}
 	if a.distinct {
-		k := v.GroupKey()
-		if _, dup := a.seen[k]; dup {
+		var buf [64]byte
+		k := v.AppendGroupKey(buf[:0])
+		if _, dup := a.seen[string(k)]; dup {
 			return nil
 		}
-		a.seen[k] = struct{}{}
+		a.seen[string(k)] = struct{}{}
 	}
 	a.count++
 	switch a.fn {

@@ -36,11 +36,7 @@ func BenchmarkColumnarScan(b *testing.B) {
 		return NewFilterNode(NewScanNode(tab, "t"), benchCompileOn(b, src, tab), src)
 	}
 	mkFused := func(src string, zone []storage.ZonePred) Node {
-		s := NewScanNode(tab, "t")
-		s.Pred = benchCompileOn(b, src, tab)
-		s.PredDesc = src
-		s.Zone = zone
-		return s
+		return fuse(NewScanNode(tab, "t"), benchCompileOn(b, src, tab), src, zone)
 	}
 
 	// Parity gate: every variant must produce the same rows.

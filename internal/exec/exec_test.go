@@ -32,6 +32,21 @@ func intSchema(names ...string) *schema.Schema {
 	return s
 }
 
+// fuse fuses pred, labelled desc, into the sequential scan s, with the
+// zone preds zone.
+func fuse(s *ScanNode, pred *eval.Compiled, desc string, zone []storage.ZonePred) *ScanNode {
+	s.Bind = func(*Ctx) (ScanBinding, error) { return ScanBinding{Pred: pred, Zone: zone}, nil }
+	s.Pred.Desc = desc
+	return s
+}
+
+// indexRange makes s an index scan of column ord over b.
+func indexRange(s *ScanNode, ord int, b storage.Bounds) *ScanNode {
+	s.IndexOrd = ord
+	s.Bind = func(*Ctx) (ScanBinding, error) { return ScanBinding{Bounds: b}, nil }
+	return s
+}
+
 func mustExec(t *testing.T, n Node) *Result {
 	t.Helper()
 	r, err := Run(NewCtx(), n)
@@ -54,9 +69,7 @@ func TestScanNodeSequentialAndIndex(t *testing.T) {
 	}
 
 	lo := types.NewInt(2)
-	ix := NewScanNode(tab, "t")
-	ix.IndexOrd = 0
-	ix.Bounds = storage.Bounds{Lo: &lo, LoIncl: true}
+	ix := indexRange(NewScanNode(tab, "t"), 0, storage.Bounds{Lo: &lo, LoIncl: true})
 	got := mustExec(t, ix)
 	if len(got.Rows) != 4 {
 		t.Fatalf("index scan rows = %d", len(got.Rows))

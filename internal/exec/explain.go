@@ -21,28 +21,36 @@ func ExplainBound(n Node, params []types.Value) string {
 	return b.String()
 }
 
-// LabelBound is n's EXPLAIN label with its predicate rendered under a
-// binding, as ExplainBound prints it.
+// LabelBound is n's EXPLAIN label under a binding, as ExplainBound
+// prints it: a scan's or filter's predicate shows the binding's values
+// in place of its placeholders.
 func LabelBound(n Node, params []types.Value) string {
-	if params == nil {
-		return n.Label()
-	}
-	switch v := n.(type) {
-	case *ScanNode:
-		if v.ParamPred != nil && v.IndexOrd < 0 {
-			return v.label(boundDesc(v.ParamPred, params))
-		}
-	case *FilterNode:
-		if v.ParamPred != nil {
-			return "Filter(" + boundDesc(v.ParamPred, params) + ")"
-		}
+	if p, ok := n.(interface{ labelUnder([]types.Value) string }); ok {
+		return p.labelUnder(params)
 	}
 	return n.Label()
 }
 
-// boundDesc is a predicate's label text with its placeholders bound.
-func boundDesc(pred sqlast.Expr, params []types.Value) string {
-	return Abbreviate(sqlast.ExprSQL(sqlast.BindExpr(pred, params)))
+// PredLabel is a predicate as plan labels show it: Desc, its text as
+// planned, or — under a binding — Expr with the binding's values in
+// place of its placeholders. Expr is nil for a predicate that was built
+// compiled.
+type PredLabel struct {
+	Desc string
+	Expr sqlast.Expr
+}
+
+// LabelOf is the label of predicate e.
+func LabelOf(e sqlast.Expr) PredLabel {
+	return PredLabel{Desc: Abbreviate(sqlast.ExprSQL(e)), Expr: e}
+}
+
+// under is the label's text under params.
+func (p PredLabel) under(params []types.Value) string {
+	if params == nil || p.Expr == nil {
+		return p.Desc
+	}
+	return Abbreviate(sqlast.ExprSQL(sqlast.BindExpr(p.Expr, params)))
 }
 
 // Abbreviate shortens a predicate's text for a plan label.

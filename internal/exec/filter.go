@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/schema"
-	"repro/internal/sqlast"
 	"repro/internal/types"
 )
 
@@ -14,38 +13,39 @@ import (
 type FilterNode struct {
 	base
 	Input Node
-	Pred  *eval.Compiled
-	// Bind, when set, compiles the predicate per execution at open
-	// instead — for a predicate with uncorrelated IN/EXISTS subqueries,
-	// whose plans (Subplans, listed among the children for EXPLAIN) it
-	// runs through Run. Planning never executes anything, so the values
-	// those subqueries produce exist only once a statement runs. Bind also
-	// returns the values of the ProbeCol conjunct's subquery (nil when
-	// there is none).
-	Bind     func(ctx *Ctx) (*eval.Compiled, []types.Value, error)
+	// Bind compiles the predicate for one execution at open: under the
+	// statement's binding (Ctx.Params), and over the values its
+	// uncorrelated IN/EXISTS subqueries produce — their plans (Subplans,
+	// listed among the children for EXPLAIN) run through Run. Planning
+	// never executes anything, so those values exist only once a
+	// statement runs. Bind also returns the values of the ProbeCol
+	// conjunct's subquery (nil when there is none).
+	Bind     func(c *Ctx) (*eval.Compiled, []types.Value, error)
 	Subplans []Node
 	// ProbeCol, when >= 0, is the column of a top-level `col IN
 	// (subquery)` conjunct over a plain scan (see ProbeScan) of a table
 	// indexed on it: the subquery's values become index probes that
 	// narrow the scan (probe.go).
 	ProbeCol int
-	// Desc describes the predicate for EXPLAIN; ParamPred, when the
-	// predicate holds placeholders, is the predicate, which EXPLAIN prints
-	// under a binding.
-	Desc      string
-	ParamPred sqlast.Expr
+	// Pred labels the predicate.
+	Pred PredLabel
 }
 
-// NewFilterNode wraps child with a compiled predicate.
+// NewFilterNode wraps child with a compiled predicate, labelled desc.
 func NewFilterNode(child Node, pred *eval.Compiled, desc string) *FilterNode {
-	n := &FilterNode{Input: child, Pred: pred, Desc: desc, ProbeCol: -1}
+	n := &FilterNode{Input: child, Pred: PredLabel{Desc: desc}, ProbeCol: -1,
+		Bind: func(*Ctx) (*eval.Compiled, []types.Value, error) { return pred, nil, nil }}
 	n.schema = child.Schema()
 	n.ordering = child.Ordering()
 	return n
 }
 
 // Label implements Node.
-func (n *FilterNode) Label() string { return "Filter(" + n.Desc + ")" }
+func (n *FilterNode) Label() string { return n.labelUnder(nil) }
+
+func (n *FilterNode) labelUnder(params []types.Value) string {
+	return "Filter(" + n.Pred.under(params) + ")"
+}
 
 // Children implements Node.
 func (n *FilterNode) Children() []Node { return append([]Node{n.Input}, n.Subplans...) }
@@ -56,13 +56,9 @@ func (n *FilterNode) Children() []Node { return append([]Node{n.Input}, n.Subpla
 // and only the selected row references are gathered; the row path
 // serves the whole morsel when vectorization is off.
 func (n *FilterNode) open(c *Ctx) (*level, error) {
-	pred := n.Pred
-	var keys []types.Value
-	if n.Bind != nil {
-		var err error
-		if pred, keys, err = n.Bind(c); err != nil {
-			return nil, err
-		}
+	pred, keys, err := n.Bind(c)
+	if err != nil {
+		return nil, err
 	}
 	vec := c.useVector(pred)
 	sels := make([][]int, c.par)

@@ -29,7 +29,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/govern"
 	"repro/internal/schema"
-	"repro/internal/sqlast"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -547,32 +546,27 @@ func EstMem(n Node) float64 {
 // and optionally with a filter predicate fused into the scan. A fused
 // predicate evaluates directly over the columnar segment vectors in
 // vectorized mode — no row materialization for non-matching rows — with
-// per-segment zone maps (Zone) skipping segments that cannot contain a
-// match.
+// per-segment zone maps (ScanBinding.Zone) skipping segments that cannot
+// contain a match.
 type ScanNode struct {
 	base
 	Table *storage.Table
 	// IndexOrd selects an index scan on that column ordinal when >= 0.
 	IndexOrd int
-	Bounds   storage.Bounds
-	// Pred, when non-nil, is a filter fused into a sequential scan: only
-	// rows satisfying it are emitted. PredDesc labels it in EXPLAIN.
-	Pred     *eval.Compiled
-	PredDesc string
-	// Zone holds range summaries implied by Pred's conjuncts. Segments
-	// whose zone maps cannot satisfy all of them are skipped — in
-	// vectorized mode only; the row path (WithRowEval) reads every
-	// segment and is the pruning correctness baseline.
-	Zone []storage.ZonePred
-	// Bind, when set, resolves Bounds, Zone and Pred per execution from
-	// the statement's binding (Ctx.Params) for a scan whose sargable
-	// conjuncts or fused predicate hold placeholders; ParamPred is then
-	// that predicate, which EXPLAIN prints under a binding.
-	Bind      func(c *Ctx) (ScanBinding, error)
-	ParamPred sqlast.Expr
+	// Bind resolves the scan for one execution under the statement's
+	// binding (Ctx.Params): an index scan's range, or a sequential scan's
+	// fused predicate and zone preds. nil for a plain scan.
+	Bind func(c *Ctx) (ScanBinding, error)
+	// Pred labels the fused predicate.
+	Pred PredLabel
 }
 
-// ScanBinding is the part of a scan one binding determines.
+// ScanBinding is what one execution scans: an index scan's Bounds, or
+// the predicate Pred fused into a sequential scan (only rows satisfying
+// it are emitted) with the range summaries Zone its conjuncts imply.
+// Segments whose zone maps cannot satisfy all of Zone are skipped — in
+// vectorized mode only; the row path (WithRowEval) reads every segment
+// and is the pruning correctness baseline.
 type ScanBinding struct {
 	Bounds storage.Bounds
 	Zone   []storage.ZonePred
@@ -581,7 +575,7 @@ type ScanBinding struct {
 
 // Plain reports whether the scan reads its whole table with no index
 // range or predicate, under every binding.
-func (s *ScanNode) Plain() bool { return s.IndexOrd < 0 && s.Pred == nil && s.Bind == nil }
+func (s *ScanNode) Plain() bool { return s.IndexOrd < 0 && s.Bind == nil }
 
 // NewScanNode builds a scan. alias qualifies the output schema.
 func NewScanNode(t *storage.Table, alias string) *ScanNode {
@@ -591,15 +585,13 @@ func NewScanNode(t *storage.Table, alias string) *ScanNode {
 }
 
 // Label implements Node.
-func (s *ScanNode) Label() string {
+func (s *ScanNode) Label() string { return s.labelUnder(nil) }
+
+func (s *ScanNode) labelUnder(params []types.Value) string {
 	if s.IndexOrd >= 0 {
 		return fmt.Sprintf("IndexScan(%s.%s)", s.Table.Name, s.Table.Schema.Columns[s.IndexOrd].Name)
 	}
-	return s.label(s.PredDesc)
-}
-
-func (s *ScanNode) label(desc string) string {
-	if desc != "" {
+	if desc := s.Pred.under(params); desc != "" {
 		return fmt.Sprintf("Scan(%s | %s)", s.Table.Name, desc)
 	}
 	return fmt.Sprintf("Scan(%s)", s.Table.Name)
@@ -617,7 +609,7 @@ func (s *ScanNode) Children() []Node { return nil }
 // reserve their output's row references up front.
 func (s *ScanNode) open(c *Ctx, probe *scanProbe) (*level, source, error) {
 	lv := &level{node: s, parallel: true}
-	sb := ScanBinding{Bounds: s.Bounds, Zone: s.Zone, Pred: s.Pred}
+	var sb ScanBinding
 	if s.Bind != nil {
 		var err error
 		if sb, err = s.Bind(c); err != nil {

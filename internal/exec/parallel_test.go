@@ -189,10 +189,7 @@ func TestParallelIndexScanMatchesSerial(t *testing.T) {
 	}
 	tab.BuildIndex("a")
 	lo := types.NewInt(100)
-	scan := NewScanNode(tab, "t")
-	scan.IndexOrd = 0
-	scan.Bounds = storage.Bounds{Lo: &lo, LoIncl: true}
-	execBoth(t, scan)
+	execBoth(t, indexRange(NewScanNode(tab, "t"), 0, storage.Bounds{Lo: &lo, LoIncl: true}))
 }
 
 // Sort keys must be computed once per row, never per comparison — a
@@ -225,30 +222,6 @@ func TestSortEvaluatesKeysOncePerRow(t *testing.T) {
 	}
 }
 
-// AppendGroupKey must encode exactly like GroupKey for every kind —
-// the keyEnc fast path and the accumulator's DISTINCT map must agree on
-// value identity.
-func TestAppendGroupKeyMatchesGroupKey(t *testing.T) {
-	vals := []types.Value{
-		types.Null,
-		types.NewBool(true),
-		types.NewBool(false),
-		types.NewInt(-42),
-		types.NewInt(1 << 40),
-		types.NewFloat(3.25),
-		types.NewFloat(-0.0),
-		types.NewString(""),
-		types.NewString("abc\x00def"),
-		types.NewTime(1158019200000000),
-		types.NewInterval(-5000000),
-	}
-	for _, v := range vals {
-		if got, want := string(v.AppendGroupKey(nil)), v.GroupKey(); got != want {
-			t.Errorf("%s: AppendGroupKey %q != GroupKey %q", v.SQL(), got, want)
-		}
-	}
-}
-
 // The keying hot path — encode a row and hash it — must not allocate.
 func TestKeyEncodingZeroAllocs(t *testing.T) {
 	row := schema.Row{types.NewInt(12345), types.NewString("case07"), types.NewFloat(2.5), types.Null}
@@ -276,7 +249,7 @@ func BenchmarkRowKeying(b *testing.B) {
 			r := rows[i%len(rows)]
 			kb := make([]byte, 0, 16)
 			for _, v := range r {
-				kb = append(kb, v.GroupKey()...)
+				kb = v.AppendGroupKey(kb)
 				kb = append(kb, 0x1f)
 			}
 			sink += len(string(kb))

@@ -38,10 +38,7 @@ func fusedScan(t *testing.T, tab *storage.Table, src string, zone []storage.Zone
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Pred = pred
-	s.PredDesc = src
-	s.Zone = zone
-	return s
+	return fuse(s, pred, src, zone)
 }
 
 func runScan(t *testing.T, s *ScanNode, vec bool) (*Result, *NodeStats) {

@@ -56,10 +56,7 @@ func evenPred() *eval.Compiled {
 // fusedScan is a sequential scan with the predicate fused in — the
 // streaming fast path.
 func fusedEvenScan(tab *storage.Table) *ScanNode {
-	s := NewScanNode(tab, "t")
-	s.Pred = evenPred()
-	s.PredDesc = "a%2=0"
-	return s
+	return fuse(NewScanNode(tab, "t"), evenPred(), "a%2=0", nil)
 }
 
 // streamPlans enumerates one plan per streaming source plus the breaker
@@ -76,12 +73,9 @@ func streamPlans(tab *storage.Table) map[string]func() Node {
 		// Matches rows in the last morsels only: every earlier morsel
 		// yields no row, which must not read as end of stream.
 		"sparse-fused-scan": func() Node {
-			s := NewScanNode(tab, "t")
-			s.Pred = eval.FromFunc(func(r schema.Row) (types.Value, error) {
+			return fuse(NewScanNode(tab, "t"), eval.FromFunc(func(r schema.Row) (types.Value, error) {
 				return types.NewBool(r[0].Int() >= 19990 || r[0].Int() == 9000), nil
-			})
-			s.PredDesc = "a>=19990 or a=9000"
-			return s
+			}), "a>=19990 or a=9000", nil)
 		},
 		"plain-scan": func() Node { return NewScanNode(tab, "t") },
 		"filter": func() Node {
@@ -216,12 +210,9 @@ func TestStreamEarlyCloseReleasesMemory(t *testing.T) {
 		// Matches rows in the last morsels only: every earlier morsel
 		// yields no row, which must not read as end of stream.
 		"sparse-fused-scan": func() Node {
-			s := NewScanNode(tab, "t")
-			s.Pred = eval.FromFunc(func(r schema.Row) (types.Value, error) {
+			return fuse(NewScanNode(tab, "t"), eval.FromFunc(func(r schema.Row) (types.Value, error) {
 				return types.NewBool(r[0].Int() >= 19990 || r[0].Int() == 9000), nil
-			})
-			s.PredDesc = "a>=19990 or a=9000"
-			return s
+			}), "a>=19990 or a=9000", nil)
 		},
 		"project-chain": func() Node {
 			f := NewFilterNode(NewScanNode(tab, "t"), evenPred(), "a%2=0")

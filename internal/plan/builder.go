@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/enginerr"
-	"repro/internal/eval"
 	"repro/internal/exec"
 	"repro/internal/schema"
 	"repro/internal/sqlast"
@@ -497,8 +496,8 @@ func (b *builder) applyFilter(pl *planned, conjs []sqlast.Expr, scope *cteScope)
 	return b.filterNode(pl, expr, scope)
 }
 
-// filterNode builds a filter over pl; a predicate with subqueries is
-// bound when the statement runs (see bindSubqueries).
+// filterNode builds a filter over pl; a predicate with subqueries or
+// placeholders is bound when the statement runs (see bindPredicate).
 func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*planned, error) {
 	subplans, order, subCost, err := b.planSubqueries(expr, scope)
 	if err != nil {
@@ -507,21 +506,13 @@ func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*p
 	sel := b.selectivity(expr, pl, subplans)
 	rows := pl.node.EstRows() * sel
 	cost := pl.node.EstCost() + evalCPU(pl.node.EstRows(), costFilterRow) + subCost
-	desc := exec.Abbreviate(sqlast.ExprSQL(expr))
-	n := exec.NewFilterNode(pl.node, nil, desc)
-	param := sqlast.HasParam(expr)
-	if param {
-		n.ParamPred = expr
+	n := exec.NewFilterNode(pl.node, nil, "")
+	n.Subplans, n.Pred = order, exec.LabelOf(expr)
+	var probe sqlast.Stmt
+	if len(subplans) > 0 {
+		n.ProbeCol, probe = probeConjunct(expr, pl)
 	}
-	if len(subplans) > 0 || param {
-		var probe sqlast.Stmt
-		if len(subplans) > 0 {
-			n.ProbeCol, probe = probeConjunct(expr, pl)
-		} else if _, err := eval.Compile(expr, &eval.Env{Schema: pl.schema(), Params: b.params()}); err != nil {
-			return nil, err
-		}
-		n.Bind, n.Subplans = bindPredicate(expr, pl.schema(), subplans, probe, desc), order
-	} else if n.Pred, err = eval.Compile(expr, &eval.Env{Schema: pl.schema()}); err != nil {
+	if n.Bind, err = b.bindPredicate(expr, pl.schema(), subplans, probe); err != nil {
 		return nil, err
 	}
 	exec.SetEstimates(n, rows, cost)

@@ -18,16 +18,29 @@ import (
 	"repro/internal/types"
 )
 
-// bindPredicate returns the open-time binder of a filter predicate that
-// contains uncorrelated IN/EXISTS subqueries or placeholders: it runs the
-// subqueries' plans through the statement's execution context (so a
-// repeated subquery runs once) and compiles the predicate over the values
-// they produce and the statement's binding, handing back those of the
-// probe subquery (nil for none) as the scan's probe keys. Compilation
-// waits for execution because planning must never execute anything, or
-// costing candidate rewrites would pay for running them, and because
-// one plan serves every binding.
-func bindPredicate(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.Stmt]exec.Node, probe sqlast.Stmt, desc string) func(*exec.Ctx) (*eval.Compiled, []types.Value, error) {
+// bindPredicate returns the open-time binder of a filter predicate. One
+// with neither subqueries nor placeholders compiles once, now. Any other
+// compiles per execution: under the statement's binding, and over the
+// values its uncorrelated IN/EXISTS subqueries produce — it runs their
+// plans through the statement's execution context (so a repeated
+// subquery runs once) and hands back those of the probe subquery (nil
+// for none) as the scan's probe keys. Compilation waits for execution
+// because planning must never execute anything, or costing candidate
+// rewrites would pay for running them, and because one plan serves
+// every binding.
+func (b *builder) bindPredicate(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.Stmt]exec.Node, probe sqlast.Stmt) (func(*exec.Ctx) (*eval.Compiled, []types.Value, error), error) {
+	if len(subplans) == 0 {
+		bind, err := atOpen(b, sqlast.HasParam(expr), func(params []types.Value) (*eval.Compiled, error) {
+			return eval.Compile(expr, &eval.Env{Schema: sch, Params: params})
+		})
+		if err != nil {
+			return nil, err
+		}
+		return func(c *exec.Ctx) (*eval.Compiled, []types.Value, error) {
+			pred, err := bind(c)
+			return pred, nil, err
+		}, nil
+	}
 	return func(ctx *exec.Ctx) (*eval.Compiled, []types.Value, error) {
 		var keys []types.Value
 		pred, err := eval.Compile(expr, &eval.Env{
@@ -36,7 +49,7 @@ func bindPredicate(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.Stm
 			SubEval: func(s sqlast.Stmt) ([]types.Value, error) {
 				node, ok := subplans[s]
 				if !ok {
-					return nil, fmt.Errorf("plan: unplanned subquery in predicate %s", desc)
+					return nil, fmt.Errorf("plan: unplanned subquery in predicate %s", sqlast.ExprSQL(expr))
 				}
 				res, err := exec.Run(ctx, node)
 				if err != nil {
@@ -53,7 +66,7 @@ func bindPredicate(expr sqlast.Expr, sch *schema.Schema, subplans map[sqlast.Stm
 			},
 		})
 		return pred, keys, err
-	}
+	}, nil
 }
 
 // probeConjunct finds a top-level `col IN (subquery)` conjunct of expr,

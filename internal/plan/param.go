@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/sqlast"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -97,6 +98,22 @@ func (b *builder) params() []types.Value {
 		return nil
 	}
 	return b.bind.Params
+}
+
+// atOpen returns the open-time binder of what f makes of a binding. When
+// that depends on no placeholder (param false) the binder returns what f
+// made at plan time, so a literal plan compiles once; otherwise it calls
+// f under each execution's binding. f runs under the planning binding
+// either way, so a plan never holds a predicate that cannot compile.
+func atOpen[T any](b *builder, param bool, f func([]types.Value) (T, error)) (func(*exec.Ctx) (T, error), error) {
+	planned, err := f(b.params())
+	if err != nil {
+		return nil, err
+	}
+	if !param {
+		return func(*exec.Ctx) (T, error) { return planned, nil }, nil
+	}
+	return func(c *exec.Ctx) (T, error) { return f(c.Params()) }, nil
 }
 
 // constLike reports whether e is a literal, a placeholder, or arithmetic

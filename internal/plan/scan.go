@@ -69,12 +69,13 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 	}
 
 	scan := exec.NewScanNode(t, binding)
-	pl := &planned{stats: stats}
+	pl := &planned{node: scan, stats: stats}
 
 	// Split the conjuncts a fused scan could take (no subqueries) from
 	// those that need the filter machinery above the scan. Zone preds may
 	// only summarize conjuncts that are actually fused: the scan skips a
-	// segment on their evidence, so each must be implied by Pred.
+	// segment on their evidence, so each must be implied by the fused
+	// predicate.
 	var fuse, residual []sqlast.Expr
 	for _, c := range conjs {
 		if hasSubquery(c) {
@@ -107,8 +108,6 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 		// index path just as much); zone pruning still discounts the
 		// sequential side via seqRows.
 		if idxCost < cpu(seqRows*costSeqRow) {
-			scan.IndexOrd = best.ord
-			scan.Bounds = best.bounds
 			var used, remaining []sqlast.Expr
 			for _, c := range conjs {
 				if best.used[c] {
@@ -117,50 +116,38 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 					remaining = append(remaining, c)
 				}
 			}
-			if best.param {
-				ord := best.ord
-				scan.Bind = func(c *exec.Ctx) (exec.ScanBinding, error) {
-					cb := sargBounds(used, t, binding, c.Params())[ord]
-					if cb == nil {
-						return exec.ScanBinding{}, fmt.Errorf("plan: index bounds of %s.%s: %w", t.Name, t.Schema.Columns[ord].Name, eval.ErrUnbound)
-					}
-					return exec.ScanBinding{Bounds: cb.bounds}, nil
+			ord := best.ord
+			bind, err := atOpen(b, best.param, func(params []types.Value) (exec.ScanBinding, error) {
+				cb := sargBounds(used, t, binding, params)[ord]
+				if cb == nil {
+					return exec.ScanBinding{}, fmt.Errorf("plan: index bounds of %s.%s: %w", t.Name, t.Schema.Columns[ord].Name, eval.ErrUnbound)
 				}
+				return exec.ScanBinding{Bounds: cb.bounds}, nil
+			})
+			if err != nil {
+				return nil, err
 			}
+			scan.IndexOrd, scan.Bind = ord, bind
 			exec.SetEstimates(scan, matched, idxCost)
-			exec.SetOrdering(scan, []exec.OrderCol{{Col: best.ord}})
-			pl.node = scan
+			exec.SetOrdering(scan, []exec.OrderCol{{Col: ord}})
 			return b.applyFilter(pl, remaining, scope)
 		}
 	}
 
-	pl.node = scan
 	if len(fuse) == 0 {
 		exec.SetEstimates(scan, total, seqCost)
 		return b.applyFilter(pl, residual, scope)
 	}
-	expr := sqlast.And(fuse...)
-	pred, err := eval.Compile(expr, &eval.Env{Schema: scan.Schema(), Params: b.params()})
+	expr, sch := sqlast.And(fuse...), scan.Schema()
+	bind, err := atOpen(b, sqlast.HasParam(expr), func(params []types.Value) (exec.ScanBinding, error) {
+		pred, err := eval.Compile(expr, &eval.Env{Schema: sch, Params: params})
+		return exec.ScanBinding{Pred: pred, Zone: zonePreds(sargBounds(fuse, t, binding, params))}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	sel := b.selectivity(expr, pl, nil)
-	scan.PredDesc = exec.Abbreviate(sqlast.ExprSQL(expr))
-	if sqlast.HasParam(expr) {
-		sch := scan.Schema()
-		scan.ParamPred = expr
-		scan.Bind = func(c *exec.Ctx) (exec.ScanBinding, error) {
-			pred, err := eval.Compile(expr, &eval.Env{Schema: sch, Params: c.Params()})
-			if err != nil {
-				return exec.ScanBinding{}, err
-			}
-			return exec.ScanBinding{Pred: pred, Zone: zonePreds(sargBounds(conjs, t, binding, c.Params()))}, nil
-		}
-	} else {
-		scan.Pred = pred
-		scan.Zone = zone
-	}
-	exec.SetEstimates(scan, total*sel, seqCost)
+	scan.Bind, scan.Pred = bind, exec.LabelOf(expr)
+	exec.SetEstimates(scan, total*b.selectivity(expr, pl, nil), seqCost)
 	return b.applyFilter(pl, residual, scope)
 }
 

@@ -182,82 +182,6 @@ func ArithOf(op BinOp) types.ArithOp {
 	return types.OpAdd
 }
 
-// Template is a statement's printed text cut around its placeholder
-// expressions, so that its text under a binding — what
-// SQL(BindStmt(s, params)) prints — is the parts joined by the holes
-// printed bound, rather than a clone and a print of the whole statement.
-// The printer cuts it: a hole is a maximal expression over placeholders
-// and literals, kept with the precedence of the place it is printed in.
-type Template struct {
-	parts []string
-	holes []hole
-	// uncut marks text a placeholder's value shapes outside its hole (a
-	// placeholder under a negation); whole is then the statement, which
-	// Render binds and prints in full.
-	uncut bool
-	whole Stmt
-}
-
-type hole struct {
-	e    Expr
-	prec int
-}
-
-// NewTemplate prints s as a template.
-func NewTemplate(s Stmt) *Template {
-	t := &Template{}
-	b := &printer{cut: t}
-	printStmt(b, s)
-	if t.uncut {
-		return &Template{whole: s}
-	}
-	t.parts = append(t.parts, b.String())
-	return t
-}
-
-// cutHole ends the current part at hole e.
-func (t *Template) cutHole(b *printer, e Expr, prec int) {
-	t.parts = append(t.parts, b.String())
-	t.holes = append(t.holes, hole{e, prec})
-	b.Reset()
-}
-
-// Render returns the template's text under a binding.
-func (t *Template) Render(params []types.Value) string {
-	if t.whole != nil {
-		return SQL(BindStmt(t.whole, params))
-	}
-	var b printer
-	for i, h := range t.holes {
-		b.WriteString(t.parts[i])
-		printExpr(&b, BindExpr(h.e, params), h.prec)
-	}
-	b.WriteString(t.parts[len(t.holes)])
-	return b.String()
-}
-
-// paramOnly reports whether e holds a placeholder and, besides, only
-// literals and operators over them.
-func paramOnly(e Expr) bool {
-	has := false
-	var walk func(Expr) bool
-	walk = func(e Expr) bool {
-		switch e := e.(type) {
-		case *Param:
-			has = true
-			return true
-		case *Const:
-			return true
-		case *Bin:
-			return walk(e.L) && walk(e.R)
-		case *Un:
-			return walk(e.E)
-		}
-		return false
-	}
-	return walk(e) && has
-}
-
 // EachSelect calls f on every SELECT in s: CTE bodies, derived tables,
 // set-operation branches and expression subqueries included.
 func EachSelect(s Stmt, f func(*SelectStmt)) {

@@ -25,12 +25,9 @@ func ExprSQL(e Expr) string {
 	return b.String()
 }
 
-// printer accumulates printed SQL. With cut set it prints a Template
-// instead: each maximal expression over placeholders and literals is cut
-// out of the text as one of the template's holes.
+// printer accumulates printed SQL.
 type printer struct {
 	strings.Builder
-	cut *Template
 }
 
 func printStmt(b *printer, s Stmt) {
@@ -205,10 +202,6 @@ func nodePrec(e Expr) int {
 }
 
 func printExpr(b *printer, e Expr, parentPrec int) {
-	if b.cut != nil && paramOnly(e) {
-		b.cut.cutHole(b, e, parentPrec)
-		return
-	}
 	if e != nil {
 		if p := nodePrec(e); p < parentPrec {
 			b.WriteString("(")
@@ -262,11 +255,6 @@ func printExpr(b *printer, e Expr, parentPrec int) {
 			}
 			// Render the operand first: a leading '-' would fuse into a
 			// SQL line comment ("--"), so parenthesize in that case.
-			// Whether a '-' leads the operand's text depends on a bound
-			// value, so a template cannot cut placeholders out of it.
-			if b.cut != nil && HasParam(e.E) {
-				b.cut.uncut = true
-			}
 			var inner printer
 			printExpr(&inner, e.E, 6)
 			b.WriteString("-")

@@ -124,25 +124,43 @@ func TestExprSQLCoversScalarShapes(t *testing.T) {
 	}
 }
 
-// TestTemplateRendersBoundPrint checks a template's text under a binding
-// is what binding the statement and printing it gives: holes at several
-// precedences, a placeholder under a negation (not cut), a subquery, and
-// string literals and values made of NUL bytes and digits.
-func TestTemplateRendersBoundPrint(t *testing.T) {
+// TestBindStmtPrints checks the text of a statement under a binding —
+// what RewriteInfo.SQL shows: each placeholder prints as its value,
+// arithmetic over a bound value folds to one literal, and the text
+// parses back to itself with no placeholder left. The cases cover a
+// NUL-leading string, a negative value under a negation, and
+// placeholders inside IN and EXISTS subqueries.
+func TestBindStmtPrints(t *testing.T) {
 	vals := []types.Value{types.NewString("\x000\x00"), types.NewInt(-7), types.NewTime(60_000_000)}
-	for _, src := range []string{
-		"SELECT '\x000\x00', a FROM t WHERE a = $1 AND b > $2 * 3 + c",
-		"SELECT a FROM t WHERE a IN (SELECT b FROM u WHERE u.r <= $3 + INTERVAL '5' MINUTE) AND c <> $1",
-		"SELECT -$2, -(a + $2) FROM t WHERE NOT ($2 < 0) AND a = 'x\x00'",
-		"SELECT a FROM t WHERE a = 1",
+	for _, c := range []struct{ src, want string }{
+		{"SELECT '\x000\x00', a FROM t WHERE a = $1 AND b > $2 * 3 + c",
+			"SELECT '\x000\x00', a FROM t WHERE a = '\x000\x00' AND b > -21 + c"},
+		{"SELECT a FROM t WHERE a IN (SELECT b FROM u WHERE u.r <= $3 + INTERVAL '5' MINUTE) AND c <> $1",
+			"SELECT a FROM t WHERE a IN (SELECT b FROM u WHERE u.r <= TIMESTAMP '1970-01-01 00:06:00.000000') AND c <> '\x000\x00'"},
+		{"SELECT -$2, -(a + $2) FROM t WHERE NOT ($2 < 0) AND a = 'x\x00'",
+			"SELECT 7, -(a + -7) FROM t WHERE NOT -7 < 0 AND a = 'x\x00'"},
+		{"SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.b = $2) AND a = 1",
+			"SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.b = -7) AND a = 1"},
+		{"SELECT a FROM t WHERE a = 1", "SELECT a FROM t WHERE a = 1"},
 	} {
-		stmt, err := sqlparser.Parse(src)
+		stmt, err := sqlparser.Parse(c.src)
 		if err != nil {
-			t.Fatalf("%q: %v", src, err)
+			t.Fatalf("%q: %v", c.src, err)
 		}
-		want := sqlast.SQL(sqlast.BindStmt(stmt, vals))
-		if got := sqlast.NewTemplate(stmt).Render(vals); got != want {
-			t.Errorf("%q:\n got %q\nwant %q", src, got, want)
+		before := sqlast.SQL(stmt)
+		got := sqlast.SQL(sqlast.BindStmt(stmt, vals))
+		if got != c.want {
+			t.Errorf("%q:\n got %q\nwant %q", c.src, got, c.want)
+		}
+		if sqlast.SQL(stmt) != before {
+			t.Errorf("%q: binding modified the statement", c.src)
+		}
+		again, err := sqlparser.Parse(got)
+		if err != nil {
+			t.Fatalf("%q: bound text does not parse: %v", got, err)
+		}
+		if sqlast.MaxParam(again) != 0 || sqlast.SQL(again) != got {
+			t.Errorf("bound text is not a placeholder-free fixed point: %q → %q", got, sqlast.SQL(again))
 		}
 	}
 }

@@ -25,6 +25,7 @@ func (t *Table) Analyze() {
 	for ord := range t.Schema.Columns {
 		st := &ColStats{Min: types.Null, Max: types.Null}
 		seen := make(map[string]struct{})
+		var key []byte
 		for _, seg := range segs {
 			for i := 0; i < seg.Len(); i++ {
 				v := seg.Value(ord, i)
@@ -32,7 +33,10 @@ func (t *Table) Analyze() {
 					continue
 				}
 				st.NonNull++
-				seen[v.GroupKey()] = struct{}{}
+				key = v.AppendGroupKey(key[:0])
+				if _, ok := seen[string(key)]; !ok {
+					seen[string(key)] = struct{}{}
+				}
 				if st.Min.IsNull() {
 					st.Min, st.Max = v, v
 					continue

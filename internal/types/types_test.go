@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -207,39 +208,57 @@ func TestTruthOfAndBack(t *testing.T) {
 	}
 }
 
+// groupKey is v's group key as a map key.
+func groupKey(v Value) string { return string(v.AppendGroupKey(nil)) }
+
 func TestGroupKeyDistinguishesKindsAndValues(t *testing.T) {
 	vals := []Value{
 		Null, NewBool(false), NewBool(true), NewInt(0), NewInt(1),
 		NewFloat(0), NewFloat(1.5), NewString(""), NewString("0"),
+		NewString("abc"), NewString("abc\x00def"),
 		NewTime(0), NewTime(1), NewInterval(0), NewInterval(1),
 	}
 	seen := map[string]Value{}
 	for _, v := range vals {
-		k := v.GroupKey()
+		k := groupKey(v)
 		if prev, dup := seen[k]; dup {
-			t.Errorf("GroupKey collision between %v (%s) and %v (%s)", prev, prev.Kind(), v, v.Kind())
+			t.Errorf("group key collision between %v (%s) and %v (%s)", prev, prev.Kind(), v, v.Kind())
 		}
 		seen[k] = v
+		// The key appends: a prefix in the buffer stays in front of it.
+		if got := string(v.AppendGroupKey([]byte("p"))); got != "p"+k {
+			t.Errorf("AppendGroupKey after a prefix = %q, want %q", got, "p"+k)
+		}
 	}
-	if NewInt(7).GroupKey() != NewInt(7).GroupKey() {
-		t.Error("GroupKey must be deterministic")
+	if groupKey(NewInt(7)) != groupKey(NewInt(7)) {
+		t.Error("group key must be deterministic")
 	}
 }
 
 func TestGroupKeyMatchesEqualProperty(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := NewInt(a), NewInt(b)
-		return (va.GroupKey() == vb.GroupKey()) == va.Equal(vb)
+		return (groupKey(va) == groupKey(vb)) == va.Equal(vb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 	g := func(a, b string) bool {
 		va, vb := NewString(a), NewString(b)
-		return (va.GroupKey() == vb.GroupKey()) == va.Equal(vb)
+		return (groupKey(va) == groupKey(vb)) == va.Equal(vb)
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
+	}
+	h := func(a, b float64) bool {
+		va, vb := NewFloat(a), NewFloat(b)
+		return (groupKey(va) == groupKey(vb)) == va.Equal(vb)
+	}
+	if err := quick.Check(h, nil); err != nil {
+		t.Error(err)
+	}
+	if negZero, zero := NewFloat(math.Copysign(0, -1)), NewFloat(0); !negZero.Equal(zero) || groupKey(negZero) != groupKey(zero) {
+		t.Errorf("−0 and +0 are Equal but key %q and %q", groupKey(negZero), groupKey(zero))
 	}
 }
 

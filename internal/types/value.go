@@ -220,10 +220,10 @@ func quoteSQLString(s string) string {
 	return string(append(out, '\''))
 }
 
-// AppendGroupKey appends v's group key (the same encoding GroupKey
-// returns) to b and returns the extended slice. Operator hot loops use it
-// with a reused scratch buffer so composite keys cost zero allocations
-// per row; GroupKey remains for callers that want a map-ready string.
+// AppendGroupKey appends v's group key to b and returns the extended
+// slice. Two values have the same key iff they are Equal; NULL has its
+// own key, distinct from every non-null value. Callers reuse a scratch
+// buffer and look keys up as m[string(key)], which does not allocate.
 func (v Value) AppendGroupKey(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
@@ -236,7 +236,8 @@ func (v Value) AppendGroupKey(b []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(append(b, 0x00, 'i'), v.i, 10)
 	case KindFloat:
-		return strconv.AppendFloat(append(b, 0x00, 'd'), v.f, 'x', -1, 64)
+		// +0 folds −0 in: the two are Equal, so they share a key.
+		return strconv.AppendFloat(append(b, 0x00, 'd'), v.f+0, 'x', -1, 64)
 	case KindString:
 		return append(append(b, 0x00, 's'), v.s...)
 	case KindTime:
@@ -262,30 +263,4 @@ func (v Value) Equal(o Value) bool {
 	default:
 		return v.i == o.i
 	}
-}
-
-// GroupKey returns a string usable as a hash-map key such that two values
-// have the same key iff they are Equal. NULL has its own key distinct from
-// every non-null value.
-func (v Value) GroupKey() string {
-	switch v.kind {
-	case KindNull:
-		return "\x00n"
-	case KindBool:
-		if v.i != 0 {
-			return "\x00t"
-		}
-		return "\x00f"
-	case KindInt:
-		return "\x00i" + strconv.FormatInt(v.i, 10)
-	case KindFloat:
-		return "\x00d" + strconv.FormatFloat(v.f, 'x', -1, 64)
-	case KindString:
-		return "\x00s" + v.s
-	case KindTime:
-		return "\x00T" + strconv.FormatInt(v.i, 10)
-	case KindInterval:
-		return "\x00I" + strconv.FormatInt(v.i, 10)
-	}
-	return "\x00?"
 }

@@ -80,9 +80,9 @@ func (db *DB) compileStmt(stmt sqlast.Stmt, start time.Time, args []Value, o *qu
 		return db.compileConcrete(c, stmt, args, o, true)
 	}
 	if ok {
-		if p, holds := e.plan(params); holds {
+		if res, holds := e.plan(params); holds {
 			db.cache.count(true)
-			return c.bindTo(db, p, params, true), nil
+			return c.bindTo(db, res, params, true), nil
 		}
 		db.cache.noteReplan()
 	}
@@ -99,9 +99,8 @@ func (db *DB) compileStmt(stmt sqlast.Stmt, start time.Time, args []Value, o *qu
 		}
 		return nil, err
 	}
-	e, p := e.with(res)
-	db.cache.put(c.key, e)
-	return c.bindTo(db, p, params, false), nil
+	db.cache.put(c.key, e.with(res))
+	return c.bindTo(db, res, params, false), nil
 }
 
 // compileConcrete compiles stmt with the caller's values folded in, under
@@ -121,20 +120,14 @@ func (db *DB) compileConcrete(c *compiled, stmt sqlast.Stmt, args []Value, o *qu
 	if err != nil {
 		return nil, err
 	}
-	e, p := e.with(res)
-	db.cache.put(c.key, e)
-	return c.bindTo(db, p, nil, false), nil
+	db.cache.put(c.key, e.with(res))
+	return c.bindTo(db, res, nil, false), nil
 }
 
-// bindTo finishes a compilation with plan p under params. The rewritten
-// text callers see is p's statement with the values folded in, so it
-// reads as the literal statement's rewrite would.
-func (c *compiled) bindTo(db *DB, p shapePlan, params []types.Value, hit bool) *compiled {
-	c.res, c.params = p.res, params
-	c.info = info(p.res)
-	if p.sql != nil {
-		c.info.SQL = p.sql.Render(params)
-	}
+// bindTo finishes a compilation with plan res under params.
+func (c *compiled) bindTo(db *DB, res *core.Result, params []types.Value, hit bool) *compiled {
+	c.res, c.params = res, params
+	c.info = info(res, params)
 	c.info.CacheHit = hit
 	c.info.CacheHits, c.info.CacheMisses = db.cache.counters()
 	c.compile = time.Since(c.start)

@@ -107,8 +107,8 @@ func TestShapeHitMatchesFreshCompile(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSameRows(t, fresh, hit)
-					if hit.Rewrite.SQL != fresh.Rewrite.SQL {
-						t.Errorf("rewritten SQL differs between hit and fresh compile:\nhit:   %s\nfresh: %s", hit.Rewrite.SQL, fresh.Rewrite.SQL)
+					if hit.Rewrite.SQL() != fresh.Rewrite.SQL() {
+						t.Errorf("rewritten SQL differs between hit and fresh compile:\nhit:   %s\nfresh: %s", hit.Rewrite.SQL(), fresh.Rewrite.SQL())
 					}
 					v2, err := db.Query("SELECT "+pc.v2, repro.WithStrategy(repro.Dirty))
 					if err != nil {
@@ -360,8 +360,8 @@ func TestLiteralTextUnchanged(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ri.SQL != lit.SQL {
-					t.Errorf("RewriteInfo.SQL differs from the literal rewrite:\n got %s\nwant %s", ri.SQL, lit.SQL)
+				if ri.SQL() != lit.SQL {
+					t.Errorf("RewriteInfo.SQL differs from the literal rewrite:\n got %s\nwant %s", ri.SQL(), lit.SQL)
 				}
 				plan, err := e.DB.Explain(q, opts...)
 				if err != nil {

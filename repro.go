@@ -748,7 +748,6 @@ type Rows struct {
 // RewriteInfo reports the chosen rewrite.
 type RewriteInfo struct {
 	Strategy Strategy
-	SQL      string
 	EstCost  float64
 	// Candidates lists every evaluated (strategy, pushes, cost) triple.
 	Candidates []core.CandidateInfo
@@ -758,6 +757,21 @@ type RewriteInfo struct {
 	// CacheHits and CacheMisses are the cache's cumulative counters as of
 	// this query; PlanCacheStats reads them on demand.
 	CacheHits, CacheMisses uint64
+
+	// stmt is the rewritten statement and params the binding SQL prints
+	// it under.
+	stmt   sqlast.Stmt
+	params []types.Value
+}
+
+// SQL prints the rewritten statement with the binding's values in place
+// of its placeholders, so it reads as the literal statement's rewrite
+// would; "" when nothing was rewritten.
+func (ri RewriteInfo) SQL() string {
+	if ri.stmt == nil {
+		return ""
+	}
+	return sqlast.SQL(sqlast.BindStmt(ri.stmt, ri.params))
 }
 
 // Query rewrites the SQL under the active cleansing rules and executes it.
@@ -817,36 +831,37 @@ func (db *DB) ExplainContext(ctx context.Context, sql string, opts ...QueryOptio
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n-- %s\n", c.info.Strategy, c.info.EstCost, c.info.SQL)
+	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n-- %s\n", c.info.Strategy, c.info.EstCost, c.info.SQL())
 	b.WriteString(exec.ExplainBound(c.res.Plan, c.params))
 	b.WriteString(paramsLine(c.res, c.params))
 	return b.String(), nil
 }
 
-// Prepared is a query that has been rewritten and planned once and can be
-// executed repeatedly. Plans hold no per-execution state, so a Prepared is
-// safe for concurrent Run calls; it does not observe rules defined or data
-// loaded after Prepare.
+// Prepared is a parsed query that runs repeatedly with its Prepare-time
+// options. Each run resolves its plan through the plan cache, as a Query
+// does: Prepare compiles the statement once and caches the plan, runs
+// bind into it, and a run after a rule definition, data load or index
+// build re-plans, so a Prepared observes them. A Prepared is safe for
+// concurrent Run calls.
 //
 // A statement with $n placeholders takes their values per run (Run's
-// args). Prepare checks it compiles, and each run resolves its plan
-// through the plan cache's entry for its shape under the run's binding:
-// the first run plans it, later runs bind into it, and a binding whose
-// estimates fit none of the shape's plans re-plans.
+// args). Prepare checks it compiles, and each run resolves the plan
+// cache's entry for its shape under the run's binding: the first run
+// plans it, later runs bind into it, and a binding whose estimates fit
+// none of the shape's plans re-plans.
 type Prepared struct {
-	db  *DB
-	sql string
-	// c is the statement compiled at Prepare; nil when it has
-	// placeholders, which each run resolves with its own values.
-	c *compiled
-	// stmt is the parsed statement with placeholders that runs compile.
+	db   *DB
+	sql  string
 	stmt sqlast.Stmt
 	// opts are the Prepare-time query options (timeout, parallelism,
 	// row-eval, memory limit, spill, faults), applied to every run.
 	opts *queryOpts
+	// info is what the compile at Prepare reported; empty for a
+	// statement with placeholders.
+	info RewriteInfo
 }
 
-// Prepare rewrites and plans a query once.
+// Prepare parses a query and compiles it once.
 func (db *DB) Prepare(sql string, opts ...QueryOption) (*Prepared, error) {
 	return db.PrepareContext(context.Background(), sql, opts...)
 }
@@ -866,39 +881,30 @@ func (db *DB) PrepareContext(ctx context.Context, sql string, opts ...QueryOptio
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{db: db, sql: sql, opts: o}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	p := &Prepared{db: db, sql: sql, stmt: stmt, opts: o}
 	if n := sqlast.MaxParam(stmt); n > 0 {
 		if err := db.checkCompiles(stmt, n, o); err != nil {
 			return nil, err
 		}
-		p.stmt = stmt
 		return p, nil
 	}
-	if p.c, err = db.compileStmt(stmt, start, nil, o); err != nil {
+	c, err := db.compileStmt(stmt, start, nil, o)
+	if err != nil {
 		return nil, err
 	}
+	p.info = c.info
 	return p, nil
 }
 
-// Rewrite reports how the prepared query will execute; for a statement
-// with placeholders, which plans at each run, it is empty.
-func (p *Prepared) Rewrite() RewriteInfo {
-	if p.c == nil {
-		return RewriteInfo{}
-	}
-	return p.c.info
-}
+// Rewrite reports how the compile at Prepare rewrote the query; for a
+// statement with placeholders, which plans at each run, it is empty.
+func (p *Prepared) Rewrite() RewriteInfo { return p.info }
 
 // NumParams returns the number of values each run takes: the highest
 // $n placeholder of the statement, 0 for none.
-func (p *Prepared) NumParams() int {
-	if p.stmt == nil {
-		return 0
-	}
-	return sqlast.MaxParam(p.stmt)
-}
+func (p *Prepared) NumParams() int { return sqlast.MaxParam(p.stmt) }
 
 // Run executes the prepared plan, args binding its placeholders.
 func (p *Prepared) Run(args ...Value) (*Rows, error) {
@@ -1228,6 +1234,6 @@ func applyOpts(opts []QueryOption) *queryOpts {
 	return o
 }
 
-func info(res *core.Result) RewriteInfo {
-	return RewriteInfo{Strategy: res.Strategy, SQL: res.SQL, EstCost: res.EstCost, Candidates: res.Candidates}
+func info(res *core.Result, params []types.Value) RewriteInfo {
+	return RewriteInfo{Strategy: res.Strategy, EstCost: res.EstCost, Candidates: res.Candidates, stmt: res.Stmt, params: params}
 }

@@ -59,7 +59,7 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if clean.Data[0][0].Int() != 2 {
-		t.Fatalf("cleansed count = %v (rewrite: %s)", clean.Data, clean.Rewrite.SQL)
+		t.Fatalf("cleansed count = %v (rewrite: %s)", clean.Data, clean.Rewrite.SQL())
 	}
 	if clean.Rewrite.Strategy == repro.Dirty {
 		t.Error("cleansing should have applied")
@@ -83,7 +83,7 @@ func TestWorkloadAndPaperRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ri.Strategy != repro.JoinBack || !strings.Contains(ri.SQL, "__missing_r2_flag_0") {
+	if ri.Strategy != repro.JoinBack || !strings.Contains(ri.SQL(), "__missing_r2_flag_0") {
 		t.Errorf("rewrite = %+v", ri.Strategy)
 	}
 	// Explain output.
@@ -288,6 +288,56 @@ func TestPreparedQueries(t *testing.T) {
 	}
 	if _, err := db.Prepare("select * from nosuch"); err == nil {
 		t.Error("prepare of bad query must fail")
+	}
+}
+
+// A statement without placeholders, prepared before a rule exists,
+// applies the rule on its next run: each run resolves its plan through
+// the plan cache, whose key the rule definition moved on.
+func TestPreparedSeesLaterRules(t *testing.T) {
+	db := repro.Open()
+	if err := db.CreateTable("reads",
+		repro.ColumnDef{Name: "epc", Kind: repro.KindString},
+		repro.ColumnDef{Name: "rtime", Kind: repro.KindTime},
+		repro.ColumnDef{Name: "biz_loc", Kind: repro.KindString},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("reads",
+		[]repro.Value{stringValue("e1"), timeValue(0), stringValue("dock")},
+		[]repro.Value{stringValue("e1"), timeValue(2), stringValue("dock")},
+		[]repro.Value{stringValue("e1"), timeValue(90), stringValue("shelf")},
+	); err != nil {
+		t.Fatal(err)
+	}
+	p, err := db.Prepare("SELECT count(*) FROM reads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := before.Data[0][0].Int(); n != 3 {
+		t.Fatalf("count before the rule = %d, want 3", n)
+	}
+	if _, err := db.DefineRule(`DEFINE dedup ON reads
+		AS (A, B) WHERE A.biz_loc = B.biz_loc AND B.rtime - A.rtime < 5 mins
+		ACTION DELETE B`); err != nil {
+		t.Fatal(err)
+	}
+	after, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Data[0][0].Int(); n != 2 {
+		t.Errorf("count after the rule = %d, want 2 (rewrite %s: %s)", n, after.Rewrite.Strategy, after.Rewrite.SQL())
+	}
+	if after.Rewrite.Strategy == repro.Dirty || after.Rewrite.CacheHit {
+		t.Errorf("run after the rule: strategy %s, cache hit %v; want a fresh cleansing plan", after.Rewrite.Strategy, after.Rewrite.CacheHit)
+	}
+	if got := p.Rewrite().Strategy; got != repro.Dirty {
+		t.Errorf("Prepared.Rewrite() = %s, want the Prepare-time compile's dirty", got)
 	}
 }
 

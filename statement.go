@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -23,10 +22,9 @@ type statement struct {
 	db  *DB
 	sql string
 	o   *queryOpts
-	// prep, when non-nil, is the Prepared the statement runs: its plan
-	// compiled at Prepare, or for a statement with placeholders the plan
-	// cache's plan for its shape under args. Such runs also reuse join
-	// build sides.
+	// prep, when non-nil, is the Prepared the statement runs: its parsed
+	// statement compiles through the plan cache under args. Such runs also
+	// reuse join build sides.
 	prep *Prepared
 	// args bind the statement's placeholders.
 	args []Value
@@ -87,25 +85,18 @@ func (st *statement) begin(ctx context.Context) error {
 		db.mu.RLock()
 		st.release = release
 	}
-	c := st.prep.compiled()
-	if c != nil {
-		if len(st.args) > 0 {
-			return st.finish(nil, fmt.Errorf("%w: the statement has no placeholders, got %d values", ErrParams, len(st.args)))
-		}
-		st.tel.notePrepared(c)
+	st.tel.setPhase("compile")
+	var c *compiled
+	var err error
+	if st.prep != nil {
+		c, err = db.compileStmt(st.prep.stmt, time.Now(), st.args, o)
 	} else {
-		st.tel.setPhase("compile")
-		var err error
-		if st.prep != nil {
-			c, err = db.compileStmt(st.prep.stmt, time.Now(), st.args, o)
-		} else {
-			c, err = db.compile(st.sql, st.args, o)
-		}
-		if err != nil {
-			return st.finish(nil, err)
-		}
-		st.tel.notePhases(c)
+		c, err = db.compile(st.sql, st.args, o)
 	}
+	if err != nil {
+		return st.finish(nil, err)
+	}
+	st.tel.notePhases(c)
 	st.key, st.plan, st.res, st.info = c.key, c.res.Plan, c.res, c.info
 	st.grs = db.resources(o)
 	st.ectx = o.execCtx(ctx).SetResources(st.grs).SetParams(c.params)
@@ -189,14 +180,4 @@ func (st *statement) finish(rows *Rows, err error) error {
 	}
 	st.cancel()
 	return st.err
-}
-
-// compiled is the plan a run of p adopts: the one compiled at Prepare,
-// or nil for a statement with placeholders (or no Prepared at all),
-// which the run compiles under its own values.
-func (p *Prepared) compiled() *compiled {
-	if p == nil {
-		return nil
-	}
-	return p.c
 }

@@ -429,21 +429,6 @@ func (q *qtel) notePhases(c *compiled) {
 	}
 }
 
-// notePrepared marks a Prepared.Run execution: compilation happened at
-// Prepare time, so the trace gets a zero-duration "prepared" span in the
-// compile position and no phase histograms move. The plan-cache status
-// is the one the statement was prepared with.
-func (q *qtel) notePrepared(c *compiled) {
-	if q == nil {
-		return
-	}
-	q.cacheHit = c.info.CacheHit
-	if q.trace != nil {
-		q.trace.Root.SetAttr("params", strconv.Itoa(len(c.params)))
-		q.trace.Root.AddChild(&obs.Span{Name: "prepared", Start: time.Now()})
-	}
-}
-
 // noteExec records a finished execution: its final memory accounting
 // (published by finish), per-operator metrics from the recorded NodeStats
 // and, in a trace, the operator span subtree under an "execute" span
