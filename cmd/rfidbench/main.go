@@ -1,9 +1,10 @@
 // Command rfidbench regenerates every table and figure of the paper's
 // evaluation section (§6) against the embedded engine and prints
-// paper-style series as markdown. EXPERIMENTS.md is produced from this
-// tool's output. The repository's benchmark — the one a performance
-// claim is measured with, served QPS and latency included — is
-// benchmark/run.sh.
+// paper-style series as markdown, for reading the paper's trends off a
+// local run. EXPERIMENTS.md records no timings: it states the paper's
+// qualitative claims and names the test or harness that checks each. The
+// repository's benchmark — the one a performance claim is measured with,
+// served QPS and latency included — is benchmark/run.sh.
 //
 //	rfidbench -scale 12 -exp all
 //	rfidbench -scale 40 -exp fig7a -reps 5

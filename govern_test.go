@@ -7,11 +7,14 @@
 package repro_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,6 +65,74 @@ func TestCorpusQueriesSpillBitIdentically(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Data, want.Data) {
 				t.Fatalf("par=%d: spilled result differs from in-memory result for %q", par, q)
+			}
+		}
+	}
+}
+
+// TestOrderByNaNIsTotal: ORDER BY over a FLOAT column mixing NaN, ±0,
+// ±Inf and integer-valued floats is a total order — NULLs first, −0 tied
+// with +0, NaN above +Inf, ties in input order — so the rows come back
+// the same serially, across four sort runs, and spilled.
+func TestOrderByNaNIsTotal(t *testing.T) {
+	db := repro.Open()
+	if err := db.CreateTable("m", repro.ColumnDef{Name: "id", Kind: repro.KindInt}, repro.ColumnDef{Name: "f", Kind: repro.KindFloat}); err != nil {
+		t.Fatal(err)
+	}
+	fs := []float64{math.NaN(), 1, math.Inf(1), 0, -3, math.Copysign(0, -1), math.Inf(-1), 2, math.NaN(), 1e300}
+	// rank is each value's place in the order; NULL is -1.
+	rank := map[string]int{"-Inf": 0, "-3": 1, "0": 2, "-0": 2, "1": 3, "2": 4, "1e+300": 5, "+Inf": 6, "NaN": 7}
+	var rows [][]repro.Value
+	for i := 0; i < 6000; i++ {
+		f := repro.NewFloat(fs[(i*7)%len(fs)])
+		if i%13 == 0 {
+			f = repro.Null
+		}
+		rows = append(rows, []repro.Value{repro.NewInt(int64(i)), f})
+	}
+	if err := db.Insert("m", rows...); err != nil {
+		t.Fatal(err)
+	}
+	key := func(v repro.Value) int {
+		if v.IsNull() {
+			return -1
+		}
+		return rank[v.String()]
+	}
+	for _, q := range []struct {
+		sql  string
+		desc bool
+	}{{"SELECT id, f FROM m ORDER BY f", false}, {"SELECT id, f FROM m ORDER BY f DESC", true}} {
+		want := slices.Clone(rows)
+		slices.SortStableFunc(want, func(a, b []repro.Value) int {
+			if q.desc {
+				return cmp.Compare(key(b[1]), key(a[1]))
+			}
+			return cmp.Compare(key(a[1]), key(b[1]))
+		})
+		runs := []struct {
+			name string
+			opts []repro.QueryOption
+		}{
+			{"serial", []repro.QueryOption{repro.WithParallelism(1)}},
+			{"parallel", []repro.QueryOption{repro.WithParallelism(4)}},
+			{"spilled", []repro.QueryOption{repro.WithParallelism(4), repro.WithMemoryLimit(32 << 10)}},
+		}
+		for _, run := range runs {
+			res, err := db.Query(q.sql, run.opts...)
+			if err != nil {
+				t.Fatalf("%s %s: %v", q.sql, run.name, err)
+			}
+			if run.name == "spilled" && !res.Mem.Spilled() {
+				t.Fatalf("%s: did not spill (peak %d)", q.sql, res.Mem.Peak)
+			}
+			for i, r := range res.Data {
+				if r[0].Int() != want[i][0].Int() {
+					t.Fatalf("%s %s: row %d is id %d (f %v), want id %d (f %v)", q.sql, run.name, i, r[0].Int(), r[1], want[i][0].Int(), want[i][1])
+				}
+			}
+			if len(res.Data) != len(want) {
+				t.Fatalf("%s %s: %d rows, want %d", q.sql, run.name, len(res.Data), len(want))
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -252,10 +254,10 @@ func (n *SortNode) Children() []Node { return []Node{n.Input} }
 // Execute implements Node. The input is cut into contiguous chunks, one
 // per worker — or, when the budget refuses the working set and the query
 // may spill, spillPieces of them written to disk as they are made. Each
-// chunk's keys are evaluated exactly once per row (never per comparison)
-// and the chunk stable-sorted into a run on its own worker; merge then
-// interleaves the runs, which yields the serial stable sort's
-// permutation.
+// chunk's keys are evaluated and encoded exactly once per row (never per
+// comparison) and the chunk sorted by key bytes into a run on its own
+// worker; merge then interleaves the runs, which yields the serial stable
+// sort's permutation.
 func (n *SortNode) Execute(ctx *Ctx) (*Result, error) {
 	in, err := Run(ctx, n.Input)
 	if err != nil {
@@ -285,31 +287,21 @@ func (n *SortNode) Execute(ctx *Ctx) (*Result, error) {
 			r.discard()
 		}
 	}()
-	var ents []sortEntry      // in memory: every run's entries
-	var scratch [][]sortEntry // on disk: each worker's chunk buffer
-	if onDisk {
-		scratch = make([][]sortEntry, workers)
-	} else {
-		ents = make([]sortEntry, nrows)
-	}
-	err = ctx.forEach(len(runs), workers, func(w, r int) error {
+	err = ctx.forEach(len(runs), workers, func(_, r int) error {
 		lo, hi := r*runRows, min((r+1)*runRows, nrows)
+		ents := make([]sortEntry, hi-lo)
 		if !onDisk {
-			runs[r] = &sortRun{ents: ents[lo:hi]}
-			return n.sortChunk(ctx, in.Rows, lo, runs[r].ents, vec)
+			runs[r] = &sortRun{ents: ents}
+			return n.sortChunk(ctx, in.Rows, lo, ents, vec)
 		}
 		b := sortWorkBytes(hi-lo, len(n.Keys)) + spillFileOverhead
 		ctx.res.Charge(b)
 		defer ctx.res.Release(b)
-		if scratch[w] == nil {
-			scratch[w] = make([]sortEntry, runRows)
-		}
-		chunk := scratch[w][:hi-lo]
-		if err := n.sortChunk(ctx, in.Rows, lo, chunk, vec); err != nil {
+		if err := n.sortChunk(ctx, in.Rows, lo, ents, vec); err != nil {
 			return err
 		}
 		var err error
-		runs[r], err = spillRun(ctx.res, chunk)
+		runs[r], err = spillRun(ctx.res, ents)
 		return err
 	})
 	if err != nil {
@@ -334,52 +326,56 @@ func (n *SortNode) Execute(ctx *Ctx) (*Result, error) {
 	return &Result{Schema: n.schema, Rows: out}, nil
 }
 
-// sortChunk evaluates the keys of rows[lo:lo+len(ents)] into ents, vector
-// kernels first, and stable-sorts the entries by key.
+// sortChunk evaluates the keys of rows[lo:lo+len(ents)], vector kernels
+// first, encodes each row's tuple into one sort key (types.AppendSortKey)
+// and sorts the entries by key bytes, ties to the earlier row.
 func (n *SortNode) sortChunk(ctx *Ctx, rows []schema.Row, lo int, ents []sortEntry, vec bool) error {
-	nk := len(n.Keys)
-	serial := func(b, e int) error {
-		for i := b; i < e; i++ {
-			if err := ctx.Tick(i - b); err != nil {
-				return err
-			}
-			ks := make([]types.Value, nk)
-			for j, f := range n.Keys {
-				v, err := f.Eval(rows[lo+i])
-				if err != nil {
+	cols := evalScratch(len(n.Keys), len(ents))
+	err := ctx.forBatches(0, len(ents), func(b, e int) error {
+		chunk := rows[lo+b : lo+e]
+		if !vec || !tryBatchAll(n.Keys, chunk, cols) {
+			for i, r := range chunk {
+				if err := ctx.Tick(i); err != nil {
 					return err
 				}
-				ks[j] = v
+				for j, f := range n.Keys {
+					v, err := f.Eval(r)
+					if err != nil {
+						return err
+					}
+					cols[j][i] = v
+				}
 			}
-			ents[i] = sortEntry{row: lo + i, key: ks}
+		}
+		// One arena per morsel, sized for its keys: a string's bytes
+		// plus at most 11 more per value, unless a string holds 0x00.
+		size := 0
+		for _, col := range cols {
+			for _, v := range col[:len(chunk)] {
+				if size += 11; v.Kind() == types.KindString {
+					size += len(v.Str())
+				}
+			}
+		}
+		arena := make([]byte, 0, size)
+		for i := range chunk {
+			start := len(arena)
+			for j, desc := range n.Desc {
+				arena = types.AppendSortKey(arena, cols[j][i], desc)
+			}
+			ents[b+i] = sortEntry{row: lo + b + i, key: arena[start:len(arena):len(arena)]}
 		}
 		return nil
-	}
-	var err error
-	if !vec {
-		err = serial(0, len(ents))
-	} else {
-		cols := evalScratch(nk, len(ents))
-		err = ctx.forBatches(0, len(ents), func(b, e int) error {
-			chunk := rows[lo+b : lo+e]
-			if !tryBatchAll(n.Keys, chunk, cols) {
-				return serial(b, e)
-			}
-			flat := make([]types.Value, len(chunk)*nk)
-			for i := range chunk {
-				ks := flat[i*nk : (i+1)*nk : (i+1)*nk]
-				for j := range ks {
-					ks[j] = cols[j][i]
-				}
-				ents[b+i] = sortEntry{row: lo + b + i, key: ks}
-			}
-			return nil
-		})
-	}
+	})
 	if err != nil {
 		return err
 	}
-	slices.SortStableFunc(ents, func(a, b sortEntry) int { return n.cmpKeys(a.key, b.key) })
+	slices.SortFunc(ents, func(a, b sortEntry) int {
+		if c := bytes.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
 	return nil
 }
 
@@ -398,7 +394,7 @@ func (n *SortNode) merge(ctx *Ctx, rows []schema.Row, runs []*sortRun) ([]schema
 		}
 	}
 	less := func(a, b int) bool {
-		c := n.cmpKeys(runs[a].head.key, runs[b].head.key)
+		c := bytes.Compare(runs[a].head.key, runs[b].head.key)
 		return c < 0 || c == 0 && a < b
 	}
 	down := func(i int) {
@@ -440,45 +436,6 @@ func (n *SortNode) merge(ctx *Ctx, rows []schema.Row, runs []*sortRun) ([]schema
 		return nil, fmt.Errorf("exec: sort runs ended at %d of %d rows", len(out), len(rows))
 	}
 	return out, nil
-}
-
-// cmpKeys orders two evaluated key tuples under the node's directions.
-func (n *SortNode) cmpKeys(ka, kb []types.Value) int {
-	for j := range n.Keys {
-		c := compareForSort(ka[j], kb[j])
-		if c == 0 {
-			continue
-		}
-		if n.Desc[j] {
-			return -c
-		}
-		return c
-	}
-	return 0
-}
-
-// compareForSort orders values with NULLS FIRST and falls back to kind
-// order for incomparable kinds so the sort stays total.
-func compareForSort(a, b types.Value) int {
-	an, bn := a.IsNull(), b.IsNull()
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	case bn:
-		return 1
-	}
-	if c, err := types.Compare(a, b); err == nil {
-		return c
-	}
-	switch {
-	case a.Kind() < b.Kind():
-		return -1
-	case a.Kind() > b.Kind():
-		return 1
-	}
-	return 0
 }
 
 // LimitNode skips Offset rows then truncates to N (N < 0 means no limit,

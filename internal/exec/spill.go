@@ -3,10 +3,11 @@
 // refused memory reservation (under a budget that allows spilling)
 // changes is where the pieces live and how many there are:
 //
-//   - A sort run is a stable-sorted contiguous input chunk: its (row
-//     index, key values) entries, in memory or in a spill file. One heap
-//     merge interleaves the runs, ties going to the earliest run — runs
-//     are contiguous, so that is the serial stable order.
+//   - A sort run is a contiguous input chunk sorted by (sort key, row
+//     index): its (row index, key bytes) entries, in memory or in a spill
+//     file. One heap merge interleaves the runs, ties going to the
+//     earliest run — runs are contiguous, so that is the serial stable
+//     order.
 //   - A hash partition (piece) is the ascending row indexes whose key
 //     hashes to it: a list in memory, or a spill file of uvarints. One
 //     function folds (aggregation) or builds (join) a partition, reading
@@ -14,9 +15,9 @@
 //     serial ones bit for bit.
 //
 // In memory there is a piece per worker; on disk spillPieces sizes them to
-// the budget. Only row indexes and evaluated key values go to disk: a
-// breaker's input arrives whole through Run, so spilling bounds the
-// operator's own working state — key arrays, hash tables.
+// the budget. Only row indexes and sort keys go to disk: a breaker's
+// input arrives whole through Run, so spilling bounds the operator's own
+// working state — key arrays, hash tables.
 package exec
 
 import (
@@ -28,7 +29,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/govern"
 	"repro/internal/schema"
-	"repro/internal/types"
 )
 
 // Per-row accounting estimates. The accountant is deliberately
@@ -238,17 +238,16 @@ func readIdx(rd *govern.SpillReader) ([]int, error) {
 
 // ---- Sort runs ----
 
-// sortEntry is one input row of a sort run: its index and key values.
+// sortEntry is one input row of a sort run: its index and sort key.
 type sortEntry struct {
 	row int
-	key []types.Value
+	key []byte
 }
 
-// sortRun is one stable-sorted run and its merge cursor: head is the
-// current entry (ok false once the run is exhausted). The rest of the run
-// is ents in memory, or the records of rd on disk — each a uvarint length,
-// then the row index as a uvarint and the key values in the types value
-// codec.
+// sortRun is one sorted run and its merge cursor: head is the current
+// entry (ok false once the run is exhausted). The rest of the run is ents
+// in memory, or the records of rd on disk — each a uvarint length, then
+// the row index as a uvarint and the key bytes.
 type sortRun struct {
 	ents  []sortEntry
 	rd    *govern.SpillReader
@@ -259,7 +258,7 @@ type sortRun struct {
 }
 
 // spillRun writes a sorted run's entries to a spill file and returns the
-// run, positioned before its first entry. ents must not be empty.
+// run, positioned before its first entry.
 func spillRun(res *govern.Resources, ents []sortEntry) (*sortRun, error) {
 	sf, err := res.NewSpillFile("sort")
 	if err != nil {
@@ -267,10 +266,7 @@ func spillRun(res *govern.Resources, ents []sortEntry) (*sortRun, error) {
 	}
 	var rec []byte
 	for _, e := range ents {
-		rec = binary.AppendUvarint(rec[:0], uint64(e.row))
-		for _, v := range e.key {
-			rec = types.AppendValue(rec, v)
-		}
+		rec = append(binary.AppendUvarint(rec[:0], uint64(e.row)), e.key...)
 		err := writeUvarint(sf, uint64(len(rec)))
 		if err == nil {
 			_, err = sf.Write(rec)
@@ -285,7 +281,7 @@ func spillRun(res *govern.Resources, ents []sortEntry) (*sortRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sortRun{rd: rd, bytes: bytes, head: sortEntry{key: make([]types.Value, len(ents[0].key))}}, nil
+	return &sortRun{rd: rd, bytes: bytes}, nil
 }
 
 // next advances the run to its next entry.
@@ -309,15 +305,10 @@ func (r *sortRun) next() error {
 	if err == nil && off <= 0 {
 		err = io.ErrUnexpectedEOF
 	}
-	for j := 0; err == nil && j < len(r.head.key); j++ {
-		var m int
-		r.head.key[j], m, err = types.ReadValue(r.buf[off:])
-		off += m
-	}
 	if err != nil {
 		return fmt.Errorf("exec: reading sort run: %w", err)
 	}
-	r.head.row, r.ok = int(idx), true
+	r.head, r.ok = sortEntry{row: int(idx), key: r.buf[off:]}, true
 	return nil
 }
 

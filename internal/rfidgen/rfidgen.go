@@ -289,15 +289,17 @@ func Generate(cfg Config) *Dataset {
 		for i := range jitter {
 			jitter[i] = rng.Int63()
 		}
+		// A day is a whole number of seconds since the zero time, so its
+		// Unix seconds order days exactly as Before does.
+		day := make([]int64, len(reads))
 		idx := make([]int, len(reads))
 		for i := range idx {
 			idx[i] = i
+			day[i] = reads[i].RTime.Truncate(24 * time.Hour).Unix()
 		}
 		sort.Slice(idx, func(a, b int) bool {
-			da := reads[idx[a]].RTime.Truncate(24 * time.Hour)
-			db := reads[idx[b]].RTime.Truncate(24 * time.Hour)
-			if !da.Equal(db) {
-				return da.Before(db)
+			if da, db := day[idx[a]], day[idx[b]]; da != db {
+				return da < db
 			}
 			return jitter[idx[a]] < jitter[idx[b]]
 		})

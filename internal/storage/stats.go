@@ -12,17 +12,24 @@ type ColStats struct {
 	NonNull int
 	// Distinct estimates the number of distinct non-null values.
 	Distinct int
-	// Min and Max bound the non-null values when the column is ordered
-	// (int, float, time, interval); both are Null otherwise.
+	// Min and Max are the least and greatest non-null values, NaN aside;
+	// both are Null when there are none.
 	Min, Max types.Value
 }
 
-// Analyze computes statistics for every column. The distinct estimate is
-// exact (hash-based); at the scales this engine targets that is cheap and
+// Analyze computes statistics for every column. A column with an index
+// over every row takes them from it (BuildIndex read them off the sorted
+// order); any other column gets a hash pass. Either way the distinct
+// count is exact; at the scales this engine targets that is cheap and
 // removes one source of noise from plan choices.
 func (t *Table) Analyze() {
 	segs := t.Segments()
 	for ord := range t.Schema.Columns {
+		if ix := t.indexes[ord]; ix != nil && ix.covered == t.RowCount() {
+			st := ix.stats
+			t.stats[ord] = &st
+			continue
+		}
 		st := &ColStats{Min: types.Null, Max: types.Null}
 		seen := make(map[string]struct{})
 		var key []byte
@@ -114,6 +121,8 @@ func (s *ColStats) DistinctAfter(n float64) float64 {
 	}
 	return d * (1 - math.Pow(1-1/d, n))
 }
+
+func isNaN(v types.Value) bool { return v.Kind() == types.KindFloat && math.IsNaN(v.Float()) }
 
 func asFloat(v types.Value) (float64, bool) {
 	switch v.Kind() {

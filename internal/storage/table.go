@@ -9,6 +9,8 @@
 package storage
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"slices"
@@ -120,6 +122,14 @@ func (t *Table) RowAt(id int) schema.Row {
 	return t.tail[id-len(t.sealed)*t.segRows]
 }
 
+// value reads column ord of the row with table-wide ID id.
+func (t *Table) value(ord, id int) types.Value {
+	if k := id / t.segRows; k < len(t.sealed) {
+		return t.sealed[k].Value(ord, id-k*t.segRows)
+	}
+	return t.tail[id-len(t.sealed)*t.segRows][ord]
+}
+
 // AllRows materializes every row in table order. When the table fits one
 // segment the underlying (memoized or live) slice is returned directly;
 // otherwise the segments are concatenated into a fresh slice.
@@ -154,51 +164,76 @@ func (t *Table) SegmentCount() int { return len(t.sealed) }
 // slices so range scans can hand out rowID sub-slices without copying.
 // NULLs are excluded: SQL predicates never select them from an index
 // range scan. It covers the table's first covered rows — those that
-// existed when it was built; Table.Lookup checks the rest.
+// existed when it was built; Table.Lookup checks the rest. stats is the
+// column's statistics over those rows, read off the sorted order.
 type Index struct {
 	Column  int
 	vals    []types.Value
 	rows    []int32
 	covered int
+	stats   ColStats
 }
 
-// BuildIndex builds (or rebuilds) a sorted index on the named column.
+// BuildIndex builds (or rebuilds) a sorted index on the named column. The
+// column's non-null values are encoded into one arena of sort keys
+// (types.AppendSortKey) and their entries sorted by key bytes, ties to
+// the lower row ID: the (value, row ID) order.
 func (t *Table) BuildIndex(column string) error {
 	ord := t.Schema.IndexOf(column)
 	if ord < 0 {
 		return fmt.Errorf("storage: no column %q in table %s", column, t.Name)
 	}
+	// An entry is row id's key, arena[off:off+n].
 	type entry struct {
-		v   types.Value
-		row int32
+		off int
+		n   uint32
+		id  int32
 	}
-	entries := make([]entry, 0, t.RowCount())
-	for _, seg := range t.Segments() {
+	n := t.RowCount()
+	ents := make([]entry, 0, n)
+	var arena []byte
+	for k, seg := range t.Segments() {
+		if k == 1 { // size the arena from the first, sealed, segment's keys
+			arena = slices.Grow(arena, len(arena)*(n/t.segRows))
+		}
 		for i := 0; i < seg.Len(); i++ {
 			v := seg.Value(ord, i)
 			if v.IsNull() {
 				continue
 			}
-			entries = append(entries, entry{v: v, row: int32(seg.Base + i)})
+			off := len(arena)
+			arena = types.AppendSortKey(arena, v, false)
+			ents = append(ents, entry{off: off, n: uint32(len(arena) - off), id: int32(seg.Base + i)})
 		}
 	}
-	sort.SliceStable(entries, func(a, b int) bool {
-		c, err := types.Compare(entries[a].v, entries[b].v)
-		if err != nil {
-			// Mixed-kind columns are a schema violation; order arbitrarily.
-			return false
+	key := func(e entry) []byte { return arena[e.off : e.off+int(e.n)] }
+	slices.SortFunc(ents, func(a, b entry) int {
+		if c := bytes.Compare(key(a), key(b)); c != 0 {
+			return c
 		}
-		return c < 0
+		return cmp.Compare(a.id, b.id)
 	})
 	idx := &Index{
 		Column:  ord,
-		vals:    make([]types.Value, len(entries)),
-		rows:    make([]int32, len(entries)),
-		covered: t.RowCount(),
+		vals:    make([]types.Value, len(ents)),
+		rows:    make([]int32, len(ents)),
+		covered: n,
+		stats:   ColStats{NonNull: len(ents), Min: types.Null, Max: types.Null},
 	}
-	for i, e := range entries {
-		idx.vals[i] = e.v
-		idx.rows[i] = e.row
+	for i, e := range ents {
+		v := t.value(ord, int(e.id))
+		idx.vals[i], idx.rows[i] = v, e.id
+		if i > 0 && bytes.Equal(key(e), key(ents[i-1])) {
+			continue
+		}
+		// A new distinct value. NaN sorts last; Max bounds the others.
+		idx.stats.Distinct++
+		if i == 0 || !isNaN(v) {
+			idx.stats.Max = v
+		}
+	}
+	if len(ents) > 0 {
+		idx.stats.Min = idx.vals[0]
 	}
 	t.indexes[ord] = idx
 	return nil
@@ -315,7 +350,7 @@ func (t *Table) Lookup(ord int, ranges []Bounds) [][]int32 {
 		}
 		// Late rows follow every covered row in ID order, so among equal
 		// values they come after the index's.
-		sort.SliceStable(l, func(a, b int) bool { return less(l[a].v, l[b].v) })
+		slices.SortStableFunc(l, func(a, b hit) int { c, _ := types.Compare(a.v, b.v); return c })
 		ids := make([]int32, 0, hi-lo+len(l))
 		j := 0
 		for k := lo; k < hi; k++ {
