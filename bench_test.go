@@ -326,7 +326,7 @@ func BenchmarkAblationWindowParallelism(b *testing.B) {
 }
 
 // BenchmarkSpillOverhead prices the graceful-degradation paths: the same
-// sort / aggregation / join queries run fully in memory and again under a
+// sort / aggregation / join / DISTINCT queries run fully in memory and again under a
 // budget low enough that every materializing operator writes its sort
 // runs or hash partitions to spill files. The inmem/spill ratio is
 // the cost of completing a query that would otherwise fail with
@@ -356,6 +356,7 @@ func BenchmarkSpillOverhead(b *testing.B) {
 		{"sort", `SELECT epc, rtime, biz_loc FROM reads ORDER BY rtime, epc, biz_loc`},
 		{"group", `SELECT epc, COUNT(*) AS c, MIN(rtime) AS first_seen FROM reads GROUP BY epc ORDER BY c DESC, epc`},
 		{"join", `SELECT a.epc, a.rtime, b.biz_loc FROM reads a JOIN reads b ON a.epc = b.epc AND a.rtime = b.rtime`},
+		{"distinct", `SELECT DISTINCT epc, biz_loc FROM reads`},
 	}
 	modes := []struct {
 		name string

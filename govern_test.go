@@ -42,9 +42,17 @@ const (
 	spillJoinQuery  = `SELECT a.epc, a.rtime, b.biz_loc FROM caser a JOIN caser b ON a.epc = b.epc AND a.rtime = b.rtime`
 )
 
+// The dedupe operators over caseR, each one hash grouping pass.
+var spillDedupeQueries = []string{
+	`SELECT DISTINCT epc, biz_step FROM caser`,
+	`SELECT epc, biz_loc FROM caser UNION SELECT epc, biz_step FROM caser`,
+	`SELECT epc, biz_step FROM caser EXCEPT SELECT epc, biz_step FROM caser WHERE biz_loc = 'loc1-special'`,
+	`SELECT epc, biz_step FROM caser INTERSECT SELECT epc, biz_step FROM caser WHERE biz_loc = 'loc1-special'`,
+}
+
 func TestCorpusQueriesSpillBitIdentically(t *testing.T) {
 	db := newGovernDB(t)
-	for _, q := range []string{spillSortQuery, spillGroupQuery, spillJoinQuery} {
+	for _, q := range append([]string{spillSortQuery, spillGroupQuery, spillJoinQuery}, spillDedupeQueries...) {
 		want, err := db.Query(q, repro.WithParallelism(1))
 		if err != nil {
 			t.Fatalf("baseline: %v", err)

@@ -150,6 +150,9 @@ func Column(idx int) *Compiled {
 	}
 }
 
+// Const returns a compiled constant v.
+func Const(v types.Value) *Compiled { return constCompiled(v) }
+
 func constCompiled(v types.Value) *Compiled {
 	return &Compiled{
 		row:     func(schema.Row) (types.Value, error) { return v, nil },
@@ -911,7 +914,7 @@ func triIn(operand *Compiled, set map[string]struct{}, setHasNull, neg bool) Boo
 				dst[i] = types.Unknown
 				continue
 			}
-			key = v.AppendGroupKey(key[:0])
+			key = types.AppendSortKey(key[:0], v, false)
 			_, found := set[string(key)]
 			switch {
 			case found:

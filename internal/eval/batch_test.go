@@ -117,7 +117,7 @@ func (g *exprGen) randRow() schema.Row {
 }
 
 func sameValue(a, b types.Value) bool {
-	return a.Kind() == b.Kind() && string(a.AppendGroupKey(nil)) == string(b.AppendGroupKey(nil))
+	return a.Kind() == b.Kind() && string(types.AppendSortKey(nil, a, false)) == string(types.AppendSortKey(nil, b, false))
 }
 
 // TestBatchMatchesRowProperty cross-checks EvalBatch against the row path

@@ -362,7 +362,7 @@ func compileIn(e *sqlast.In, env *Env) (*Compiled, error) {
 				setHasNull = true
 				continue
 			}
-			set[string(v.AppendGroupKey(nil))] = struct{}{}
+			set[string(types.AppendSortKey(nil, v, false))] = struct{}{}
 		}
 	} else {
 		for _, m := range e.List {
@@ -370,7 +370,7 @@ func compileIn(e *sqlast.In, env *Env) (*Compiled, error) {
 				if cst.V.IsNull() {
 					setHasNull = true
 				} else {
-					set[string(cst.V.AppendGroupKey(nil))] = struct{}{}
+					set[string(types.AppendSortKey(nil, cst.V, false))] = struct{}{}
 				}
 				continue
 			}
@@ -391,7 +391,7 @@ func compileIn(e *sqlast.In, env *Env) (*Compiled, error) {
 			return types.Null, nil
 		}
 		var buf [64]byte
-		_, found := set[string(v.AppendGroupKey(buf[:0]))]
+		_, found := set[string(types.AppendSortKey(buf[:0], v, false))]
 		sawNull := setHasNull
 		if !found {
 			for _, m := range members {

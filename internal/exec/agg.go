@@ -34,8 +34,8 @@ type accumulator struct {
 	extreme  types.Value // running min/max
 }
 
-func newAccumulator(spec *AggSpec) *accumulator {
-	a := &accumulator{fn: spec.Func, distinct: spec.Distinct, extreme: types.Null}
+func newAccumulator(spec *AggSpec) accumulator {
+	a := accumulator{fn: spec.Func, distinct: spec.Distinct, extreme: types.Null}
 	if a.distinct {
 		a.seen = map[string]struct{}{}
 	}
@@ -50,7 +50,7 @@ func (a *accumulator) add(v types.Value) error {
 	}
 	if a.distinct {
 		var buf [64]byte
-		k := v.AppendGroupKey(buf[:0])
+		k := types.AppendSortKey(buf[:0], v, false)
 		if _, dup := a.seen[string(k)]; dup {
 			return nil
 		}
@@ -123,24 +123,93 @@ func (a *accumulator) result() types.Value {
 }
 
 // GroupNode implements hash aggregation. With no keys it produces exactly
-// one output row (global aggregation over a possibly empty input).
+// one output row (global aggregation over a possibly empty input). With
+// keys and no aggregates it is duplicate elimination, labeled Distinct:
+// DISTINCT and UNION (over UNION ALL) run as one (see NewDistinct), and so
+// do EXCEPT and INTERSECT, with a side tag aggregated (see NewSetOp).
 type GroupNode struct {
 	base
 	Input Node
 	Keys  []*eval.Compiled
 	Aggs  []AggSpec
+	// prefix marks keys that are the input's first columns, in order: a
+	// group's key values are then its first row's leading cells.
+	prefix bool
 }
 
 // NewGroupNode builds hash aggregation; out must list key columns first,
 // then one column per aggregate.
 func NewGroupNode(child Node, out *schema.Schema, keys []*eval.Compiled, aggs []AggSpec) *GroupNode {
-	n := &GroupNode{Input: child, Keys: keys, Aggs: aggs}
+	n := &GroupNode{Input: child, Keys: keys, Aggs: aggs, prefix: leading(eval.ColumnOrdinals(keys))}
 	n.schema = out
 	return n
 }
 
+// NewDistinct removes duplicate rows of child: a GroupNode keyed on every
+// column. Its groups come out in first-appearance order, so it keeps
+// child's schema and ordering.
+func NewDistinct(child Node) *GroupNode {
+	keys := make([]*eval.Compiled, child.Schema().Len())
+	for i := range keys {
+		keys[i] = eval.Column(i)
+	}
+	n := NewGroupNode(child, child.Schema(), keys, nil)
+	n.ordering = child.Ordering()
+	return n
+}
+
+// NewSetOp builds EXCEPT, or INTERSECT when intersect is set, with set
+// semantics over two inputs of equal arity as one grouping pass: a UNION
+// ALL of the inputs, each row tagged with its side (left 0, right 1),
+// grouped on every column with MIN and MAX of the tag. EXCEPT keeps the
+// groups whose tags are all 0, INTERSECT those with both; a projection
+// drops the tag. A group's first appearance is a left row, so the result
+// is the left input's distinct rows in their order. The tagged inputs and
+// their union carry the inputs' estimates; the planner sets those of the
+// single-input chain above the union.
+func NewSetOp(l, r Node, intersect bool) (Node, error) {
+	width := l.Schema().Len()
+	if r.Schema().Len() != width {
+		return nil, fmt.Errorf("exec: set operation arity mismatch: %d vs %d", width, r.Schema().Len())
+	}
+	cols := make([]*eval.Compiled, width+1)
+	for i := range cols {
+		cols[i] = eval.Column(i)
+	}
+	tag := func(in Node, side int64) Node {
+		sch := &schema.Schema{Columns: append(slices.Clip(in.Schema().Columns), schema.Col("", "side", types.KindInt))}
+		p := NewProjectNode(in, sch, append(cols[:width:width], eval.Const(types.NewInt(side))))
+		p.estCost = in.EstCost()
+		return p
+	}
+	u, err := NewUnionNode(tag(l, 0), tag(r, 1))
+	if err != nil {
+		return nil, err
+	}
+	u.estRows, u.estCost = l.EstRows()+r.EstRows(), l.EstCost()+r.EstCost()
+	out := &schema.Schema{Columns: append(slices.Clip(l.Schema().Columns),
+		schema.Col("", "min_side", types.KindInt), schema.Col("", "max_side", types.KindInt))}
+	side := cols[width]
+	g := NewGroupNode(u, out, cols[:width], []AggSpec{{Func: "min", Arg: side, OutName: "min_side"}, {Func: "max", Arg: side, OutName: "max_side"}})
+	desc := "max_side = 0"
+	if intersect {
+		desc = "min_side = 0 AND max_side = 1"
+	}
+	f := NewFilterNode(g, eval.FromFunc(func(r schema.Row) (types.Value, error) {
+		mn, mx := r[width].Int(), r[width+1].Int()
+		if intersect {
+			return types.NewBool(mn == 0 && mx == 1), nil
+		}
+		return types.NewBool(mx == 0), nil
+	}), desc)
+	return NewProjectNode(f, l.Schema(), cols[:width]), nil
+}
+
 // Label implements Node.
 func (n *GroupNode) Label() string {
+	if len(n.Aggs) == 0 {
+		return "Distinct"
+	}
 	return fmt.Sprintf("HashGroup(%d keys, %d aggs)", len(n.Keys), len(n.Aggs))
 }
 
@@ -149,7 +218,7 @@ func (n *GroupNode) Children() []Node { return []Node{n.Input} }
 
 type groupState struct {
 	keyVals schema.Row
-	accs    []*accumulator
+	accs    []accumulator
 	first   int // global index of the group's first input row
 }
 
@@ -223,6 +292,9 @@ func (n *GroupNode) Execute(ctx *Ctx) (*Result, error) {
 	if files > 0 {
 		ctx.noteSpill(n, files, bytes)
 	}
+	if nparts == 1 {
+		return n.emitGroups(ctx, groups[0])
+	}
 	sequence := slices.Concat(groups...)
 	slices.SortFunc(sequence, func(a, b *groupState) int { return a.first - b.first })
 	return n.emitGroups(ctx, sequence)
@@ -253,8 +325,13 @@ func (n *GroupNode) foldInOrder(ctx *Ctx, rows []schema.Row) (*Result, error) {
 }
 
 // fold adds the rows of a loaded piece, in its ascending order, to the
-// groups of t, appending each group it creates to groups.
+// groups of t, appending each group it creates to groups. A group's state
+// and key values come from slabs; under prefix keys its key values are its
+// first row's leading cells.
 func (n *GroupNode) fold(ctx *Ctx, rows []schema.Row, p *piece, t *keyTable[*groupState], groups []*groupState) ([]*groupState, error) {
+	var states slab[groupState]
+	var accs slab[accumulator]
+	var cells slab[types.Value]
 	for k, i := range p.idx {
 		if err := ctx.Tick(k); err != nil {
 			return nil, err
@@ -265,15 +342,21 @@ func (n *GroupNode) fold(ctx *Ctx, rows []schema.Row, p *piece, t *keyTable[*gro
 		if gp := t.lookup(hash, key); gp != nil {
 			g = *gp
 		} else {
-			keyVals := make(schema.Row, len(n.Keys))
-			for ki, f := range n.Keys {
-				v, err := f.Eval(rows[i])
-				if err != nil {
-					return nil, err
+			var keyVals schema.Row
+			if n.prefix {
+				keyVals = rows[i][:len(n.Keys):len(n.Keys)]
+			} else {
+				keyVals = cells.take(len(n.Keys))
+				for ki, f := range n.Keys {
+					v, err := f.Eval(rows[i])
+					if err != nil {
+						return nil, err
+					}
+					keyVals[ki] = v
 				}
-				keyVals[ki] = v
 			}
-			g = &groupState{keyVals: keyVals, accs: make([]*accumulator, len(n.Aggs)), first: i}
+			g = &states.take(1)[0]
+			*g = groupState{keyVals: keyVals, accs: accs.take(len(n.Aggs)), first: i}
 			for ai := range n.Aggs {
 				g.accs[ai] = newAccumulator(&n.Aggs[ai])
 			}
@@ -297,7 +380,7 @@ func (n *GroupNode) fold(ctx *Ctx, rows []schema.Row, p *piece, t *keyTable[*gro
 func (n *GroupNode) emitGroups(ctx *Ctx, sequence []*groupState) (*Result, error) {
 	if len(n.Keys) == 0 && len(sequence) == 0 {
 		// Global aggregate over empty input: one row of empty-group results.
-		g := &groupState{accs: make([]*accumulator, len(n.Aggs))}
+		g := &groupState{accs: make([]accumulator, len(n.Aggs))}
 		for i := range n.Aggs {
 			g.accs[i] = newAccumulator(&n.Aggs[i])
 		}
@@ -305,11 +388,18 @@ func (n *GroupNode) emitGroups(ctx *Ctx, sequence []*groupState) (*Result, error
 	}
 	ctx.res.Charge(int64(len(sequence)) * (rowHdrBytes + int64(n.schema.Len())*valueBytes))
 	out := make([]schema.Row, len(sequence))
+	if len(n.Aggs) == 0 {
+		for i, g := range sequence {
+			out[i] = g.keyVals
+		}
+		return &Result{Schema: n.schema, Rows: out}, nil
+	}
+	width := len(n.Keys) + len(n.Aggs)
+	flat := make([]types.Value, len(sequence)*width)
 	for i, g := range sequence {
-		row := make(schema.Row, 0, len(n.Keys)+len(n.Aggs))
-		row = append(row, g.keyVals...)
-		for _, acc := range g.accs {
-			row = append(row, acc.result())
+		row := append(flat[i*width:i*width:(i+1)*width], g.keyVals...)
+		for ai := range g.accs {
+			row = append(row, g.accs[ai].result())
 		}
 		out[i] = row
 	}

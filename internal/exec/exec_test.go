@@ -262,25 +262,21 @@ func TestAvgOverIntervals(t *testing.T) {
 func TestDistinctAndUnion(t *testing.T) {
 	a := NewValuesNode(intSchema("v"), intRows([]int64{1}, []int64{2}, []int64{1}))
 	b := NewValuesNode(intSchema("v"), intRows([]int64{2}, []int64{3}))
-	d := NewDistinctNode(a)
+	d := NewDistinct(a)
 	if got := mustExec(t, d); len(got.Rows) != 2 {
 		t.Fatalf("distinct rows = %d", len(got.Rows))
 	}
-	uAll, err := NewUnionNode(a, b, false)
+	uAll, err := NewUnionNode(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := mustExec(t, uAll); len(got.Rows) != 5 {
 		t.Fatalf("union all rows = %d", len(got.Rows))
 	}
-	u, err := NewUnionNode(a, b, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustExec(t, u); len(got.Rows) != 3 {
+	if got := mustExec(t, NewDistinct(uAll)); len(got.Rows) != 3 {
 		t.Fatalf("union rows = %d", len(got.Rows))
 	}
-	if _, err := NewUnionNode(a, NewValuesNode(intSchema("x", "y"), nil), false); err == nil {
+	if _, err := NewUnionNode(a, NewValuesNode(intSchema("x", "y"), nil)); err == nil {
 		t.Fatal("arity mismatch must error")
 	}
 }
@@ -293,7 +289,7 @@ func TestCtxCachesSharedSubtrees(t *testing.T) {
 		return types.NewBool(true), nil
 	})
 	shared := NewFilterNode(in, pred, "count calls")
-	u, _ := NewUnionNode(shared, shared, false)
+	u, _ := NewUnionNode(shared, shared)
 	got := mustExec(t, u)
 	if len(got.Rows) != 2 {
 		t.Fatalf("rows = %d", len(got.Rows))
@@ -319,7 +315,7 @@ func TestExplainOutput(t *testing.T) {
 func TestSetOpNode(t *testing.T) {
 	a := NewValuesNode(intSchema("v"), intRows([]int64{1}, []int64{2}, []int64{2}, []int64{3}))
 	b := NewValuesNode(intSchema("v"), intRows([]int64{2}, []int64{4}))
-	ex, err := NewSetOpNode(a, b, SetOpExcept)
+	ex, err := NewSetOp(a, b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +323,7 @@ func TestSetOpNode(t *testing.T) {
 	if len(got.Rows) != 2 || got.Rows[0][0].Int() != 1 || got.Rows[1][0].Int() != 3 {
 		t.Fatalf("except = %v", got.Rows)
 	}
-	in, err := NewSetOpNode(a, b, SetOpIntersect)
+	in, err := NewSetOp(a, b, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +331,7 @@ func TestSetOpNode(t *testing.T) {
 	if len(got.Rows) != 1 || got.Rows[0][0].Int() != 2 {
 		t.Fatalf("intersect = %v", got.Rows)
 	}
-	if _, err := NewSetOpNode(a, NewValuesNode(intSchema("x", "y"), nil), SetOpExcept); err == nil {
+	if _, err := NewSetOp(a, NewValuesNode(intSchema("x", "y"), nil), false); err == nil {
 		t.Fatal("arity mismatch must error")
 	}
 }

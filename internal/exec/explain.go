@@ -81,7 +81,7 @@ func explainNode(b *strings.Builder, n Node, params []types.Value, depth int) {
 // where intra-query parallelism will apply.
 func parallelCapable(n Node) bool {
 	switch n.(type) {
-	case *ScanNode, *FilterNode, *ProjectNode, *SortNode, *DistinctNode,
+	case *ScanNode, *FilterNode, *ProjectNode, *SortNode,
 		*HashJoinNode, *GroupNode, *WindowNode:
 		return true
 	}
@@ -165,10 +165,6 @@ func Kind(n Node) string {
 		return "Sort"
 	case *LimitNode:
 		return "Limit"
-	case *DistinctNode:
-		return "Distinct"
-	case *SetOpNode:
-		return "SetOp"
 	case *UnionNode:
 		return "Union"
 	case *HashJoinNode:
@@ -176,6 +172,9 @@ func Kind(n Node) string {
 	case *NestedLoopJoinNode:
 		return "NLJoin"
 	case *GroupNode:
+		if len(v.Aggs) == 0 {
+			return "Distinct"
+		}
 		return "Group"
 	case *WindowNode:
 		return "Window"

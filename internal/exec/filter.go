@@ -195,7 +195,7 @@ func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][
 func (n *ProjectNode) open(c *Ctx) *level {
 	vec := c.useVector(n.Exprs...)
 	lv := &level{node: n, eval: evalMode(vec), parallel: true}
-	if k := len(n.ords); n.prefix() && OwnsRows(n.Input) {
+	if k := len(n.ords); leading(n.ords) && OwnsRows(n.Input) {
 		if k < n.Input.Schema().Len() {
 			lv.inBytes = rowHdrBytes
 			lv.run = func(_ int, in []schema.Row) ([]schema.Row, error) {
@@ -218,15 +218,15 @@ func (n *ProjectNode) open(c *Ctx) *level {
 	return lv
 }
 
-// prefix reports whether the projection selects the first columns of its
-// input, in order.
-func (n *ProjectNode) prefix() bool {
-	for j, o := range n.ords {
+// leading reports whether column ordinals ords are the first columns of
+// an input, in order.
+func leading(ords []int) bool {
+	for j, o := range ords {
 		if o != j {
 			return false
 		}
 	}
-	return n.ords != nil
+	return ords != nil
 }
 
 // SortNode orders rows by compiled key expressions.
@@ -468,146 +468,26 @@ func (n *LimitNode) Label() string {
 // Children implements Node.
 func (n *LimitNode) Children() []Node { return []Node{n.Input} }
 
-// DistinctNode removes duplicate rows (all columns), keeping first
-// occurrences in input order.
-type DistinctNode struct {
-	base
-	Input Node
-}
-
-// NewDistinctNode wraps child with duplicate elimination.
-func NewDistinctNode(child Node) *DistinctNode {
-	n := &DistinctNode{Input: child}
-	n.schema = child.Schema()
-	n.ordering = child.Ordering()
-	return n
-}
-
-// Label implements Node.
-func (n *DistinctNode) Label() string { return "Distinct" }
-
-// Children implements Node.
-func (n *DistinctNode) Children() []Node { return []Node{n.Input} }
-
-// Execute implements Node.
-func (n *DistinctNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.reserveOrCharge(int64(len(in.Rows)) * (rowHdrBytes + keyRefBytes)); err != nil {
-		return nil, err
-	}
-	seen := newRowSet(len(in.Rows))
-	var enc keyEnc
-	out := make([]schema.Row, 0, len(in.Rows))
-	for i, r := range in.Rows {
-		if err := ctx.Tick(i); err != nil {
-			return nil, err
-		}
-		if seen.add(enc.row(r)) {
-			out = append(out, r)
-		}
-	}
-	return &Result{Schema: n.schema, Rows: out}, nil
-}
-
-// SetOpKind distinguishes EXCEPT from INTERSECT in SetOpNode.
-type SetOpKind uint8
-
-// Set-operation kinds.
-const (
-	SetOpExcept SetOpKind = iota
-	SetOpIntersect
-)
-
-// SetOpNode implements EXCEPT and INTERSECT with SQL set semantics
-// (duplicates eliminated, left input order preserved).
-type SetOpNode struct {
-	base
-	Left, Right Node
-	Kind        SetOpKind
-}
-
-// NewSetOpNode builds EXCEPT/INTERSECT over two inputs of equal arity.
-func NewSetOpNode(l, r Node, kind SetOpKind) (*SetOpNode, error) {
-	if l.Schema().Len() != r.Schema().Len() {
-		return nil, fmt.Errorf("exec: set operation arity mismatch: %d vs %d", l.Schema().Len(), r.Schema().Len())
-	}
-	n := &SetOpNode{Left: l, Right: r, Kind: kind}
-	n.schema = l.Schema()
-	return n, nil
-}
-
-// Label implements Node.
-func (n *SetOpNode) Label() string {
-	if n.Kind == SetOpIntersect {
-		return "Intersect"
-	}
-	return "Except"
-}
-
-// Children implements Node.
-func (n *SetOpNode) Children() []Node { return []Node{n.Left, n.Right} }
-
-// Execute implements Node. The two inputs execute concurrently.
-func (n *SetOpNode) Execute(ctx *Ctx) (*Result, error) {
-	l, r, err := runPair(ctx, n.Left, n.Right)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.reserveOrCharge(int64(len(l.Rows)+len(r.Rows)) * (rowHdrBytes + keyRefBytes)); err != nil {
-		return nil, err
-	}
-	var enc keyEnc
-	right := newRowSet(len(r.Rows))
-	for i, row := range r.Rows {
-		if err := ctx.Tick(i); err != nil {
-			return nil, err
-		}
-		right.add(enc.row(row))
-	}
-	seen := newRowSet(len(l.Rows))
-	var out []schema.Row
-	for i, row := range l.Rows {
-		if err := ctx.Tick(i); err != nil {
-			return nil, err
-		}
-		k := enc.row(row)
-		if !seen.add(k) {
-			continue
-		}
-		if (n.Kind == SetOpExcept) != right.contains(k) {
-			out = append(out, row)
-		}
-	}
-	return &Result{Schema: n.schema, Rows: out}, nil
-}
-
-// UnionNode concatenates two inputs; Distinct applies set semantics.
+// UnionNode concatenates two inputs: UNION ALL. (UNION is a NewDistinct
+// over it.)
 type UnionNode struct {
 	base
 	Left, Right Node
-	Distinct    bool
 }
 
-// NewUnionNode combines two inputs with UNION [ALL] semantics.
-func NewUnionNode(l, r Node, distinct bool) (*UnionNode, error) {
+// NewUnionNode combines two inputs of equal arity with UNION ALL
+// semantics.
+func NewUnionNode(l, r Node) (*UnionNode, error) {
 	if l.Schema().Len() != r.Schema().Len() {
 		return nil, fmt.Errorf("exec: UNION arity mismatch: %d vs %d", l.Schema().Len(), r.Schema().Len())
 	}
-	n := &UnionNode{Left: l, Right: r, Distinct: distinct}
+	n := &UnionNode{Left: l, Right: r}
 	n.schema = l.Schema()
 	return n, nil
 }
 
 // Label implements Node.
-func (n *UnionNode) Label() string {
-	if n.Distinct {
-		return "Union"
-	}
-	return "UnionAll"
-}
+func (n *UnionNode) Label() string { return "UnionAll" }
 
 // Children implements Node.
 func (n *UnionNode) Children() []Node { return []Node{n.Left, n.Right} }
@@ -618,29 +498,8 @@ func (n *UnionNode) Execute(ctx *Ctx) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	perRow := int64(rowHdrBytes)
-	if n.Distinct {
-		perRow += keyRefBytes
-	}
-	if err := ctx.reserveOrCharge(int64(len(l.Rows)+len(r.Rows)) * perRow); err != nil {
+	if err := ctx.reserveOrCharge(int64(len(l.Rows)+len(r.Rows)) * rowHdrBytes); err != nil {
 		return nil, err
 	}
-	rows := make([]schema.Row, 0, len(l.Rows)+len(r.Rows))
-	rows = append(rows, l.Rows...)
-	rows = append(rows, r.Rows...)
-	if !n.Distinct {
-		return &Result{Schema: n.schema, Rows: rows}, nil
-	}
-	var enc keyEnc
-	seen := newRowSet(len(rows))
-	out := rows[:0:0]
-	for i, row := range rows {
-		if err := ctx.Tick(i); err != nil {
-			return nil, err
-		}
-		if seen.add(enc.row(row)) {
-			out = append(out, row)
-		}
-	}
-	return &Result{Schema: n.schema, Rows: out}, nil
+	return &Result{Schema: n.schema, Rows: slices.Concat(l.Rows, r.Rows)}, nil
 }

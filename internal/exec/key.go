@@ -3,20 +3,24 @@ package exec
 import (
 	"bytes"
 	"hash/maphash"
+	"slices"
+	"unsafe"
 
 	"repro/internal/eval"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
 
-// Composite grouping keys — the join build/probe key, DISTINCT and set
-// operations' row identity, and the group-by key — are encoded into a
-// reused byte buffer and addressed by a 64-bit maphash. The old
-// implementation concatenated per-value strings into a fresh string per
-// row; the encoder below performs zero allocations per row (the encoding
-// is types.Value.AppendGroupKey with a 0x1f separator between columns),
-// and collisions never threaten correctness because every bucket entry
-// keeps its full encoded key for byte-equality verification.
+// Composite keys — the join build and probe key, the group-by key (which
+// DISTINCT and the set operations group on too), and a window's partition
+// key — are one encoding: each value's types.AppendSortKey, appended into
+// a reused scratch buffer and addressed by a 64-bit maphash. Sort keys are
+// prefix-free, so a tuple's keys concatenate without a separator, and two
+// tuples share a key exactly when ORDER BY ties them: INT 1 and FLOAT 1.0
+// match, as do −0 and +0, and NULL is one value among the others. Encoding
+// allocates nothing per row, and collisions never threaten correctness:
+// every bucket entry keeps its full encoded key for byte-equality
+// verification.
 
 // hashSeed is the process-wide seed for operator hash tables. Every
 // worker of one operator must hash with the same seed so that hash
@@ -29,17 +33,6 @@ func hashKey(b []byte) uint64 { return maphash.Bytes(hashSeed, b) }
 // keyEnc builds composite keys in a reusable scratch buffer. One keyEnc
 // belongs to one goroutine; parallel operators allocate one per worker.
 type keyEnc struct{ buf []byte }
-
-// row encodes every column of r. The returned slice aliases the scratch
-// buffer: it is valid until the next call on this encoder.
-func (k *keyEnc) row(r schema.Row) []byte {
-	k.buf = k.buf[:0]
-	for _, v := range r {
-		k.buf = v.AppendGroupKey(k.buf)
-		k.buf = append(k.buf, 0x1f)
-	}
-	return k.buf
-}
 
 // funcs evaluates the key expressions over row into the scratch buffer.
 // null reports whether any key evaluated to NULL (join keys never match
@@ -55,8 +48,7 @@ func (k *keyEnc) funcs(fns []*eval.Compiled, row schema.Row) (key []byte, null b
 		if v.IsNull() {
 			null = true
 		}
-		k.buf = v.AppendGroupKey(k.buf)
-		k.buf = append(k.buf, 0x1f)
+		k.buf = types.AppendSortKey(k.buf, v, false)
 	}
 	return k.buf, null, nil
 }
@@ -72,8 +64,7 @@ func (k *keyEnc) cols(cols [][]types.Value, i int) (key []byte, null bool) {
 		if v.IsNull() {
 			null = true
 		}
-		k.buf = v.AppendGroupKey(k.buf)
-		k.buf = append(k.buf, 0x1f)
+		k.buf = types.AppendSortKey(k.buf, v, false)
 	}
 	return k.buf, null
 }
@@ -108,14 +99,13 @@ func (c *Ctx) hashRows(rows []schema.Row, keys []*eval.Compiled, aggs []AggSpec,
 	encs := make([]keyEnc, workers)
 	err := c.parallelFor(n, workers, func(w, lo, hi int) error {
 		enc := &encs[w]
-		var arena []byte
+		var arena slab[byte]
 		put := func(i int, key []byte, null bool) {
 			if null && nullNil {
 				return
 			}
-			start := len(arena)
-			arena = append(arena, key...)
-			kb := arena[start:len(arena):len(arena)]
+			kb := arena.take(len(key))
+			copy(kb, key)
 			h.keys[i], h.hashes[i] = kb, hashKey(kb)
 		}
 		serial := func(b, e int) error {
@@ -163,71 +153,63 @@ func (c *Ctx) hashRows(rows []schema.Row, keys []*eval.Compiled, aggs []AggSpec,
 	return h, err
 }
 
+// slab hands out slices of chunks that double from 512 bytes to 64 KiB,
+// so the keys of a morsel or the groups of a partition cost a few
+// allocations, not one or more each, and no chunk is ever copied.
+type slab[T any] []T
+
+func (s *slab[T]) take(n int) []T {
+	if cap(*s)-len(*s) < n {
+		var zero T
+		size := max(int(unsafe.Sizeof(zero)), 1)
+		*s = make([]T, 0, max(n, min(2*cap(*s), (64<<10)/size), 512/size))
+	}
+	*s = (*s)[:len(*s)+n]
+	return (*s)[len(*s)-n : len(*s) : len(*s)]
+}
+
 // keyTable is a hash table from encoded key bytes to a value of type T.
-// Buckets are keyed by the full 64-bit maphash; entries within a bucket
-// are verified by byte equality, so hashing is an accelerator, never a
+// The entries live in one slice, chained per 64-bit maphash from a map of
+// chain heads, so an insert costs no allocation of its own; entries are
+// verified by byte equality, so hashing is an accelerator, never a
 // correctness risk.
 type keyTable[T any] struct {
-	buckets map[uint64][]keyEntry[T]
-	n       int
+	heads map[uint64]int // hash → 1 + index of its latest entry
+	ents  []keyEntry[T]
 }
 
 type keyEntry[T any] struct {
-	key []byte
-	val T
+	key  []byte
+	val  T
+	next int // 1 + index of the previous entry of the same hash; 0 ends
 }
 
 func newKeyTable[T any](capacity int) *keyTable[T] {
-	return &keyTable[T]{buckets: make(map[uint64][]keyEntry[T], capacity)}
+	return &keyTable[T]{heads: make(map[uint64]int, capacity), ents: make([]keyEntry[T], 0, capacity)}
 }
 
 // len reports the number of distinct keys stored.
-func (t *keyTable[T]) len() int { return t.n }
+func (t *keyTable[T]) len() int { return len(t.ents) }
 
 // lookup returns a pointer to the value stored under key, or nil. The
-// pointer is invalidated by the next insert into the same bucket, so
-// callers must use it before inserting again.
+// pointer is invalidated by the next insert, so callers must use it
+// before inserting again.
 func (t *keyTable[T]) lookup(h uint64, key []byte) *T {
-	b := t.buckets[h]
-	for i := range b {
-		if bytes.Equal(b[i].key, key) {
-			return &b[i].val
+	for i := t.heads[h]; i != 0; i = t.ents[i-1].next {
+		if e := &t.ents[i-1]; bytes.Equal(e.key, key) {
+			return &e.val
 		}
 	}
 	return nil
 }
 
 // insert stores val under a key that must not already be present. The
-// key bytes are retained as-is: pass a stable slice (insertCopy copies a
-// scratch-buffer key first).
+// key bytes are retained as-is: pass a stable slice, never the scratch
+// buffer.
 func (t *keyTable[T]) insert(h uint64, key []byte, val T) {
-	t.buckets[h] = append(t.buckets[h], keyEntry[T]{key: key, val: val})
-	t.n++
-}
-
-// insertCopy is insert for keys that alias a reused scratch buffer.
-func (t *keyTable[T]) insertCopy(h uint64, key []byte, val T) {
-	t.insert(h, append([]byte(nil), key...), val)
-}
-
-// rowSet is the DISTINCT/set-operation membership structure.
-type rowSet struct{ t *keyTable[struct{}] }
-
-func newRowSet(capacity int) rowSet {
-	return rowSet{t: newKeyTable[struct{}](capacity)}
-}
-
-// add inserts the encoded row key and reports whether it was new.
-func (s rowSet) add(key []byte) bool {
-	h := hashKey(key)
-	if s.t.lookup(h, key) != nil {
-		return false
+	if len(t.ents) == cap(t.ents) {
+		t.ents = slices.Grow(t.ents, len(t.ents)) // doubling: append grows large slices by 1.25×
 	}
-	s.t.insertCopy(h, key, struct{}{})
-	return true
-}
-
-// contains reports membership without inserting.
-func (s rowSet) contains(key []byte) bool {
-	return s.t.lookup(hashKey(key), key) != nil
+	t.ents = append(t.ents, keyEntry[T]{key: key, val: val, next: t.heads[h]})
+	t.heads[h] = len(t.ents)
 }

@@ -1,23 +1,24 @@
 // Package exec implements the physical query operators of the embedded
 // engine: scans (sequential and index-range), filters, projections, sorts,
-// hash and nested-loop joins, hash aggregation (including COUNT(DISTINCT)),
-// set operations, and the SQL/OLAP window operator with ROWS and RANGE
+// hash and nested-loop joins, hash aggregation (including COUNT(DISTINCT),
+// and duplicate elimination: DISTINCT and the set operations group with
+// it), UNION ALL, and the SQL/OLAP window operator with ROWS and RANGE
 // frames that the paper's cleansing templates compile into.
 //
 // Scans, Values, filters, projections, requalifications, windows, limits
 // and the hash-join probe are pipelined (see stream.go): one morsel
 // pipeline per chain of them, which Open streams and Run drains. The
-// breakers — sort, aggregation, distinct, set operations, the nested-loop
-// join — materialize their output in Execute, consuming their inputs
-// whole through Run. Sort, aggregation and the hash-join build run one
+// breakers — sort, aggregation, UNION ALL, the nested-loop join —
+// materialize their output in Execute, consuming their inputs whole
+// through Run. Sort, aggregation and the hash-join build run one
 // algorithm over pieces — sort runs, hash partitions — that live in
 // memory or, past the memory budget, in spill files (see spill.go).
 //
 // Within a query, operators are morsel-parallel (see parallel.go and
 // pump.go): pipelines and the breakers' hot loops fan out over a worker
 // pool sized by the Parallelism knob while preserving the exact serial
-// output, and the independent inputs of a set operation or nested-loop
-// join execute concurrently.
+// output, and the independent inputs of a UNION ALL or nested-loop join
+// execute concurrently.
 package exec
 
 import (

@@ -158,23 +158,23 @@ func TestParallelDistinctAndSetOpsMatchSerial(t *testing.T) {
 		in := NewValuesNode(bigSchema(), bigRows(n))
 		return NewProjectNode(in, intSchema("k", "s"), []*eval.Compiled{colFn(1), colFn(3)})
 	}
-	t.Run("distinct", func(t *testing.T) { execBoth(t, NewDistinctNode(proj(20000))) })
+	t.Run("distinct", func(t *testing.T) { execBoth(t, NewDistinct(proj(20000))) })
 	t.Run("union", func(t *testing.T) {
-		n, err := NewUnionNode(proj(15000), proj(9000), true)
+		n, err := NewUnionNode(proj(15000), proj(9000))
 		if err != nil {
 			t.Fatal(err)
 		}
-		execBoth(t, n)
+		execBoth(t, NewDistinct(n))
 	})
 	t.Run("except", func(t *testing.T) {
-		n, err := NewSetOpNode(proj(15000), proj(9000), SetOpExcept)
+		n, err := NewSetOp(proj(15000), proj(9000), false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		execBoth(t, n)
 	})
 	t.Run("intersect", func(t *testing.T) {
-		n, err := NewSetOpNode(proj(15000), proj(9000), SetOpIntersect)
+		n, err := NewSetOp(proj(15000), proj(9000), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,49 +222,22 @@ func TestSortEvaluatesKeysOncePerRow(t *testing.T) {
 	}
 }
 
-// The keying hot path — encode a row and hash it — must not allocate.
+// The keying hot path — encode a row's key columns and hash them — must
+// not allocate.
 func TestKeyEncodingZeroAllocs(t *testing.T) {
 	row := schema.Row{types.NewInt(12345), types.NewString("case07"), types.NewFloat(2.5), types.Null}
+	keys := []*eval.Compiled{colFn(0), colFn(1), colFn(2), colFn(3)}
 	var enc keyEnc
-	enc.row(row) // warm the scratch buffer
+	enc.funcs(keys, row) // warm the scratch buffer
 	var sink uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		sink += hashKey(enc.row(row))
+		key, _, _ := enc.funcs(keys, row)
+		sink += hashKey(key)
 	})
 	if allocs != 0 {
 		t.Fatalf("key encode+hash allocates %.1f per row", allocs)
 	}
 	_ = sink
-}
-
-// BenchmarkRowKeying contrasts the legacy per-row string-concatenation
-// key (what joinKey/rowKey/the group-by map used to build) with the
-// maphash scratch-buffer encoder: the new path is allocation-free.
-func BenchmarkRowKeying(b *testing.B) {
-	rows := bigRows(4096)
-	b.Run("string-concat", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink int
-		for i := 0; i < b.N; i++ {
-			r := rows[i%len(rows)]
-			kb := make([]byte, 0, 16)
-			for _, v := range r {
-				kb = v.AppendGroupKey(kb)
-				kb = append(kb, 0x1f)
-			}
-			sink += len(string(kb))
-		}
-		_ = sink
-	})
-	b.Run("maphash", func(b *testing.B) {
-		b.ReportAllocs()
-		var enc keyEnc
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			sink += hashKey(enc.row(rows[i%len(rows)]))
-		}
-		_ = sink
-	})
 }
 
 // Canceling mid-operator must stop parallel workers: a predicate cancels

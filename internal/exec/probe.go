@@ -125,14 +125,12 @@ func (jt *joinTable) keys(key *eval.Compiled, limit int) []types.Value {
 	}
 	out := make([]types.Value, 0, n)
 	for _, p := range jt.parts {
-		for _, bucket := range p.buckets {
-			for _, e := range bucket {
-				v, err := key.Eval(e.val[0])
-				if err != nil {
-					return nil
-				}
-				out = append(out, v)
+		for _, e := range p.ents {
+			v, err := key.Eval(e.val[0])
+			if err != nil {
+				return nil
 			}
+			out = append(out, v)
 		}
 	}
 	return out

@@ -59,8 +59,7 @@ const (
 
 // reserveOrCharge is the accounting call for operators that cannot shrink
 // their footprint by spilling (scans, filter and project stages per
-// morsel, windows, distinct, set operations — their output lives in
-// memory either way).
+// morsel, windows, UNION ALL — their output lives in memory either way).
 // When the query cannot degrade to disk the budget is enforced: the
 // reservation fails with ErrResourceExhausted. When spilling is enabled
 // the bytes are charged without failing, preserving the contract that a

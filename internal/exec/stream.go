@@ -14,10 +14,10 @@
 // A pipeline is consumed one of two ways, and nothing else produces a
 // pipelined operator's output: Open streams it batch by batch, so the
 // first rows leave the engine while the scan is still running, and Run
-// drains it into a Result. Breakers — sort, aggregation, distinct, set
-// operations, the nested-loop join, and a hash join whose build
-// reservation is refused (the partitioned join) — materialize through their
-// Execute and reach their inputs through Run.
+// drains it into a Result. Breakers — sort, aggregation (which DISTINCT,
+// UNION, EXCEPT and INTERSECT are), UNION ALL, the nested-loop join, and a
+// hash join whose build reservation is refused (the partitioned join) —
+// materialize through their Execute and reach their inputs through Run.
 //
 // Either way the execution contract is the same:
 //   - Results and row order are byte-identical at any parallelism.
@@ -86,21 +86,19 @@ func Open(ctx *Ctx, n Node) Stream {
 // Values data). Owned rows may be adopted by the caller without copying.
 func OwnsRows(n Node) bool {
 	switch t := n.(type) {
-	case *ProjectNode, *HashJoinNode, *NestedLoopJoinNode, *GroupNode, *WindowNode:
+	case *ProjectNode, *HashJoinNode, *NestedLoopJoinNode, *WindowNode:
 		return true
+	case *GroupNode:
+		// Keys-only grouping on leading columns returns first rows' cells.
+		return len(t.Aggs) > 0 || !t.prefix || OwnsRows(t.Input)
 	case *FilterNode:
 		return OwnsRows(t.Input)
 	case *SortNode:
 		return OwnsRows(t.Input)
 	case *LimitNode:
 		return OwnsRows(t.Input)
-	case *DistinctNode:
-		return OwnsRows(t.Input)
 	case *RequalifyNode:
 		return OwnsRows(t.Input)
-	case *SetOpNode:
-		// Set-op output rows come from the left input.
-		return OwnsRows(t.Left)
 	case *UnionNode:
 		return OwnsRows(t.Left) && OwnsRows(t.Right)
 	default:

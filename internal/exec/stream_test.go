@@ -108,11 +108,11 @@ func streamPlans(tab *storage.Table) map[string]func() Node {
 				[]*eval.Compiled{colFn(1)}, []AggSpec{{Func: "count", OutName: "cnt"}})
 		},
 		"distinct": func() Node {
-			return NewDistinctNode(NewProjectNode(NewScanNode(tab, "t"), intSchema("b"), []*eval.Compiled{colFn(1)}))
+			return NewDistinct(NewProjectNode(NewScanNode(tab, "t"), intSchema("b"), []*eval.Compiled{colFn(1)}))
 		},
 		"shared-subtree": func() Node {
 			shared := NewFilterNode(NewScanNode(tab, "t"), evenPred(), "a%2=0")
-			u, err := NewUnionNode(shared, shared, false)
+			u, err := NewUnionNode(shared, shared)
 			if err != nil {
 				panic(err)
 			}

@@ -55,7 +55,8 @@ type WindowAgg struct {
 // rules and q1's own OLAP functions.
 //
 // A partition is a run of adjacent rows whose partition keys encode
-// equally (keyEnc). The window is a pipeline stage: its pipeline cuts the
+// equally (keyEnc): keys that sort as ties, so INT 1 and FLOAT 1.0 share
+// one. The window is a pipeline stage: its pipeline cuts the
 // source only where a partition ends (see alignWindows), so each morsel
 // holds whole partitions.
 type WindowNode struct {

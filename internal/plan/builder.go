@@ -100,32 +100,33 @@ func (b *builder) planStmt(stmt sqlast.Stmt, scope *cteScope) (*planned, error) 
 		if err != nil {
 			return nil, err
 		}
-		switch s.Op {
-		case sqlast.SetUnion:
-			n, err := exec.NewUnionNode(l.node, r.node, !s.All)
+		if s.Op == sqlast.SetUnion {
+			u, err := exec.NewUnionNode(l.node, r.node)
 			if err != nil {
 				return nil, err
 			}
 			rows := l.node.EstRows() + r.node.EstRows()
-			if !s.All {
-				rows *= 0.9
+			exec.SetEstimates(u, rows, l.node.EstCost()+r.node.EstCost()+cpu(rows*costUnionRow))
+			if s.All {
+				return &planned{node: u, stats: l.stats}, nil
 			}
-			exec.SetEstimates(n, rows, l.node.EstCost()+r.node.EstCost()+cpu(rows*costUnionRow))
-			return &planned{node: n, stats: l.stats}, nil
-		default:
-			kind := exec.SetOpExcept
-			rows := l.node.EstRows() * 0.5
-			if s.Op == sqlast.SetIntersect {
-				kind = exec.SetOpIntersect
-				rows = l.node.EstRows() * 0.3
-			}
-			n, err := exec.NewSetOpNode(l.node, r.node, kind)
-			if err != nil {
-				return nil, err
-			}
-			exec.SetEstimates(n, rows, l.node.EstCost()+r.node.EstCost()+evalCPU(l.node.EstRows()+r.node.EstRows(), costHashRow))
-			return &planned{node: n, stats: l.stats}, nil
+			d := exec.NewDistinct(u)
+			exec.SetEstimates(d, rows*0.9, u.EstCost()+evalCPU(rows, costGroupRow))
+			return &planned{node: d, stats: l.stats}, nil
 		}
+		n, err := exec.NewSetOp(l.node, r.node, s.Op == sqlast.SetIntersect)
+		if err != nil {
+			return nil, err
+		}
+		rows := l.node.EstRows() * 0.5
+		if s.Op == sqlast.SetIntersect {
+			rows = l.node.EstRows() * 0.3
+		}
+		cost := l.node.EstCost() + r.node.EstCost() + evalCPU(l.node.EstRows()+r.node.EstRows(), costHashRow)
+		for m := n; len(m.Children()) == 1; m = m.Children()[0] {
+			exec.SetEstimates(m, rows, cost)
+		}
+		return &planned{node: n, stats: l.stats}, nil
 	}
 	return nil, fmt.Errorf("plan: unsupported statement %T", stmt)
 }

@@ -38,17 +38,7 @@ func annotateMemory(n exec.Node) {
 			t.Input.EstRows()*(exec.RowHdrBytes+float64(n.Schema().Len())*exec.ValueBytes))
 	case *exec.FilterNode:
 		exec.SetMemEstimate(n, t.Input.EstRows()*exec.RowHdrBytes)
-	case *exec.DistinctNode:
-		exec.SetMemEstimate(n,
-			t.Input.EstRows()*(exec.RowHdrBytes+exec.KeyRefBytes))
-	case *exec.SetOpNode:
-		exec.SetMemEstimate(n,
-			(t.Left.EstRows()+t.Right.EstRows())*(exec.RowHdrBytes+exec.KeyRefBytes))
 	case *exec.UnionNode:
-		per := float64(exec.RowHdrBytes)
-		if t.Distinct {
-			per += exec.KeyRefBytes
-		}
-		exec.SetMemEstimate(n, (t.Left.EstRows()+t.Right.EstRows())*per)
+		exec.SetMemEstimate(n, (t.Left.EstRows()+t.Right.EstRows())*exec.RowHdrBytes)
 	}
 }

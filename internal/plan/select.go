@@ -102,7 +102,7 @@ func (b *builder) finishSelect(sel *sqlast.SelectStmt, pl *planned, scope *cteSc
 		}
 	}
 	if sel.Distinct {
-		n := exec.NewDistinctNode(pl.node)
+		n := exec.NewDistinct(pl.node)
 		rows := b.distinctEstimate(pl)
 		exec.SetEstimates(n, rows, pl.node.EstCost()+evalCPU(pl.node.EstRows(), costGroupRow))
 		pl = &planned{node: n, stats: pl.stats}

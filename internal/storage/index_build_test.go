@@ -157,7 +157,7 @@ func hashStats(tab *storage.Table, ord int) storage.ColStats {
 				continue
 			}
 			st.NonNull++
-			seen[string(v.AppendGroupKey(nil))] = true
+			seen[string(types.AppendSortKey(nil, v, false))] = true
 			if st.Min.IsNull() {
 				st.Min, st.Max = v, v
 				continue

@@ -40,7 +40,7 @@ func (t *Table) Analyze() {
 					continue
 				}
 				st.NonNull++
-				key = v.AppendGroupKey(key[:0])
+				key = types.AppendSortKey(key[:0], v, false)
 				if _, ok := seen[string(key)]; !ok {
 					seen[string(key)] = struct{}{}
 				}

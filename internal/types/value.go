@@ -220,34 +220,6 @@ func quoteSQLString(s string) string {
 	return string(append(out, '\''))
 }
 
-// AppendGroupKey appends v's group key to b and returns the extended
-// slice. Two values have the same key iff they are Equal; NULL has its
-// own key, distinct from every non-null value. Callers reuse a scratch
-// buffer and look keys up as m[string(key)], which does not allocate.
-func (v Value) AppendGroupKey(b []byte) []byte {
-	switch v.kind {
-	case KindNull:
-		return append(b, 0x00, 'n')
-	case KindBool:
-		if v.i != 0 {
-			return append(b, 0x00, 't')
-		}
-		return append(b, 0x00, 'f')
-	case KindInt:
-		return strconv.AppendInt(append(b, 0x00, 'i'), v.i, 10)
-	case KindFloat:
-		// +0 folds −0 in: the two are Equal, so they share a key.
-		return strconv.AppendFloat(append(b, 0x00, 'd'), v.f+0, 'x', -1, 64)
-	case KindString:
-		return append(append(b, 0x00, 's'), v.s...)
-	case KindTime:
-		return strconv.AppendInt(append(b, 0x00, 'T'), v.i, 10)
-	case KindInterval:
-		return strconv.AppendInt(append(b, 0x00, 'I'), v.i, 10)
-	}
-	return append(b, 0x00, '?')
-}
-
 // Equal reports strict equality of kind and payload. NULLs are equal to
 // each other here (Go-level identity, not SQL semantics); use Compare for
 // SQL comparison semantics.
