@@ -82,18 +82,6 @@ func (v *Vec) Codes() []int32 { return v.codes }
 // Dict returns the dictionary (valid for EncDict), indexed by code.
 func (v *Vec) Dict() []string { return v.dict }
 
-// DictCode returns the dictionary code for s, or -1 when s does not occur
-// in this vector — which lets an equality kernel compare int32 codes
-// instead of strings.
-func (v *Vec) DictCode(s string) int32 {
-	for c, d := range v.dict {
-		if d == s {
-			return int32(c)
-		}
-	}
-	return -1
-}
-
 // Value reconstructs element i as a boxed value, bit-identical to the
 // value that was appended.
 func (v *Vec) Value(i int) types.Value {

@@ -161,12 +161,13 @@ func NewDistinct(child Node) *GroupNode {
 // NewSetOp builds EXCEPT, or INTERSECT when intersect is set, with set
 // semantics over two inputs of equal arity as one grouping pass: a UNION
 // ALL of the inputs, each row tagged with its side (left 0, right 1),
-// grouped on every column with MIN and MAX of the tag. EXCEPT keeps the
-// groups whose tags are all 0, INTERSECT those with both; a projection
-// drops the tag. A group's first appearance is a left row, so the result
-// is the left input's distinct rows in their order. The tagged inputs and
-// their union carry the inputs' estimates; the planner sets those of the
-// single-input chain above the union.
+// grouped on every column with MAX of the tag, and for INTERSECT also its
+// MIN. EXCEPT keeps the groups with no right row (MAX 0), INTERSECT those
+// with both sides (MIN 0, MAX 1); a projection drops the tags. A group's
+// first appearance is a left row, so the result is the left input's
+// distinct rows in their order. The tagged inputs and their union carry
+// the inputs' estimates; the planner sets those of the single-input chain
+// above the union.
 func NewSetOp(l, r Node, intersect bool) (Node, error) {
 	width := l.Schema().Len()
 	if r.Schema().Len() != width {
@@ -187,20 +188,19 @@ func NewSetOp(l, r Node, intersect bool) (Node, error) {
 		return nil, err
 	}
 	u.estRows, u.estCost = l.EstRows()+r.EstRows(), l.EstCost()+r.EstCost()
-	out := &schema.Schema{Columns: append(slices.Clip(l.Schema().Columns),
-		schema.Col("", "min_side", types.KindInt), schema.Col("", "max_side", types.KindInt))}
-	side := cols[width]
-	g := NewGroupNode(u, out, cols[:width], []AggSpec{{Func: "min", Arg: side, OutName: "min_side"}, {Func: "max", Arg: side, OutName: "max_side"}})
+	out := &schema.Schema{Columns: append(slices.Clip(l.Schema().Columns), schema.Col("", "max_side", types.KindInt))}
+	aggs := []AggSpec{{Func: "max", Arg: cols[width], OutName: "max_side"}}
 	desc := "max_side = 0"
+	keep := func(r schema.Row) bool { return r[width].Int() == 0 }
 	if intersect {
+		out.Columns = append(out.Columns, schema.Col("", "min_side", types.KindInt))
+		aggs = append(aggs, AggSpec{Func: "min", Arg: cols[width], OutName: "min_side"})
 		desc = "min_side = 0 AND max_side = 1"
+		keep = func(r schema.Row) bool { return r[width].Int() == 1 && r[width+1].Int() == 0 }
 	}
+	g := NewGroupNode(u, out, cols[:width], aggs)
 	f := NewFilterNode(g, eval.FromFunc(func(r schema.Row) (types.Value, error) {
-		mn, mx := r[width].Int(), r[width+1].Int()
-		if intersect {
-			return types.NewBool(mn == 0 && mx == 1), nil
-		}
-		return types.NewBool(mx == 0), nil
+		return types.NewBool(keep(r)), nil
 	}), desc)
 	return NewProjectNode(f, l.Schema(), cols[:width]), nil
 }

@@ -33,10 +33,10 @@ func BenchmarkColumnarScan(b *testing.B) {
 	selZone := []storage.ZonePred{{Col: 0, Bounds: storage.Bounds{Lo: &lo, LoIncl: true}}}
 
 	mkFiltered := func(src string) Node {
-		return NewFilterNode(NewScanNode(tab, "t"), benchCompileOn(b, src, tab), src)
+		return NewFilterNode(NewScanNode(tab), benchCompileOn(b, src, tab), src)
 	}
 	mkFused := func(src string, zone []storage.ZonePred) Node {
-		return fuse(NewScanNode(tab, "t"), benchCompileOn(b, src, tab), src, zone)
+		return fuse(NewScanNode(tab), benchCompileOn(b, src, tab), src, zone)
 	}
 
 	// Parity gate: every variant must produce the same rows.
@@ -107,7 +107,7 @@ func benchCompileOn(b *testing.B, src string, tab *storage.Table) *eval.Compiled
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := eval.Compile(e, &eval.Env{Schema: tab.Schema.WithQualifier("t")})
+	c, err := eval.Compile(e, &eval.Env{Schema: tab.Schema})
 	if err != nil {
 		b.Fatal(err)
 	}

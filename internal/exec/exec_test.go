@@ -63,13 +63,13 @@ func TestScanNodeSequentialAndIndex(t *testing.T) {
 	}
 	tab.BuildIndex("a")
 
-	seq := NewScanNode(tab, "t")
+	seq := NewScanNode(tab)
 	if got := mustExec(t, seq); len(got.Rows) != 5 {
 		t.Fatalf("seq scan rows = %d", len(got.Rows))
 	}
 
 	lo := types.NewInt(2)
-	ix := indexRange(NewScanNode(tab, "t"), 0, storage.Bounds{Lo: &lo, LoIncl: true})
+	ix := indexRange(NewScanNode(tab), 0, storage.Bounds{Lo: &lo, LoIncl: true})
 	got := mustExec(t, ix)
 	if len(got.Rows) != 4 {
 		t.Fatalf("index scan rows = %d", len(got.Rows))
@@ -399,7 +399,7 @@ func TestHashJoinBuildCacheReuseAndEpochEviction(t *testing.T) {
 		dim.Append(schema.Row{types.NewInt(rv[0]), types.NewInt(rv[1])})
 	}
 
-	join := NewHashJoinNode(NewScanNode(fact, "fact"), NewScanNode(dim, "dim"),
+	join := NewHashJoinNode(NewScanNode(fact), NewScanNode(dim),
 		[]*eval.Compiled{colFn(0)}, []*eval.Compiled{colFn(0)},
 		JoinKindInner, nil, "fact.k = dim.k")
 	join.CacheBuild = true

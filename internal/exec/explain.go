@@ -180,8 +180,6 @@ func Kind(n Node) string {
 		return "Window"
 	case *ValuesNode:
 		return "Values"
-	case *RequalifyNode:
-		return "Requalify"
 	}
 	// Unknown operator: fall back to the label up to its detail.
 	label := n.Label()

@@ -63,12 +63,13 @@ func (n *FilterNode) open(c *Ctx) (*level, error) {
 		return nil, err
 	}
 	vec := c.useVector(pred)
-	sels := make([][]int, c.par)
+	var sels [][]int
 	probe := c.probeFor(n.Input, n.ProbeCol)
 	if probe != nil {
 		probe.keys = keys
 	}
 	return &level{node: n, inBytes: rowHdrBytes, eval: evalMode(vec), parallel: true, probe: probe,
+		size: func(workers int) { sels = make([][]int, workers) },
 		run: func(w int, in []schema.Row) ([]schema.Row, error) {
 			out := make([]schema.Row, 0, len(in)/4+1)
 			if vec {
@@ -208,8 +209,9 @@ func (n *ProjectNode) open(c *Ctx) *level {
 		}
 		return lv
 	}
-	cols := make([][][]types.Value, c.par)
+	var cols [][][]types.Value
 	lv.inBytes = rowHdrBytes + int64(len(n.Exprs))*valueBytes
+	lv.size = func(workers int) { cols = make([][][]types.Value, workers) }
 	lv.run = func(w int, in []schema.Row) ([]schema.Row, error) {
 		cols[w] = n.scratch(cols[w], vec, len(in))
 		out := make([]schema.Row, len(in))

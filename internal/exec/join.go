@@ -283,7 +283,8 @@ func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 		lv.probe.keys = build.keys(n.RightKeys[n.ProbeKey], lv.probe.scan.Table.RowCount()/probeShare)
 	}
 	vecProbe := c.useVector(n.LeftKeys...) && c.useVector(n.Residual)
-	pss := make([]*probeState, c.par)
+	var pss []*probeState
+	lv.size = func(workers int) { pss = make([]*probeState, workers) }
 	lv.outBytes = rowHdrBytes + int64(n.schema.Len())*valueBytes
 	lv.eval, lv.batchRows, lv.parallel = evalMode(c.useVector(n.RightKeys...) && vecProbe), buildRows, true
 	lv.run = func(w int, in []schema.Row) ([]schema.Row, error) {

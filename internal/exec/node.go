@@ -5,14 +5,14 @@
 // it), UNION ALL, and the SQL/OLAP window operator with ROWS and RANGE
 // frames that the paper's cleansing templates compile into.
 //
-// Scans, Values, filters, projections, requalifications, windows, limits
-// and the hash-join probe are pipelined (see stream.go): one morsel
-// pipeline per chain of them, which Open streams and Run drains. The
-// breakers — sort, aggregation, UNION ALL, the nested-loop join —
-// materialize their output in Execute, consuming their inputs whole
-// through Run. Sort, aggregation and the hash-join build run one
-// algorithm over pieces — sort runs, hash partitions — that live in
-// memory or, past the memory budget, in spill files (see spill.go).
+// Scans, Values, filters, projections, windows, limits and the hash-join
+// probe are pipelined (see stream.go): one morsel pipeline per chain of
+// them, which Open streams and Run drains. The breakers — sort,
+// aggregation, UNION ALL, the nested-loop join — materialize their output
+// in Execute, consuming their inputs whole through Run. Sort, aggregation
+// and the hash-join build run one algorithm over pieces — sort runs, hash
+// partitions — that live in memory or, past the memory budget, in spill
+// files (see spill.go).
 //
 // Within a query, operators are morsel-parallel (see parallel.go and
 // pump.go): pipelines and the breakers' hot loops fan out over a worker
@@ -51,8 +51,8 @@ type Ctx struct {
 	// par caps intra-query parallelism (worker-pool width per operator
 	// and concurrent children); defaults to the Parallelism package knob.
 	par int
-	// vec enables batch (vectorized) expression evaluation; defaults to
-	// the Vectorize package knob.
+	// vec enables batch (vectorized) expression evaluation; on unless
+	// SetVectorize turns it off.
 	vec bool
 	// res governs this execution's memory budget, spill files, and fault
 	// injection; never nil (defaults to an unbounded handle).
@@ -135,7 +135,7 @@ func NewCtx() *Ctx { return NewCtxWith(context.Background()) }
 // poll it cooperatively (every cancelCheckInterval rows in their hot
 // loops) and abort with ctx.Err() once it is done.
 func NewCtxWith(ctx context.Context) *Ctx {
-	return &Ctx{ctx: ctx, par: defaultParallelism(), vec: Vectorize, res: govern.Unbounded(), cache: map[Node]*inflight{}, refs: map[Node]int{}}
+	return &Ctx{ctx: ctx, par: defaultParallelism(), vec: true, res: govern.Unbounded(), cache: map[Node]*inflight{}, refs: map[Node]int{}}
 }
 
 // NewAnalyzeCtx returns a context that records per-operator statistics.
@@ -152,10 +152,6 @@ func (c *Ctx) EnableStats() *Ctx {
 	}
 	return c
 }
-
-// CollectingStats reports whether this execution records per-operator
-// statistics.
-func (c *Ctx) CollectingStats() bool { return c.stats != nil }
 
 // StatsSnapshot returns the per-operator statistics recorded so far, one
 // entry per distinct plan node (shared subtrees appear once, however
@@ -578,10 +574,10 @@ type ScanBinding struct {
 // range or predicate, under every binding.
 func (s *ScanNode) Plain() bool { return s.IndexOrd < 0 && s.Bind == nil }
 
-// NewScanNode builds a scan. alias qualifies the output schema.
-func NewScanNode(t *storage.Table, alias string) *ScanNode {
+// NewScanNode builds a scan; its schema is its table's.
+func NewScanNode(t *storage.Table) *ScanNode {
 	s := &ScanNode{Table: t, IndexOrd: -1}
-	s.schema = t.Schema.WithQualifier(alias)
+	s.schema = t.Schema
 	return s
 }
 
@@ -779,27 +775,3 @@ func (n *ValuesNode) Label() string { return fmt.Sprintf("Values(%d)", len(n.Row
 
 // Children implements Node.
 func (n *ValuesNode) Children() []Node { return nil }
-
-// RequalifyNode renames the qualifier of its child's schema without
-// touching rows; it gives a shared CTE body a per-reference alias. In a
-// pipeline it is a stage that passes morsels through.
-type RequalifyNode struct {
-	base
-	Input Node
-}
-
-// NewRequalifyNode wraps child with a new schema qualifier.
-func NewRequalifyNode(child Node, alias string) *RequalifyNode {
-	n := &RequalifyNode{Input: child}
-	n.schema = child.Schema().WithQualifier(alias)
-	n.estRows = child.EstRows()
-	n.estCost = child.EstCost()
-	n.ordering = child.Ordering()
-	return n
-}
-
-// Label implements Node.
-func (n *RequalifyNode) Label() string { return "Requalify" }
-
-// Children implements Node.
-func (n *RequalifyNode) Children() []Node { return []Node{n.Input} }

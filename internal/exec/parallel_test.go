@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -189,7 +190,7 @@ func TestParallelIndexScanMatchesSerial(t *testing.T) {
 	}
 	tab.BuildIndex("a")
 	lo := types.NewInt(100)
-	execBoth(t, indexRange(NewScanNode(tab, "t"), 0, storage.Bounds{Lo: &lo, LoIncl: true}))
+	execBoth(t, indexRange(NewScanNode(tab), 0, storage.Bounds{Lo: &lo, LoIncl: true}))
 }
 
 // Sort keys must be computed once per row, never per comparison — a
@@ -275,5 +276,39 @@ func TestExplainAnalyzeReportsWorkers(t *testing.T) {
 	out := ExplainAnalyze(n, ctx)
 	if want := "workers=4"; !strings.Contains(out, want) {
 		t.Fatalf("ExplainAnalyze missing %q:\n%s", want, out)
+	}
+}
+
+// TestWideParallelismSizesScratchByFanOut: a pipeline stage's per-worker
+// scratch is sized by the workers its pump runs — one over a few rows —
+// not by the context's parallelism, so a huge requested width over a
+// filter → project → window → hash-join pipeline allocates next to
+// nothing.
+func TestWideParallelismSizesScratchByFanOut(t *testing.T) {
+	plan := func() Node {
+		in := NewValuesNode(intSchema("a", "b"), intRows([]int64{0, 1}, []int64{1, 1}, []int64{2, 2}, []int64{4, 2}))
+		f := NewFilterNode(in, evenPred(), "a%2=0")
+		p := NewProjectNode(f, intSchema("b", "a"), []*eval.Compiled{colFn(1), colFn(0)})
+		w := NewWindowNode(p, intSchema("b", "a", "w"), []*eval.Compiled{colFn(0)}, nil, nil,
+			[]WindowAgg{{Func: "count", OutName: "w", Frame: FrameSpec{Mode: FramePartition}}})
+		dim := NewValuesNode(intSchema("k"), intRows([]int64{0}, []int64{2}))
+		return NewHashJoinNode(w, dim, []*eval.Compiled{colFn(1)}, []*eval.Compiled{colFn(0)}, JoinKindInner, nil, "a=k")
+	}
+	want, err := Run(NewCtx().SetParallelism(1), plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Run(NewCtx().SetParallelism(1<<20), plan())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Fatalf("draining %d rows at parallelism 1<<20 allocated %d bytes, want < 1 MiB", len(got.Rows), d)
+	}
+	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || len(want.Rows) != 2 {
+		t.Fatalf("rows = %v, want %v (2 rows)", got.Rows, want.Rows)
 	}
 }

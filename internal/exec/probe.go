@@ -30,23 +30,14 @@ type scanProbe struct {
 	keys []types.Value
 }
 
-// ProbeScan returns the plain scan — no index bounds, no fused predicate —
-// that n is, directly or under Requalify, or nil. It is the scan a
-// FilterNode's or HashJoinNode's ProbeCol refers to.
+// ProbeScan returns n when it is a plain scan — no index bounds, no fused
+// predicate — or nil. It is the scan a FilterNode's or HashJoinNode's
+// ProbeCol refers to.
 func ProbeScan(n Node) *ScanNode {
-	for {
-		switch t := n.(type) {
-		case *RequalifyNode:
-			n = t.Input
-		case *ScanNode:
-			if t.Plain() {
-				return t
-			}
-			return nil
-		default:
-			return nil
-		}
+	if s, ok := n.(*ScanNode); ok && s.Plain() {
+		return s
 	}
+	return nil
 }
 
 // probeFor starts the probe an operator over input binds on column col

@@ -33,7 +33,7 @@ func fusedScan(t *testing.T, tab *storage.Table, src string, zone []storage.Zone
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScanNode(tab, "t")
+	s := NewScanNode(tab)
 	pred, err := eval.Compile(e, &eval.Env{Schema: s.Schema()})
 	if err != nil {
 		t.Fatal(err)

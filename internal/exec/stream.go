@@ -4,8 +4,8 @@
 // morsels, an index or probed scan's row ids, or resident rows (a plain scan,
 // Values, a breaker's or shared subtree's finished result) cut into
 // MorselSize ranges — the stages that map a morsel's rows through the
-// pipelined operators above it (filter, project, requalify, window,
-// hash-join probe), and an optional limit cut the consumer applies. Under
+// pipelined operators above it (filter, project, window, hash-join
+// probe), and an optional limit cut the consumer applies. Under
 // windows the resident rows are cut only where a partition ends, so every
 // morsel holds whole partitions (alignWindows). The morsel pump runs
 // source and stages per morsel, in parallel once the input is large
@@ -97,8 +97,6 @@ func OwnsRows(n Node) bool {
 		return OwnsRows(t.Input)
 	case *LimitNode:
 		return OwnsRows(t.Input)
-	case *RequalifyNode:
-		return OwnsRows(t.Input)
 	case *UnionNode:
 		return OwnsRows(t.Left) && OwnsRows(t.Right)
 	default:
@@ -115,8 +113,6 @@ func streamedInput(n Node) Node {
 	case *FilterNode:
 		return t.Input
 	case *ProjectNode:
-		return t.Input
-	case *RequalifyNode:
 		return t.Input
 	case *HashJoinNode:
 		return t.Left
@@ -237,9 +233,11 @@ type level struct {
 	// materialized input).
 	node Node
 	// run maps one morsel's rows through a stage for pump worker w, whose
-	// scratch it may use; nil passes them through (the source, Requalify,
-	// the cut).
+	// scratch it may use; nil passes them through (the source, the cut).
 	run func(w int, in []schema.Row) ([]schema.Row, error)
+	// size allocates the stage's per-worker scratch once the pump's
+	// fan-out is known; nil for a stage without any.
+	size func(workers int)
 	// inBytes is reserved per input row before run, outBytes charged per
 	// output row after it — the executor's accounting constants.
 	inBytes, outBytes int64
@@ -306,7 +304,7 @@ func (p *pipeline) alignWindows() {
 		switch t := p.chain[i].(type) {
 		case *ValuesNode:
 			ords = identity(t.Schema().Len())
-		case *FilterNode, *RequalifyNode, *LimitNode:
+		case *FilterNode, *LimitNode:
 		case *ProjectNode:
 			if ords != nil {
 				next := make([]int, len(t.Exprs))
@@ -413,12 +411,7 @@ func (p *pipeline) open() error {
 		case *ProjectNode:
 			lv = t.open(c)
 		case *WindowNode:
-			if p.wins == nil {
-				p.wins = make([]*winScratch, c.par)
-			}
-			lv, err = t.open(c, p.wins)
-		case *RequalifyNode:
-			lv = &level{node: t}
+			lv, err = t.open(c, &p.wins)
 		case *HashJoinNode:
 			var joined *Result
 			lv, joined, err = t.open(c)
@@ -454,6 +447,11 @@ func (p *pipeline) open() error {
 		p.levels = append([]*level{{open: time.Since(t0)}}, p.levels...)
 	}
 	p.workers = max(1, min(c.workersFor(p.src.rows), p.src.nm))
+	for _, lv := range p.levels {
+		if lv.size != nil {
+			lv.size(p.workers)
+		}
+	}
 	p.pump = newMorselPump(c, p.src.nm, p.workers, p.morsel)
 	if p.stats {
 		p.publishOpen()
@@ -614,8 +612,9 @@ func (p *pipeline) account(mo morselOut, cut int) {
 }
 
 // resident returns the source's rows as the whole output when no stage
-// changes them — a plain scan, Values, or a materialized input under at
-// most renames — so draining them costs no copy.
+// changes them — a plain scan, Values, or a materialized input, under at
+// most projections that keep every column — so draining them costs no
+// copy.
 func (p *pipeline) resident() ([]schema.Row, bool) {
 	if p.src.all == nil || p.cut != nil {
 		return nil, false

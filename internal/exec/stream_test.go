@@ -56,7 +56,7 @@ func evenPred() *eval.Compiled {
 // fusedScan is a sequential scan with the predicate fused in — the
 // streaming fast path.
 func fusedEvenScan(tab *storage.Table) *ScanNode {
-	return fuse(NewScanNode(tab, "t"), evenPred(), "a%2=0", nil)
+	return fuse(NewScanNode(tab), evenPred(), "a%2=0", nil)
 }
 
 // streamPlans enumerates one plan per streaming source plus the breaker
@@ -73,16 +73,16 @@ func streamPlans(tab *storage.Table) map[string]func() Node {
 		// Matches rows in the last morsels only: every earlier morsel
 		// yields no row, which must not read as end of stream.
 		"sparse-fused-scan": func() Node {
-			return fuse(NewScanNode(tab, "t"), eval.FromFunc(func(r schema.Row) (types.Value, error) {
+			return fuse(NewScanNode(tab), eval.FromFunc(func(r schema.Row) (types.Value, error) {
 				return types.NewBool(r[0].Int() >= 19990 || r[0].Int() == 9000), nil
 			}), "a>=19990 or a=9000", nil)
 		},
-		"plain-scan": func() Node { return NewScanNode(tab, "t") },
+		"plain-scan": func() Node { return NewScanNode(tab) },
 		"filter": func() Node {
-			return NewFilterNode(NewScanNode(tab, "t"), evenPred(), "a%2=0")
+			return NewFilterNode(NewScanNode(tab), evenPred(), "a%2=0")
 		},
 		"project-over-filter": func() Node {
-			f := NewFilterNode(NewScanNode(tab, "t"), evenPred(), "a%2=0")
+			f := NewFilterNode(NewScanNode(tab), evenPred(), "a%2=0")
 			return NewProjectNode(f, intSchema("d", "b"), []*eval.Compiled{double(), colFn(1)})
 		},
 		"limit-offset": func() Node {
@@ -94,7 +94,7 @@ func streamPlans(tab *storage.Table) map[string]func() Node {
 			dim := NewValuesNode(intSchema("k", "v"), intRows(
 				[]int64{0, 100}, []int64{3, 103}, []int64{7, 107}, []int64{11, 111},
 			))
-			probe := NewProjectNode(NewScanNode(tab, "t"), intSchema("m", "a"),
+			probe := NewProjectNode(NewScanNode(tab), intSchema("m", "a"),
 				[]*eval.Compiled{eval.FromFunc(func(r schema.Row) (types.Value, error) {
 					return types.NewInt(r[0].Int() % 13), nil
 				}), colFn(0)})
@@ -104,14 +104,14 @@ func streamPlans(tab *storage.Table) map[string]func() Node {
 			return NewSortNode(fusedEvenScan(tab), []*eval.Compiled{colFn(1), colFn(0)}, []bool{false, true})
 		},
 		"group-breaker": func() Node {
-			return NewGroupNode(NewScanNode(tab, "t"), intSchema("b", "cnt"),
+			return NewGroupNode(NewScanNode(tab), intSchema("b", "cnt"),
 				[]*eval.Compiled{colFn(1)}, []AggSpec{{Func: "count", OutName: "cnt"}})
 		},
 		"distinct": func() Node {
-			return NewDistinct(NewProjectNode(NewScanNode(tab, "t"), intSchema("b"), []*eval.Compiled{colFn(1)}))
+			return NewDistinct(NewProjectNode(NewScanNode(tab), intSchema("b"), []*eval.Compiled{colFn(1)}))
 		},
 		"shared-subtree": func() Node {
-			shared := NewFilterNode(NewScanNode(tab, "t"), evenPred(), "a%2=0")
+			shared := NewFilterNode(NewScanNode(tab), evenPred(), "a%2=0")
 			u, err := NewUnionNode(shared, shared)
 			if err != nil {
 				panic(err)
@@ -210,17 +210,17 @@ func TestStreamEarlyCloseReleasesMemory(t *testing.T) {
 		// Matches rows in the last morsels only: every earlier morsel
 		// yields no row, which must not read as end of stream.
 		"sparse-fused-scan": func() Node {
-			return fuse(NewScanNode(tab, "t"), eval.FromFunc(func(r schema.Row) (types.Value, error) {
+			return fuse(NewScanNode(tab), eval.FromFunc(func(r schema.Row) (types.Value, error) {
 				return types.NewBool(r[0].Int() >= 19990 || r[0].Int() == 9000), nil
 			}), "a>=19990 or a=9000", nil)
 		},
 		"project-chain": func() Node {
-			f := NewFilterNode(NewScanNode(tab, "t"), evenPred(), "a%2=0")
+			f := NewFilterNode(NewScanNode(tab), evenPred(), "a%2=0")
 			return NewProjectNode(f, intSchema("a", "b"), []*eval.Compiled{colFn(0), colFn(1)})
 		},
 		"hash-join": func() Node {
 			dim := NewValuesNode(intSchema("k"), intRows([]int64{0}, []int64{2}, []int64{4}))
-			return NewHashJoinNode(NewScanNode(tab, "t"), dim,
+			return NewHashJoinNode(NewScanNode(tab), dim,
 				[]*eval.Compiled{eval.FromFunc(func(r schema.Row) (types.Value, error) {
 					return types.NewInt(r[0].Int() % 6), nil
 				})},
@@ -378,7 +378,7 @@ func TestStreamEmptyResult(t *testing.T) {
 	never := eval.FromFunc(func(schema.Row) (types.Value, error) {
 		return types.NewBool(false), nil
 	})
-	st := Open(NewCtx(), NewFilterNode(NewScanNode(tab, "t"), never, "false"))
+	st := Open(NewCtx(), NewFilterNode(NewScanNode(tab), never, "false"))
 	b, err := st.Next()
 	if err != nil || b != nil {
 		t.Fatalf("Next = (%v, %v), want (nil, nil)", b, err)
@@ -399,16 +399,16 @@ func TestOwnsRows(t *testing.T) {
 	tab := streamTable(t, 100)
 	prefix := func(in Node) Node { return NewProjectNode(in, intSchema("a"), []*eval.Compiled{colFn(0)}) }
 	out := intSchema("a", "b", "w")
-	window := NewWindowNode(NewScanNode(tab, "t"), out, []*eval.Compiled{colFn(1)}, nil, nil,
+	window := NewWindowNode(NewScanNode(tab), out, []*eval.Compiled{colFn(1)}, nil, nil,
 		[]WindowAgg{{Func: "count", OutName: "w", Frame: FrameSpec{Mode: FramePartition}}})
 	for _, tc := range []struct {
 		name string
 		n    Node
 		owns bool
 	}{
-		{"scan", NewScanNode(tab, "t"), false},
-		{"filter over scan", NewFilterNode(NewScanNode(tab, "t"), evenPred(), "a%2=0"), false},
-		{"project over scan", prefix(NewScanNode(tab, "t")), true},
+		{"scan", NewScanNode(tab), false},
+		{"filter over scan", NewFilterNode(NewScanNode(tab), evenPred(), "a%2=0"), false},
+		{"project over scan", prefix(NewScanNode(tab)), true},
 		{"window", window, true},
 		{"project over filter over window", prefix(NewFilterNode(window, evenPred(), "a%2=0")), true},
 	} {

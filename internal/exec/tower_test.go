@@ -1,8 +1,8 @@
 package exec_test
 
-// The cleansing tower: the Window → Project → Requalify → Filter → Project
-// storeys the rule templates compile into, every window partitioned by epc
-// and ordered by rtime, run as one pipeline over the sort below them.
+// The cleansing tower: the Window → Project → Filter → Project storeys
+// the rule templates compile into, every window partitioned by epc and
+// ordered by rtime, run as one pipeline over the sort below them.
 
 import (
 	"runtime"

@@ -17,12 +17,6 @@ import (
 	"repro/internal/types"
 )
 
-// Vectorize is the package-wide default for batch expression evaluation.
-// Individual executions override it with Ctx.SetVectorize. Results are
-// bit-identical either way; the knob exists for debugging and for the
-// row-baseline side of benchmarks.
-var Vectorize = true
-
 // useVector reports whether this execution evaluates the given compiled
 // expressions through their batch kernels: vectorization is on and every
 // non-nil expression has a full vector kernel.

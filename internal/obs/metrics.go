@@ -367,24 +367,6 @@ func (r *Registry) CounterValue2(name, v1, v2 string) (float64, bool) {
 	return r.CounterValue(name, v1+labelSep+v2)
 }
 
-// GaugeValue reads one gauge-family value by label, as CounterValue.
-func (r *Registry) GaugeValue(name, labelVal string) (float64, bool) {
-	r.mu.Lock()
-	f, ok := r.families[name]
-	r.mu.Unlock()
-	if !ok || f.kind != kindGauge {
-		return 0, false
-	}
-	if f.fn != nil {
-		return f.fn(), true
-	}
-	m, ok := r.lookup(name, labelVal)
-	if !ok {
-		return 0, false
-	}
-	return m.(*Gauge).Value(), true
-}
-
 // HistogramStats reads one histogram's count and sum by label.
 func (r *Registry) HistogramStats(name, labelVal string) (count uint64, sum float64, ok bool) {
 	m, found := r.lookup(name, labelVal)
@@ -396,15 +378,4 @@ func (r *Registry) HistogramStats(name, labelVal string) (count uint64, sum floa
 		return 0, 0, false
 	}
 	return h.Count(), h.Sum(), true
-}
-
-// FamilyNames lists every registered family, sorted — the exposition
-// smoke tests assert against it.
-func (r *Registry) FamilyNames() []string {
-	fams := r.sorted()
-	names := make([]string, len(fams))
-	for i, f := range fams {
-		names[i] = f.name
-	}
-	return names
 }

@@ -47,14 +47,28 @@ func (p *Planner) PlanSQL(query string) (exec.Node, error) {
 	return p.Plan(stmt)
 }
 
-// planned pairs a node with per-output-column base statistics (nil entries
-// where no base column traces through).
+// planned pairs a node with the scope its expressions resolve against —
+// the node's columns under the qualifier of their FROM element — and
+// per-output-column base statistics (nil entries where no base column
+// traces through). Names live only here: an alias changes the scope and
+// builds no node, so a CTE read under two aliases is one shared node
+// under two scopes.
 type planned struct {
 	node  exec.Node
+	scope *schema.Schema
 	stats []*storage.ColStats
 }
 
-func (p *planned) schema() *schema.Schema { return p.node.Schema() }
+// over returns n in p's place: an operator that passes p's rows through
+// keeps its scope and statistics.
+func (p *planned) over(n exec.Node) *planned {
+	return &planned{node: n, scope: p.scope, stats: p.stats}
+}
+
+// as returns p seen under the qualifier binding.
+func (p *planned) as(binding string) *planned {
+	return &planned{node: p.node, scope: p.scope.WithQualifier(binding), stats: p.stats}
+}
 
 type cteScope struct {
 	parent  *cteScope
@@ -108,11 +122,11 @@ func (b *builder) planStmt(stmt sqlast.Stmt, scope *cteScope) (*planned, error) 
 			rows := l.node.EstRows() + r.node.EstRows()
 			exec.SetEstimates(u, rows, l.node.EstCost()+r.node.EstCost()+cpu(rows*costUnionRow))
 			if s.All {
-				return &planned{node: u, stats: l.stats}, nil
+				return l.over(u), nil
 			}
 			d := exec.NewDistinct(u)
 			exec.SetEstimates(d, rows*0.9, u.EstCost()+evalCPU(rows, costGroupRow))
-			return &planned{node: d, stats: l.stats}, nil
+			return l.over(d), nil
 		}
 		n, err := exec.NewSetOp(l.node, r.node, s.Op == sqlast.SetIntersect)
 		if err != nil {
@@ -126,7 +140,7 @@ func (b *builder) planStmt(stmt sqlast.Stmt, scope *cteScope) (*planned, error) 
 		for m := n; len(m.Children()) == 1; m = m.Children()[0] {
 			exec.SetEstimates(m, rows, cost)
 		}
-		return &planned{node: n, stats: l.stats}, nil
+		return l.over(n), nil
 	}
 	return nil, fmt.Errorf("plan: unsupported statement %T", stmt)
 }
@@ -179,7 +193,7 @@ func (b *builder) planSelect(sel *sqlast.SelectStmt, scope *cteScope) (*planned,
 	if len(sources) == 0 {
 		// FROM-less SELECT: a single empty row.
 		one := exec.NewValuesNode(schema.New(), []schema.Row{{}})
-		pl := &planned{node: one}
+		pl := &planned{node: one, scope: one.Schema()}
 		return b.finishSelect(sel, pl, scope)
 	}
 
@@ -226,7 +240,7 @@ func (b *builder) preResolve(te sqlast.TableExpr, scope *cteScope) (*source, err
 		name := strings.ToLower(te.Name)
 		src := &source{bindings: []string{binding}, colNames: map[string]bool{}, ast: te}
 		if pl, ok := scope.lookupName(name); ok {
-			for _, c := range pl.schema().Columns {
+			for _, c := range pl.scope.Columns {
 				src.colNames[c.Name] = true
 			}
 			return src, nil
@@ -421,9 +435,7 @@ func (b *builder) planSource(src *source, conjs []sqlast.Expr, scope *cteScope) 
 		binding := strings.ToLower(te.Binding())
 		name := strings.ToLower(te.Name)
 		if cte, ok := scope.lookupName(name); ok {
-			node := exec.NewRequalifyNode(cte.node, binding)
-			pl := &planned{node: node, stats: cte.stats}
-			return b.applyFilter(pl, conjs, scope)
+			return b.applyFilter(cte.as(binding), conjs, scope)
 		}
 		if t, ok := b.db.Table(name); ok {
 			return b.planScan(t, binding, conjs, scope)
@@ -435,8 +447,7 @@ func (b *builder) planSource(src *source, conjs []sqlast.Expr, scope *cteScope) 
 			if err != nil {
 				return nil, fmt.Errorf("in view %s: %w", name, err)
 			}
-			pl = requalify(pl, binding)
-			return b.applyFilter(pl, rest, scope)
+			return b.applyFilter(pl.as(binding), rest, scope)
 		}
 		return nil, fmt.Errorf("plan: %w: %q", enginerr.ErrNoTable, te.Name)
 	case *sqlast.SubqueryTable:
@@ -447,8 +458,7 @@ func (b *builder) planSource(src *source, conjs []sqlast.Expr, scope *cteScope) 
 		if err != nil {
 			return nil, err
 		}
-		pl = requalify(pl, binding)
-		return b.applyFilter(pl, rest, scope)
+		return b.applyFilter(pl.as(binding), rest, scope)
 	case *sqlast.JoinExpr:
 		pl, err := b.planJoinExpr(te, scope)
 		if err != nil {
@@ -457,10 +467,6 @@ func (b *builder) planSource(src *source, conjs []sqlast.Expr, scope *cteScope) 
 		return b.applyFilter(pl, conjs, scope)
 	}
 	return nil, fmt.Errorf("plan: unsupported FROM element %T", src.ast)
-}
-
-func requalify(pl *planned, binding string) *planned {
-	return &planned{node: exec.NewRequalifyNode(pl.node, binding), stats: pl.stats}
 }
 
 // planJoinExpr plans an ANSI join subtree directly.
@@ -513,11 +519,11 @@ func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*p
 	if len(subplans) > 0 {
 		n.ProbeCol, probe = probeConjunct(expr, pl)
 	}
-	if n.Bind, err = b.bindPredicate(expr, pl.schema(), subplans, probe); err != nil {
+	if n.Bind, err = b.bindPredicate(expr, pl.scope, subplans, probe); err != nil {
 		return nil, err
 	}
 	exec.SetEstimates(n, rows, cost)
-	return &planned{node: n, stats: pl.stats}, nil
+	return pl.over(n), nil
 }
 
 // planSubqueries plans every IN/EXISTS subquery inside expr, returning

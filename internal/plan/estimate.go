@@ -4,15 +4,10 @@ import (
 	"math"
 
 	"repro/internal/exec"
-	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
-
-// sschema is a local alias used where the schema package name would
-// collide with variables.
-type sschema = schema.Schema
 
 const defaultSel = 1.0 / 3
 
@@ -42,23 +37,14 @@ func cpu(work float64) float64 { return work / costDOP() }
 
 // evalCPU costs rows·perRow units of expression-evaluation work under the
 // batch execution model: vectorization discounts the per-row interpreter
-// overhead and adds one dispatch term per MorselSize-row batch. With
-// vectorization disabled process-wide it degenerates to cpu(rows·perRow).
-// The term applies uniformly to every expression-evaluating operator
-// (filter, project, join, group, window), so relative plan choices match
-// the row-at-a-time model; only absolute numbers move. It reads the
-// process-wide exec.Vectorize knob at plan time, like costDOP reads
-// exec.Parallelism; per-query overrides do not replan.
+// overhead and adds one dispatch term per MorselSize-row batch. The term
+// applies uniformly to every expression-evaluating operator (filter,
+// project, join, group, window), so relative plan choices match the
+// row-at-a-time model; only absolute numbers move. A query run on the
+// row path (WithRowEval) is costed the same: it does not replan.
 func evalCPU(rows, perRow float64) float64 {
-	if !exec.Vectorize {
-		return cpu(rows * perRow)
-	}
 	batches := math.Ceil(rows / float64(exec.MorselSize))
 	return cpu(rows*perRow*costVecDiscount + batches*costBatchDispatch)
-}
-
-func concatSchemas(l, r *planned) *schema.Schema {
-	return schema.Concat(l.schema(), r.schema())
 }
 
 // selectivity estimates the fraction of pl's rows satisfying expr.
@@ -186,7 +172,7 @@ func (b *builder) statsFor(e sqlast.Expr, pl *planned) *storage.ColStats {
 	if !ok {
 		return nil
 	}
-	idx, err := pl.schema().Resolve(cr.Table, cr.Name)
+	idx, err := pl.scope.Resolve(cr.Table, cr.Name)
 	if err != nil || idx >= len(pl.stats) {
 		return nil
 	}

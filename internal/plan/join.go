@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/exec"
+	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/storage"
 )
@@ -157,16 +158,16 @@ func (b *builder) buildJoin(l, r *planned, conjs []sqlast.Expr, kind exec.JoinKi
 			residual = append(residual, c)
 		}
 	}
-	outSchema := joinedSchema(l, r)
+	outSchema := schema.Concat(l.scope, r.scope)
 	stats := append(append([]*storage.ColStats{}, l.stats...), r.stats...)
 	rows := b.joinEstimate(l, r, conjs)
 
 	if len(lKeys) > 0 {
-		lFns, err := compileAll(lKeys, l.schema())
+		lFns, err := compileList(lKeys, l.scope)
 		if err != nil {
 			return nil, err
 		}
-		rFns, err := compileAll(rKeys, r.schema())
+		rFns, err := compileList(rKeys, r.scope)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +200,7 @@ func (b *builder) buildJoin(l, r *planned, conjs []sqlast.Expr, kind exec.JoinKi
 		cost := l.node.EstCost() + r.node.EstCost() + evalCPU(l.node.EstRows()+r.node.EstRows(), costHashRow)
 		exec.SetEstimates(n, rows, cost)
 		exec.SetOrdering(n, l.node.Ordering())
-		return &planned{node: n, stats: stats}, nil
+		return &planned{node: n, scope: outSchema, stats: stats}, nil
 	}
 	if kind == exec.JoinKindLeft {
 		return nil, fmt.Errorf("plan: LEFT JOIN requires an equality condition")
@@ -217,11 +218,7 @@ func (b *builder) buildJoin(l, r *planned, conjs []sqlast.Expr, kind exec.JoinKi
 	n := exec.NewNestedLoopJoinNode(l.node, r.node, pred, desc)
 	cost := l.node.EstCost() + r.node.EstCost() + cpu(l.node.EstRows()*r.node.EstRows()*0.3)
 	exec.SetEstimates(n, rows, cost)
-	return &planned{node: n, stats: stats}, nil
-}
-
-func joinedSchema(l, r *planned) *sschema {
-	return concatSchemas(l, r)
+	return &planned{node: n, scope: outSchema, stats: stats}, nil
 }
 
 // equiKey matches "x = y" where x resolves only on l and y only on r (or
@@ -252,7 +249,7 @@ func resolvesOn(e sqlast.Expr, pl *planned) bool {
 	sqlast.VisitExprs(e, func(x sqlast.Expr) {
 		if cr, ok := x.(*sqlast.ColRef); ok {
 			hasCol = true
-			if _, err := pl.schema().Resolve(cr.Table, cr.Name); err != nil {
+			if _, err := pl.scope.Resolve(cr.Table, cr.Name); err != nil {
 				allOK = false
 			}
 		}
@@ -297,21 +294,9 @@ func distinctOf(e sqlast.Expr, pl *planned) float64 {
 	if !ok {
 		return 0
 	}
-	idx, err := pl.schema().Resolve(cr.Table, cr.Name)
+	idx, err := pl.scope.Resolve(cr.Table, cr.Name)
 	if err != nil || idx >= len(pl.stats) || pl.stats[idx] == nil {
 		return 0
 	}
 	return pl.stats[idx].DistinctAfter(pl.node.EstRows())
-}
-
-func compileAll(exprs []sqlast.Expr, s *sschema) ([]*eval.Compiled, error) {
-	out := make([]*eval.Compiled, len(exprs))
-	for i, e := range exprs {
-		f, err := eval.Compile(e, &eval.Env{Schema: s})
-		if err != nil {
-			return nil, err
-		}
-		out[i] = f
-	}
-	return out, nil
 }

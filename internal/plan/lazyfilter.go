@@ -92,7 +92,7 @@ func probeColumn(e sqlast.Expr, pl *planned) int {
 	if !ok || scan == nil {
 		return -1
 	}
-	ord, err := pl.schema().Resolve(cr.Table, cr.Name)
+	ord, err := pl.scope.Resolve(cr.Table, cr.Name)
 	if err != nil || !scan.Table.HasIndex(ord) {
 		return -1
 	}

@@ -10,8 +10,7 @@ import (
 // per-value, per-row-reference, and per-key constants — so comparing a
 // plan's mem= figures against a query's WithMemoryLimit budget predicts
 // which operators will spill. Pass-through operators (scans over resident
-// tables, limits, requalifications) keep a zero estimate and are not
-// printed.
+// tables, limits) keep a zero estimate and are not printed.
 func annotateMemory(n exec.Node) {
 	for _, c := range n.Children() {
 		annotateMemory(c)

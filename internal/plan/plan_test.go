@@ -375,13 +375,51 @@ func TestPredicatePushdownThroughUnionView(t *testing.T) {
 	}
 }
 
+// TestCTEPlannedOnce: a CTE read under two aliases is one node run once,
+// and each alias resolves its columns to its own side of the join.
 func TestCTEPlannedOnce(t *testing.T) {
 	db := testDB(t)
 	q := `with big as (select epc, v from reads where v > 1)
-	      select a.epc from big a, big b where a.epc = b.epc and a.v = 2 and b.v = 3`
-	res := run(t, db, q)
-	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "e1" {
-		t.Fatalf("cte self-join = %v", res.Rows)
+	      select a.epc, a.v, b.v from big a, big b where a.epc = b.epc and a.v = 2 and b.v = 3`
+	node := planFor(t, db, q)
+	ctx := exec.NewAnalyzeCtx()
+	res, err := exec.Run(ctx, node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "e1" || res.Rows[0][1].Int() != 2 || res.Rows[0][2].Int() != 3 {
+		t.Fatalf("cte self-join = %v, want [e1 2 3]", res.Rows)
+	}
+	var names []string
+	for _, c := range res.Schema.Columns {
+		names = append(names, c.Name)
+	}
+	if got := strings.Join(names, ","); got != "epc,v,v" {
+		t.Fatalf("columns = %s, want epc,v,v", got)
+	}
+	// The body is the one node with two parents; it ran once and served
+	// the second reference from the statement cache.
+	parents := map[exec.Node]int{}
+	var walk func(exec.Node)
+	walk = func(n exec.Node) {
+		for _, c := range n.Children() {
+			if parents[c]++; parents[c] == 1 {
+				walk(c)
+			}
+		}
+	}
+	walk(node)
+	var shared []exec.Node
+	for n, k := range parents {
+		if k > 1 {
+			shared = append(shared, n)
+		}
+	}
+	if len(shared) != 1 {
+		t.Fatalf("%d shared nodes, want the CTE body alone:\n%s", len(shared), exec.Explain(node))
+	}
+	if st := ctx.Stats(shared[0]); st == nil || st.Hits != 1 {
+		t.Fatalf("CTE body stats = %+v, want one cache hit:\n%s", st, exec.ExplainAnalyze(node, ctx))
 	}
 }
 

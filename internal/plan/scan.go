@@ -68,8 +68,8 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 		}
 	}
 
-	scan := exec.NewScanNode(t, binding)
-	pl := &planned{node: scan, stats: stats}
+	scan := exec.NewScanNode(t)
+	pl := &planned{node: scan, scope: t.Schema.WithQualifier(binding), stats: stats}
 
 	// Split the conjuncts a fused scan could take (no subqueries) from
 	// those that need the filter machinery above the scan. Zone preds may
@@ -138,9 +138,9 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 		exec.SetEstimates(scan, total, seqCost)
 		return b.applyFilter(pl, residual, scope)
 	}
-	expr, sch := sqlast.And(fuse...), scan.Schema()
+	expr := sqlast.And(fuse...)
 	bind, err := atOpen(b, sqlast.HasParam(expr), func(params []types.Value) (exec.ScanBinding, error) {
-		pred, err := eval.Compile(expr, &eval.Env{Schema: sch, Params: params})
+		pred, err := eval.Compile(expr, &eval.Env{Schema: pl.scope, Params: params})
 		return exec.ScanBinding{Pred: pred, Zone: zonePreds(sargBounds(fuse, t, binding, params))}, err
 	})
 	if err != nil {

@@ -83,7 +83,7 @@ func (b *builder) finishSelect(sel *sqlast.SelectStmt, pl *planned, scope *cteSc
 					// Prefer the input column itself when the name also
 					// exists in the input (SQL resolves ORDER BY names
 					// against the select list first only for pure aliases).
-					if _, err := pl.schema().Resolve("", cr.Name); err != nil {
+					if _, err := pl.scope.Resolve("", cr.Name); err != nil {
 						e = sqlast.CloneExpr(repl)
 					}
 				}
@@ -105,7 +105,7 @@ func (b *builder) finishSelect(sel *sqlast.SelectStmt, pl *planned, scope *cteSc
 		n := exec.NewDistinct(pl.node)
 		rows := b.distinctEstimate(pl)
 		exec.SetEstimates(n, rows, pl.node.EstCost()+evalCPU(pl.node.EstRows(), costGroupRow))
-		pl = &planned{node: n, stats: pl.stats}
+		pl = pl.over(n)
 	}
 	if sel.Limit != nil || sel.Offset != nil {
 		limit := int64(-1)
@@ -124,14 +124,14 @@ func (b *builder) finishSelect(sel *sqlast.SelectStmt, pl *planned, scope *cteSc
 			rows = math.Min(float64(limit), rows)
 		}
 		exec.SetEstimates(n, rows, pl.node.EstCost())
-		pl = &planned{node: n, stats: pl.stats}
+		pl = pl.over(n)
 	}
 	return pl, nil
 }
 
 func expandItems(items []sqlast.SelectItem, pl *planned) ([]outItem, error) {
 	var out []outItem
-	sch := pl.schema()
+	sch := pl.scope
 	for i, it := range items {
 		switch {
 		case it.Star:
@@ -222,7 +222,7 @@ func itemsHaveAgg(items []outItem) bool {
 // planGrouping builds the hash-aggregation stage and rewrites the select
 // items, HAVING, and ORDER BY to reference its output columns.
 func (b *builder) planGrouping(sel *sqlast.SelectStmt, pl *planned, items []outItem, having sqlast.Expr, orderBy []sqlast.OrderItem, scope *cteScope) (*planned, []outItem, sqlast.Expr, []sqlast.OrderItem, error) {
-	inSchema := pl.schema()
+	inSchema := pl.scope
 
 	// Collect distinct aggregate calls across items, HAVING, ORDER BY.
 	var aggCalls []*sqlast.FuncCall
@@ -320,7 +320,7 @@ func (b *builder) planGrouping(sel *sqlast.SelectStmt, pl *planned, items []outI
 
 	n := exec.NewGroupNode(pl.node, outSchema, keyFns, aggs)
 	exec.SetEstimates(n, rowsEst, pl.node.EstCost()+evalCPU(pl.node.EstRows(), costGroupRow))
-	out := &planned{node: n, stats: outStats}
+	out := &planned{node: n, scope: outSchema, stats: outStats}
 
 	// Rewrite consumers to reference the aggregation output.
 	newItems := make([]outItem, len(items))
@@ -385,7 +385,7 @@ func (b *builder) planWindows(pl *planned, items []outItem, orderBy []sqlast.Ord
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		inSchema := pl.schema()
+		inSchema := pl.scope
 		partFns, err := compileList(g.wins[0].Partition, inSchema)
 		if err != nil {
 			return nil, nil, nil, err
@@ -419,7 +419,7 @@ func (b *builder) planWindows(pl *planned, items []outItem, orderBy []sqlast.Ord
 		cost := pl.node.EstCost() + evalCPU(pl.node.EstRows(), float64(len(aggs))*costWindowAgg)
 		exec.SetEstimates(n, pl.node.EstRows(), cost)
 		exec.SetOrdering(n, pl.node.Ordering())
-		pl = &planned{node: n, stats: outStats}
+		pl = &planned{node: n, scope: outSchema, stats: outStats}
 	}
 
 	newItems := make([]outItem, len(items))
@@ -458,7 +458,7 @@ func windowSignature(w *sqlast.WindowExpr) string {
 // already satisfy (partition keys, order keys). Shared sort orders between
 // cleansing rules and application OLAP functions are detected here.
 func (b *builder) ensureWindowOrder(pl *planned, w *sqlast.WindowExpr) (*planned, error) {
-	inSchema := pl.schema()
+	inSchema := pl.scope
 	var want []exec.OrderCol
 	known := true
 	resolveCol := func(e sqlast.Expr, desc bool) {
@@ -507,7 +507,7 @@ func (b *builder) ensureWindowOrder(pl *planned, w *sqlast.WindowExpr) (*planned
 	if known {
 		exec.SetOrdering(n, want)
 	}
-	return &planned{node: n, stats: pl.stats}, nil
+	return pl.over(n), nil
 }
 
 func orderingSatisfies(have, want []exec.OrderCol) bool {
@@ -632,7 +632,7 @@ func compileList(exprs []sqlast.Expr, s *schema.Schema) ([]*eval.Compiled, error
 
 // planProject emits the final column computation.
 func (b *builder) planProject(pl *planned, items []outItem) (*planned, error) {
-	inSchema := pl.schema()
+	inSchema := pl.scope
 	outSchema := &schema.Schema{}
 	outStats := make([]*storage.ColStats, 0, len(items))
 	exprs := make([]*eval.Compiled, len(items))
@@ -683,18 +683,18 @@ func (b *builder) planProject(pl *planned, items []outItem) (*planned, error) {
 		ord = append(ord, exec.OrderCol{Col: outIdx, Desc: oc.Desc})
 	}
 	exec.SetOrdering(n, ord)
-	return &planned{node: n, stats: outStats}, nil
+	return &planned{node: n, scope: outSchema, stats: outStats}, nil
 }
 
 func (b *builder) distinctEstimate(pl *planned) float64 {
-	if pl.schema().Len() == 1 && len(pl.stats) == 1 && pl.stats[0] != nil {
+	if pl.scope.Len() == 1 && len(pl.stats) == 1 && pl.stats[0] != nil {
 		return pl.stats[0].DistinctAfter(pl.node.EstRows())
 	}
 	return pl.node.EstRows() * 0.5
 }
 
 func (b *builder) planOrderBy(pl *planned, orderBy []sqlast.OrderItem) (*planned, error) {
-	inSchema := pl.schema()
+	inSchema := pl.scope
 	keys := make([]*eval.Compiled, len(orderBy))
 	desc := make([]bool, len(orderBy))
 	var ord []exec.OrderCol
@@ -720,7 +720,7 @@ func (b *builder) planOrderBy(pl *planned, orderBy []sqlast.OrderItem) (*planned
 	if known {
 		exec.SetOrdering(n, ord)
 	}
-	return &planned{node: n, stats: pl.stats}, nil
+	return pl.over(n), nil
 }
 
 // inferKind derives a best-effort output kind for schema metadata.

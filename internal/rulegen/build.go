@@ -160,6 +160,3 @@ func (t *Template) WindowColumns() []string {
 	}
 	return out
 }
-
-// Condition returns the transformed rule condition (over window columns).
-func (t *Template) Condition() sqlast.Expr { return t.cond }

@@ -96,10 +96,6 @@ func (t *Table) Append(rows ...schema.Row) error {
 // RowCount returns the number of rows.
 func (t *Table) RowCount() int { return len(t.sealed)*t.segRows + len(t.tail) }
 
-// SegmentRows returns the table's sealing threshold (rows per sealed
-// segment).
-func (t *Table) SegmentRows() int { return t.segRows }
-
 // Segments returns the table's segments in row order: every sealed
 // columnar segment, then (when non-empty) the mutable tail wrapped as an
 // unsealed segment. The tail wrapper aliases the live buffer; callers
