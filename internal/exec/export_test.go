@@ -6,6 +6,6 @@ package exec
 func Materialized(c *Ctx, n Node) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.cache[n]
-	return ok
+	st := c.nodes[n]
+	return st != nil && st.runs > 0
 }

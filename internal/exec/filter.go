@@ -54,30 +54,28 @@ func (n *FilterNode) Children() []Node { return append([]Node{n.Input}, n.Subpla
 
 // open binds the filter as a pipeline stage. Each morsel reserves a row
 // reference per input row (the worst case, every row passes). On the
-// vector path the predicate evaluates per chunk into a selection vector
-// and only the selected row references are gathered; the row path
-// serves the whole morsel when vectorization is off.
+// vector path the predicate evaluates per chunk into the worker's
+// selection vector and only the selected row references are gathered;
+// the row path serves the whole morsel when vectorization is off.
 func (n *FilterNode) open(c *Ctx) (*level, error) {
 	pred, keys, err := n.Bind(c)
 	if err != nil {
 		return nil, err
 	}
 	vec := c.useVector(pred)
-	var sels [][]int
 	probe := c.probeFor(n.Input, n.ProbeCol)
 	if probe != nil {
 		probe.keys = keys
 	}
 	return &level{node: n, inBytes: rowHdrBytes, eval: evalMode(vec), parallel: true, probe: probe,
-		size: func(workers int) { sels = make([][]int, workers) },
-		run: func(w int, in []schema.Row) ([]schema.Row, error) {
+		run: func(s *scratch, in []schema.Row) ([]schema.Row, error) {
 			out := make([]schema.Row, 0, len(in)/4+1)
 			if vec {
 				// A probe's morsel can exceed MorselSize; keep kernel chunks
 				// at the scratch width.
 				err := c.forBatches(0, len(in), func(b, e int) error {
-					sel, err := eval.EvalPredicateBatch(pred, in[b:e], nil, sels[w][:0])
-					sels[w] = sel
+					sel, err := eval.EvalPredicateBatch(pred, in[b:e], nil, s.sel[:0])
+					s.sel = sel
 					for _, i := range sel {
 						out = append(out, in[b+i])
 					}
@@ -126,21 +124,12 @@ func (n *ProjectNode) Label() string { return fmt.Sprintf("Project(%d cols)", n.
 // Children implements Node.
 func (n *ProjectNode) Children() []Node { return []Node{n.Input} }
 
-// scratch returns a worker's kernel column vectors, widened for a morsel
-// of nrows rows, or nil when project will not use them.
-func (n *ProjectNode) scratch(cols [][]types.Value, vec bool, nrows int) [][]types.Value {
-	if !vec || n.ords != nil {
-		return nil
-	}
-	return widenScratch(cols, len(n.Exprs), nrows)
-}
-
 // project computes out[i] from in[i] for every input row. The vector
 // path works a MorselSize chunk at a time and assembles the
 // chunk's output rows in one flat backing array, so rows stay disjoint
 // and cost one allocation per chunk: a pure column selection copies the
 // cells straight from the input rows, anything else evaluates each
-// expression over the chunk into cols (from scratch) first. A kernel
+// expression over the chunk into cols (the worker's scratch) first. A kernel
 // failure reruns the chunk on the row path, which also serves the whole
 // input when vec is off.
 func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][]types.Value) error {
@@ -189,7 +178,7 @@ func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][
 }
 
 // open binds the projection as a pipeline stage: each morsel reserves
-// its output rows and projects through the worker's own scratch. A
+// its output rows and projects through the worker's scratch. A
 // projection of the first k input columns over rows the execution owns
 // (OwnsRows) keeps them: it re-slices each to its first k cells, or
 // passes the morsel through when k is the input's width.
@@ -199,7 +188,7 @@ func (n *ProjectNode) open(c *Ctx) *level {
 	if k := len(n.ords); leading(n.ords) && OwnsRows(n.Input) {
 		if k < n.Input.Schema().Len() {
 			lv.inBytes = rowHdrBytes
-			lv.run = func(_ int, in []schema.Row) ([]schema.Row, error) {
+			lv.run = func(_ *scratch, in []schema.Row) ([]schema.Row, error) {
 				out := make([]schema.Row, len(in))
 				for i, r := range in {
 					out[i] = r[:k:k]
@@ -209,13 +198,14 @@ func (n *ProjectNode) open(c *Ctx) *level {
 		}
 		return lv
 	}
-	var cols [][][]types.Value
 	lv.inBytes = rowHdrBytes + int64(len(n.Exprs))*valueBytes
-	lv.size = func(workers int) { cols = make([][][]types.Value, workers) }
-	lv.run = func(w int, in []schema.Row) ([]schema.Row, error) {
-		cols[w] = n.scratch(cols[w], vec, len(in))
+	lv.run = func(s *scratch, in []schema.Row) ([]schema.Row, error) {
+		var cols [][]types.Value
+		if vec && n.ords == nil {
+			cols = s.evalCols(len(n.Exprs), len(in))
+		}
 		out := make([]schema.Row, len(in))
-		return out, n.project(c, in, out, vec, cols[w])
+		return out, n.project(c, in, out, vec, cols)
 	}
 	return lv
 }

@@ -168,9 +168,9 @@ func buildPart(ctx *Ctx, rows []schema.Row, p *piece) (*keyTable[[]schema.Row], 
 // partitionedJoin is the join when the budget refuses its build table:
 // both inputs are routed into spillPieces hash partitions on disk, and per
 // partition, one worker each, the build rows build a table that the probe
-// rows probe through probeState. Every probe row belongs to one partition
-// and probes in its input order, so placing each row's output at its
-// index restores the serial probe order.
+// rows probe with the partition's own scratch. Every probe row belongs to
+// one partition and probes in its input order, so placing each row's
+// output at its index restores the serial probe order.
 func (n *HashJoinNode) partitionedJoin(c *Ctx, l, r *Result) (*Result, error) {
 	nparts := spillPieces(joinWorkBytes(len(l.Rows), len(r.Rows)), c.res.Limit())
 	buf := int64(nparts) * spillFileOverhead
@@ -208,15 +208,14 @@ func (n *HashJoinNode) partitionedJoin(c *Ctx, l, r *Result) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		ps := newProbeState(n, &joinTable{parts: []*keyTable[[]schema.Row]{t}}, vec)
-		ps.ends = make([]int, 0, len(pr.idx))
-		out, err := ps.probeRange(c, gather(l.Rows, pr.idx), nil)
+		s := &scratch{ends: make([]int, 0, len(pr.idx))}
+		out, err := n.probe(c, &joinTable{parts: []*keyTable[[]schema.Row]{t}}, s, vec, gather(l.Rows, pr.idx), nil)
 		if err != nil {
 			return err
 		}
 		lo := 0
 		for k, i := range pr.idx {
-			spans[i], lo = out[lo:ps.ends[k]], ps.ends[k]
+			spans[i], lo = out[lo:s.ends[k]], s.ends[k]
 		}
 		return nil
 	})
@@ -283,58 +282,33 @@ func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 		lv.probe.keys = build.keys(n.RightKeys[n.ProbeKey], lv.probe.scan.Table.RowCount()/probeShare)
 	}
 	vecProbe := c.useVector(n.LeftKeys...) && c.useVector(n.Residual)
-	var pss []*probeState
-	lv.size = func(workers int) { pss = make([]*probeState, workers) }
 	lv.outBytes = rowHdrBytes + int64(n.schema.Len())*valueBytes
 	lv.eval, lv.batchRows, lv.parallel = evalMode(c.useVector(n.RightKeys...) && vecProbe), buildRows, true
-	lv.run = func(w int, in []schema.Row) ([]schema.Row, error) {
-		if pss[w] == nil {
-			pss[w] = newProbeState(n, build, vecProbe)
-		}
-		return pss[w].probeRange(c, in, make([]schema.Row, 0, len(in)))
+	lv.run = func(s *scratch, in []schema.Row) ([]schema.Row, error) {
+		return n.probe(c, build, s, vecProbe, in, make([]schema.Row, 0, len(in)))
 	}
 	return lv, nil, nil
 }
 
-// probeState is the reusable per-worker state of a hash-join probe: the
-// key encoder and, in vector mode, the evaluation scratch, widened to the
-// largest morsel seen. One instance serves one pump worker.
-type probeState struct {
-	n          *HashJoinNode
-	build      *joinTable
-	vec        bool
-	rightWidth int
-	enc        keyEnc
-	cols       [][]types.Value
-	cand       []schema.Row
-	candStart  []int
-	sel        []int
-	// ends, when non-nil, collects the output length after each probe
-	// row, so partitionedJoin can place every row's output.
-	ends []int
-}
-
-func newProbeState(n *HashJoinNode, build *joinTable, vec bool) *probeState {
-	return &probeState{n: n, build: build, vec: vec, rightWidth: n.Right.Schema().Len()}
-}
-
-// probeRange probes rows against the build table, appending the joined
-// output to out in the serial probe order and returning it.
-func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, out []schema.Row) ([]schema.Row, error) {
-	n := ps.n
+// probe probes rows against the build table with a worker's scratch —
+// its key encoder and, in vector mode, its eval columns and candidate
+// buffers — appending the joined output to out in the serial probe order
+// and returning it.
+func (n *HashJoinNode) probe(ctx *Ctx, build *joinTable, s *scratch, vec bool, rows, out []schema.Row) ([]schema.Row, error) {
+	rightWidth := n.Right.Schema().Len()
 	probeSerial := func(b, e int) error {
 		for i := b; i < e; i++ {
 			if err := ctx.Tick(i - b); err != nil {
 				return err
 			}
 			lrow := rows[i]
-			key, null, err := ps.enc.funcs(n.LeftKeys, lrow)
+			key, null, err := s.enc.funcs(n.LeftKeys, lrow)
 			if err != nil {
 				return err
 			}
 			matched := false
 			if !null {
-				for _, rrow := range ps.build.lookupRows(hashKey(key), key) {
+				for _, rrow := range build.lookupRows(hashKey(key), key) {
 					joined := concatRows(lrow, rrow)
 					if n.Residual != nil {
 						ok, err := eval.EvalPredicate(n.Residual, joined)
@@ -350,13 +324,13 @@ func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, out []schema.Row) 
 				}
 			}
 			if !matched && n.JoinType == JoinKindLeft {
-				out = append(out, concatRows(lrow, nullRow(ps.rightWidth)))
+				out = append(out, concatRows(lrow, nullRow(rightWidth)))
 			}
-			ps.mark(out)
+			s.mark(out)
 		}
 		return nil
 	}
-	if !ps.vec {
+	if !vec {
 		err := probeSerial(0, len(rows))
 		return out, err
 	}
@@ -364,50 +338,50 @@ func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, out []schema.Row) 
 	// candidate joined row of the chunk with per-left-row ranges, run
 	// the residual once over all candidates, then emit survivors (and
 	// left-join padding) in the serial order.
-	ps.cols = widenScratch(ps.cols, len(n.LeftKeys), len(rows))
+	cols := s.evalCols(len(n.LeftKeys), len(rows))
 	err := ctx.forBatches(0, len(rows), func(b, e int) error {
 		chunk := rows[b:e]
-		if !tryBatchAll(n.LeftKeys, chunk, ps.cols) {
+		if !tryBatchAll(n.LeftKeys, chunk, cols) {
 			return probeSerial(b, e)
 		}
-		ps.cand = ps.cand[:0]
-		ps.candStart = ps.candStart[:0]
+		s.cand = s.cand[:0]
+		s.candStart = s.candStart[:0]
 		for i := range chunk {
-			ps.candStart = append(ps.candStart, len(ps.cand))
-			key, null := ps.enc.cols(ps.cols, i)
+			s.candStart = append(s.candStart, len(s.cand))
+			key, null := s.enc.cols(cols, i)
 			if null {
 				continue
 			}
-			for _, rrow := range ps.build.lookupRows(hashKey(key), key) {
-				ps.cand = append(ps.cand, concatRows(chunk[i], rrow))
+			for _, rrow := range build.lookupRows(hashKey(key), key) {
+				s.cand = append(s.cand, concatRows(chunk[i], rrow))
 			}
 		}
-		ps.candStart = append(ps.candStart, len(ps.cand))
+		s.candStart = append(s.candStart, len(s.cand))
 		if n.Residual != nil {
 			var perr error
-			ps.sel, perr = eval.EvalPredicateBatch(n.Residual, ps.cand, nil, ps.sel[:0])
+			s.sel, perr = eval.EvalPredicateBatch(n.Residual, s.cand, nil, s.sel[:0])
 			if perr != nil {
 				return perr
 			}
 		}
 		si := 0
 		for i := range chunk {
-			s0, s1 := ps.candStart[i], ps.candStart[i+1]
+			s0, s1 := s.candStart[i], s.candStart[i+1]
 			matched := s1 > s0
 			if n.Residual == nil {
-				out = append(out, ps.cand[s0:s1]...)
+				out = append(out, s.cand[s0:s1]...)
 			} else {
 				matched = false
-				for si < len(ps.sel) && ps.sel[si] < s1 {
-					out = append(out, ps.cand[ps.sel[si]])
+				for si < len(s.sel) && s.sel[si] < s1 {
+					out = append(out, s.cand[s.sel[si]])
 					matched = true
 					si++
 				}
 			}
 			if !matched && n.JoinType == JoinKindLeft {
-				out = append(out, concatRows(chunk[i], nullRow(ps.rightWidth)))
+				out = append(out, concatRows(chunk[i], nullRow(rightWidth)))
 			}
-			ps.mark(out)
+			s.mark(out)
 		}
 		return nil
 	})
@@ -415,9 +389,9 @@ func (ps *probeState) probeRange(ctx *Ctx, rows []schema.Row, out []schema.Row) 
 }
 
 // mark records where a probe row's output ends, when asked to.
-func (ps *probeState) mark(out []schema.Row) {
-	if ps.ends != nil {
-		ps.ends = append(ps.ends, len(out))
+func (s *scratch) mark(out []schema.Row) {
+	if s.ends != nil {
+		s.ends = append(s.ends, len(out))
 	}
 }
 

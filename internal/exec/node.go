@@ -19,6 +19,11 @@
 // pool sized by the Parallelism knob while preserving the exact serial
 // output, and the independent inputs of a UNION ALL or nested-loop join
 // execute concurrently.
+//
+// Each kind of per-execution state has one owner: the Ctx's node table
+// holds every plan node's parent-edge count, once-only Run and
+// statistics, and a pipeline holds one scratch per pump worker, which
+// all of its stages share.
 package exec
 
 import (
@@ -41,11 +46,13 @@ type Result struct {
 }
 
 // Ctx carries per-execution state: the governing context.Context (for
-// cancellation and deadlines), the per-query parallelism cap, the result
-// cache that lets shared subtrees (CTEs referenced twice, IN-subqueries)
-// run once per statement, and optional per-operator runtime statistics.
-// The cache and stats maps are mutex-guarded because independent plan
-// children execute concurrently (see runPair).
+// cancellation and deadlines), the per-query parallelism cap, and one
+// table of per-node state — each plan node's parent-edge count, its
+// once-only Run (so shared subtrees such as CTEs referenced twice and
+// IN-subqueries run once per statement) and its runtime statistics. The
+// table is mutex-guarded because independent plan children execute
+// concurrently (see runPair) and a live stream's statistics are read
+// while it runs (StatsSnapshot).
 type Ctx struct {
 	ctx context.Context
 	// par caps intra-query parallelism (worker-pool width per operator
@@ -64,27 +71,35 @@ type Ctx struct {
 	// params is the statement's binding, the values of its placeholders;
 	// plans are shared between executions and never hold them.
 	params []types.Value
+	// analyze switches on per-operator statistics. This is the engine's
+	// single stats path: EXPLAIN ANALYZE, query traces, the metrics
+	// registry, and the slow-query log all read the NodeStats recorded in
+	// the node table; nothing else counts operator work.
+	analyze bool
 
 	mu    sync.Mutex
-	cache map[Node]*inflight
-	// refs counts each node's parent edges from the statement roots this
-	// context has executed; a node with more than one is shared.
-	refs map[Node]int
-	// stats, when non-nil, collects per-operator runtime statistics —
-	// rows, elapsed time, worker fan-out, eval mode, spill activity — in
-	// one map. This is the engine's single stats path: EXPLAIN ANALYZE,
-	// query traces, the metrics registry, and the slow-query log all read
-	// the NodeStats recorded here; nothing else counts operator work.
-	stats map[Node]*NodeStats
+	nodes map[Node]*nodeState
+	// spare holds states carved for nodes not yet in the table.
+	spare []nodeState
 }
 
-// inflight is one node's execution slot: the sync.Once makes a subtree
-// shared between concurrently-executing plan children run exactly once,
-// with late arrivals blocking until the first execution completes.
-type inflight struct {
+// nodeState is one plan node's state in one execution.
+type nodeState struct {
+	// refs counts the node's parent edges from the statement roots this
+	// context has executed; a node with more than one is shared.
+	refs int
+	// runs counts Run calls; every one past the first is a cache hit.
+	runs int
+	// once makes a node Run reaches from concurrently-executing plan
+	// children execute exactly once, with late arrivals blocking until
+	// the first execution completes and sharing its res and err.
 	once sync.Once
 	res  *Result
 	err  error
+	// stats holds the node's numbers once recorded is set; a node without
+	// them never executed.
+	recorded bool
+	stats    NodeStats
 }
 
 // NodeStats is the measured behaviour of one operator in one execution.
@@ -135,7 +150,7 @@ func NewCtx() *Ctx { return NewCtxWith(context.Background()) }
 // poll it cooperatively (every cancelCheckInterval rows in their hot
 // loops) and abort with ctx.Err() once it is done.
 func NewCtxWith(ctx context.Context) *Ctx {
-	return &Ctx{ctx: ctx, par: defaultParallelism(), vec: true, res: govern.Unbounded(), cache: map[Node]*inflight{}, refs: map[Node]int{}}
+	return &Ctx{ctx: ctx, par: defaultParallelism(), vec: true, res: govern.Unbounded(), nodes: map[Node]*nodeState{}}
 }
 
 // NewAnalyzeCtx returns a context that records per-operator statistics.
@@ -147,9 +162,7 @@ func NewAnalyzeCtx() *Ctx { return NewCtx().EnableStats() }
 // printout, the trace span tree, and the per-operator metric counters.
 // It returns c for chaining and must be called before Run.
 func (c *Ctx) EnableStats() *Ctx {
-	if c.stats == nil {
-		c.stats = map[Node]*NodeStats{}
-	}
+	c.analyze = true
 	return c
 }
 
@@ -159,15 +172,18 @@ func (c *Ctx) EnableStats() *Ctx {
 // counts an operator's rows). Map and NodeStats are copies, so a
 // snapshot of a running stream stays consistent while it advances.
 func (c *Ctx) StatsSnapshot() map[Node]*NodeStats {
-	if c.stats == nil {
+	if !c.analyze {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[Node]*NodeStats, len(c.stats))
-	for n, st := range c.stats {
-		cp := *st
-		out[n] = &cp
+	out := make(map[Node]*NodeStats, len(c.nodes))
+	copies := make([]NodeStats, 0, len(c.nodes))
+	for node, st := range c.nodes {
+		if st.recorded {
+			copies = append(copies, st.stats)
+			out[node] = &copies[len(copies)-1]
+		}
 	}
 	return out
 }
@@ -240,86 +256,73 @@ func defaultParallelism() int {
 func (c *Ctx) Stats(n Node) *NodeStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats[n]
+	if st := c.nodes[n]; st != nil && st.recorded {
+		return &st.stats
+	}
+	return nil
 }
 
-// statLocked returns (creating if needed) the node's stats entry. The
-// caller must hold c.mu and have checked c.stats != nil. Notes recorded
+// stateLocked returns (creating if needed) the node's entry in the
+// table. Entries are carved from blocks that double with the table, so a
+// plan of n operators costs a few allocations, not n. The caller holds
+// c.mu.
+func (c *Ctx) stateLocked(n Node) *nodeState {
+	st := c.nodes[n]
+	if st == nil {
+		if len(c.spare) == 0 {
+			c.spare = make([]nodeState, max(8, len(c.nodes)))
+		}
+		st, c.spare = &c.spare[0], c.spare[1:]
+		c.nodes[n] = st
+	}
+	return st
+}
+
+// statLocked returns the node's stats, marking them recorded. The caller
+// must hold c.mu and have checked c.analyze. Notes recorded
 // mid-execution land in the same entry Run or the pipeline finalizes
 // with rows and timing, so each operator's numbers exist exactly once.
 func (c *Ctx) statLocked(n Node) *NodeStats {
-	st := c.stats[n]
-	if st == nil {
-		st = &NodeStats{}
-		c.stats[n] = st
+	st := c.stateLocked(n)
+	st.recorded = true
+	return &st.stats
+}
+
+// note records into n's stats, under the lock, when stats are
+// collected.
+func (c *Ctx) note(n Node, record func(*NodeStats)) {
+	if c.analyze {
+		c.mu.Lock()
+		record(c.statLocked(n))
+		c.mu.Unlock()
 	}
-	return st
 }
 
 // noteWorkers records an operator's actual fan-out; serial execution is
 // not recorded.
 func (c *Ctx) noteWorkers(n Node, workers int) {
-	if c.stats == nil || workers <= 1 {
-		return
+	if workers > 1 {
+		c.note(n, func(st *NodeStats) { st.Workers = max(st.Workers, workers) })
 	}
-	c.mu.Lock()
-	if st := c.statLocked(n); workers > st.Workers {
-		st.Workers = workers
-	}
-	c.mu.Unlock()
 }
 
 // noteSpill records an operator's spill activity: always on the query's
 // cumulative counters, and per-operator when stats are being collected.
 func (c *Ctx) noteSpill(n Node, runs int, bytes int64) {
 	c.res.NoteSpill(runs, bytes)
-	if c.stats == nil {
-		return
-	}
-	c.mu.Lock()
-	st := c.statLocked(n)
-	st.SpillRuns += runs
-	st.SpillBytes += bytes
-	c.mu.Unlock()
+	c.note(n, func(st *NodeStats) { st.SpillRuns, st.SpillBytes = st.SpillRuns+runs, st.SpillBytes+bytes })
 }
 
 // noteEval records whether an operator evaluated its expressions through
 // the vector kernels and over how many chunks. An operator calls it at
 // most once per execution; the recorded mode replaces any earlier one.
 func (c *Ctx) noteEval(n Node, vectorized bool, rows int) {
-	if c.stats == nil {
-		return
-	}
-	batches := 0
-	if vectorized {
-		batches = batchCount(rows)
-	}
-	c.mu.Lock()
-	st := c.statLocked(n)
-	st.EvalMode, st.Batches = evalMode(vectorized), batches
-	c.mu.Unlock()
-}
-
-// noteSegments records a fused scan's zone-map outcome: how many storage
-// segments it considered and how many the zone maps skipped outright.
-func (c *Ctx) noteSegments(n Node, segments, pruned int) {
-	if c.stats == nil {
-		return
-	}
-	c.mu.Lock()
-	st := c.statLocked(n)
-	st.Segments, st.Pruned = segments, pruned
-	c.mu.Unlock()
-}
-
-// noteProbe records how many keys a plain scan looked up in its index.
-func (c *Ctx) noteProbe(n Node, keys int) {
-	if c.stats == nil {
-		return
-	}
-	c.mu.Lock()
-	c.statLocked(n).Probe = keys
-	c.mu.Unlock()
+	c.note(n, func(st *NodeStats) {
+		st.EvalMode, st.Batches = evalMode(vectorized), 0
+		if vectorized {
+			st.Batches = batchCount(rows)
+		}
+	})
 }
 
 // cancelCheckInterval is how many rows an operator hot loop processes
@@ -348,29 +351,33 @@ func (c *Ctx) slowOp() error {
 // time the context meets it, so a node reached along more than one edge
 // (a CTE body referenced twice, a repeated subquery) is known to be
 // shared: it runs once, through Run, instead of inline in every pipeline
-// that reads it. The caller holds c.mu.
+// that reads it. The walk creates the table entries of the nodes it
+// meets first. The caller holds c.mu.
 func (c *Ctx) countRefsLocked(root Node) {
-	if c.refs[root] > 0 {
+	if st := c.nodes[root]; st != nil && st.refs > 0 {
 		return
 	}
-	var walk func(Node)
-	walk = func(n Node) {
-		c.refs[n]++
-		if c.refs[n] > 1 {
-			return
-		}
-		for _, ch := range n.Children() {
-			walk(ch)
-		}
+	c.walkLocked(root)
+}
+
+// walkLocked counts one parent edge into n, and the edges below it the
+// first time.
+func (c *Ctx) walkLocked(n Node) {
+	st := c.stateLocked(n)
+	if st.refs++; st.refs > 1 {
+		return
 	}
-	walk(root)
+	for _, ch := range n.Children() {
+		c.walkLocked(ch)
+	}
 }
 
 // shared reports whether n has more than one parent edge.
 func (c *Ctx) shared(n Node) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.refs[n] > 1
+	st := c.nodes[n]
+	return st != nil && st.refs > 1
 }
 
 // Tick is the cooperative cancellation check for operator hot loops: it
@@ -414,8 +421,8 @@ type breaker interface {
 	Execute(ctx *Ctx) (*Result, error)
 }
 
-// Run executes a node through the context cache: a pipelined node drains
-// its pipeline, a breaker runs its Execute. Nodes shared between plan
+// Run executes a node once per context: a pipelined node drains its
+// pipeline, a breaker runs its Execute. Nodes shared between plan
 // subtrees (CTEs) therefore execute exactly once per statement, even
 // when two plan children racing through runPair reach the shared subtree
 // at the same time — the second caller blocks on the first execution and
@@ -423,58 +430,53 @@ type breaker interface {
 func Run(ctx *Ctx, n Node) (*Result, error) {
 	ctx.mu.Lock()
 	ctx.countRefsLocked(n)
-	f, hit := ctx.cache[n]
-	if !hit {
-		f = &inflight{}
-		ctx.cache[n] = f
-	}
+	st := ctx.stateLocked(n)
+	hit := st.runs > 0
+	st.runs++
 	ctx.mu.Unlock()
-	f.once.Do(func() {
+	st.once.Do(func() {
 		// Convert panics escaping any operator (serial paths included; the
 		// worker-pool goroutines carry their own recover) into a per-query
 		// ErrInternal instead of crashing the process.
 		defer func() {
 			if rec := recover(); rec != nil {
-				f.res, f.err = nil, govern.Internalize(rec)
+				st.res, st.err = nil, govern.Internalize(rec)
 			}
 		}()
 		if err := ctx.Canceled(); err != nil {
-			f.err = err
+			st.err = err
 			return
 		}
-		if f.err = ctx.slowOp(); f.err != nil {
+		if st.err = ctx.slowOp(); st.err != nil {
 			return
 		}
 		b, ok := n.(breaker)
 		if !ok {
 			// The pipeline records every level's stats itself.
-			f.res, f.err = drain(ctx, n)
+			st.res, st.err = drain(ctx, n)
 			return
 		}
 		var start time.Time
-		if ctx.stats != nil {
+		if ctx.analyze {
 			start = time.Now()
 		}
-		f.res, f.err = b.Execute(ctx)
-		if ctx.stats != nil && f.err == nil {
-			elapsed := time.Since(start)
-			ctx.mu.Lock()
-			st := ctx.statLocked(n)
-			st.Rows, st.Start, st.Elapsed = len(f.res.Rows), start, elapsed
-			ctx.mu.Unlock()
+		st.res, st.err = b.Execute(ctx)
+		if ctx.analyze && st.err == nil {
+			elapsed, rows := time.Since(start), len(st.res.Rows)
+			ctx.note(n, func(ns *NodeStats) { ns.Rows, ns.Start, ns.Elapsed = rows, start, elapsed })
 		}
 	})
-	if f.err != nil {
-		return nil, f.err
+	if st.err != nil {
+		return nil, st.err
 	}
-	if hit && ctx.stats != nil {
+	if hit && ctx.analyze {
 		ctx.mu.Lock()
-		if st := ctx.stats[n]; st != nil {
-			st.Hits++
+		if st.recorded {
+			st.stats.Hits++
 		}
 		ctx.mu.Unlock()
 	}
-	return f.res, nil
+	return st.res, nil
 }
 
 // base carries the estimate/ordering fields every operator shares. The
@@ -633,7 +635,7 @@ func (s *ScanNode) open(c *Ctx, probe *scanProbe) (*level, source, error) {
 			morsel: func(m int) ([]schema.Row, error) { return s.filterMorsel(c, sb.Pred, morsels[m], vec) }}, nil
 	}
 	if ids, keys, ok := probe.ids(s); ok {
-		c.noteProbe(s, keys)
+		c.note(s, func(st *NodeStats) { st.Probe = keys })
 		src, err := s.idSource(c, ids)
 		return lv, src, err
 	}
@@ -691,7 +693,7 @@ func (s *ScanNode) planFilteredMorsels(ctx *Ctx, zone []storage.ZonePred, vec bo
 		}
 		segs = kept
 	}
-	ctx.noteSegments(s, considered, pruned)
+	ctx.note(s, func(st *NodeStats) { st.Segments, st.Pruned = considered, pruned })
 	total := 0
 	for _, seg := range segs {
 		total += seg.Len()

@@ -5,9 +5,10 @@
 // Values, a breaker's or shared subtree's finished result) cut into
 // MorselSize ranges — the stages that map a morsel's rows through the
 // pipelined operators above it (filter, project, window, hash-join
-// probe), and an optional limit cut the consumer applies. Under
-// windows the resident rows are cut only where a partition ends, so every
-// morsel holds whole partitions (alignWindows). The morsel pump runs
+// probe) with the scratch of the pump worker running it, and an optional
+// limit cut the consumer applies. Under windows the resident rows are cut
+// only where a partition ends, so every morsel holds whole partitions
+// (alignWindows). The morsel pump runs
 // source and stages per morsel, in parallel once the input is large
 // enough, and delivers the outputs strictly in morsel order.
 //
@@ -26,7 +27,8 @@
 //     panic containment (govern.Internalize), and the SlowOp/WorkerPanic
 //     fault injections.
 //   - Shared subtrees (a node reached along more than one parent edge
-//     from the statement root) run once, through Run's inflight cache.
+//     from the statement root) run once, through Run and the Ctx's node
+//     table.
 //   - Every operator of a pipeline records its NodeStats from the morsels
 //     delivered, so a Run and an Open-and-drain of one plan record the
 //     same rows, workers, eval mode, batches and segments.
@@ -47,6 +49,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/govern"
 	"repro/internal/schema"
+	"repro/internal/types"
 )
 
 // Stream is a pull-based batch iterator over an executing plan. Next
@@ -145,12 +148,14 @@ type pipeline struct {
 	stats bool
 
 	src     source
-	levels  []*level // bottom up: levels[0] is the source
-	wins    []*winScratch
+	levels  []*level // bottom up once open: levels[0] is the source
 	cut     *LimitNode
 	skip    int64 // cut: offset rows still to drop
 	left    int64 // cut: rows still to emit; negative means no limit
 	workers int
+	// scratch is each pump worker's, made once the fan-out is known when
+	// a stage will use it.
+	scratch []scratch
 	pump    *morselPump
 	charged atomic.Int64
 	start   time.Time
@@ -232,12 +237,10 @@ type level struct {
 	// node records this level's NodeStats; nil when Run records them (a
 	// materialized input).
 	node Node
-	// run maps one morsel's rows through a stage for pump worker w, whose
-	// scratch it may use; nil passes them through (the source, the cut).
-	run func(w int, in []schema.Row) ([]schema.Row, error)
-	// size allocates the stage's per-worker scratch once the pump's
-	// fan-out is known; nil for a stage without any.
-	size func(workers int)
+	// run maps one morsel's rows through a stage with the scratch of the
+	// pump worker running it; nil passes them through (the source, the
+	// cut).
+	run func(s *scratch, in []schema.Row) ([]schema.Row, error)
 	// inBytes is reserved per input row before run, outBytes charged per
 	// output row after it — the executor's accounting constants.
 	inBytes, outBytes int64
@@ -252,12 +255,47 @@ type level struct {
 	parallel bool
 	// probe is the keys this stage bound for the plain scan below it.
 	probe *scanProbe
+	// st is where the level's numbers are published, once open has
+	// recorded them.
+	st *NodeStats
 
 	open     time.Duration
 	start    time.Time
 	cum      time.Duration // open time of this level and those below it
 	rows, in int
 	busy     time.Duration
+}
+
+// scratch is one pump worker's reusable state. A worker runs a morsel
+// through one stage at a time, so every stage of its pipeline shares it:
+// the filter's selection, the eval columns a projection or probe fills,
+// the probe's key encoder and candidate buffers, and the windows'
+// winScratch. Each buffer grows to the largest morsel seen.
+type scratch struct {
+	sel       []int
+	vals      []types.Value
+	cols      [][]types.Value
+	enc       keyEnc
+	cand      []schema.Row
+	candStart []int
+	// ends, when non-nil, collects the output length after each probe
+	// row, so partitionedJoin can place every row's output.
+	ends []int
+	win  winScratch
+}
+
+// evalCols returns exactly nexprs column vectors, each wide enough for
+// the chunks of nrows rows — MorselSize, or nrows when fewer — carved
+// from the worker's buffer, which is reallocated only when too small.
+// Exactly nexprs: a key encoder encodes every column it is handed.
+func (s *scratch) evalCols(nexprs, nrows int) [][]types.Value {
+	width := min(nrows, MorselSize)
+	s.vals = grow(s.vals, nexprs*width)
+	s.cols = grow(s.cols, nexprs)
+	for j := range s.cols {
+		s.cols[j] = s.vals[j*width : (j+1)*width : (j+1)*width]
+	}
+	return s.cols
 }
 
 // morselOut is one morsel's result; n and busy (rows out of, and time
@@ -271,7 +309,7 @@ type morselOut struct {
 // compile lays out the pipeline producing n's output. Every operator
 // that is not a breaker is pipelined.
 func compile(c *Ctx, n Node) *pipeline {
-	p := &pipeline{ctx: c, sch: n.Schema(), stats: c.stats != nil}
+	p := &pipeline{ctx: c, sch: n.Schema(), stats: c.analyze}
 	for n != nil {
 		if _, brk := n.(breaker); brk || len(p.chain) > 0 && (c.shared(n) || isLimit(n)) {
 			p.leaf = n
@@ -392,6 +430,7 @@ func (p *pipeline) open() error {
 	p.start = time.Now()
 	found := false
 	var probe *scanProbe
+	p.levels = make([]*level, 0, len(p.chain)+1)
 	for _, n := range p.chain {
 		t0 := time.Now()
 		var lv *level
@@ -411,7 +450,7 @@ func (p *pipeline) open() error {
 		case *ProjectNode:
 			lv = t.open(c)
 		case *WindowNode:
-			lv, err = t.open(c, &p.wins)
+			lv, err = t.open(c)
 		case *HashJoinNode:
 			var joined *Result
 			lv, joined, err = t.open(c)
@@ -423,7 +462,7 @@ func (p *pipeline) open() error {
 		}
 		if lv != nil {
 			lv.open = time.Since(t0)
-			p.levels = append([]*level{lv}, p.levels...)
+			p.levels = append(p.levels, lv)
 			if lv.probe != nil {
 				probe = lv.probe
 			}
@@ -444,12 +483,14 @@ func (p *pipeline) open() error {
 		if p.src, err = p.slice(r.Rows); err != nil {
 			return err
 		}
-		p.levels = append([]*level{{open: time.Since(t0)}}, p.levels...)
+		p.levels = append(p.levels, &level{open: time.Since(t0)})
 	}
+	slices.Reverse(p.levels)
 	p.workers = max(1, min(c.workersFor(p.src.rows), p.src.nm))
 	for _, lv := range p.levels {
-		if lv.size != nil {
-			lv.size(p.workers)
+		if lv.run != nil {
+			p.scratch = make([]scratch, p.workers)
+			break
 		}
 	}
 	p.pump = newMorselPump(c, p.src.nm, p.workers, p.morsel)
@@ -481,6 +522,7 @@ func (p *pipeline) publishOpen() {
 			continue
 		}
 		st := c.statLocked(lv.node)
+		lv.st = st
 		if lv.parallel && p.workers > st.Workers && p.workers > 1 {
 			st.Workers = p.workers
 		}
@@ -492,10 +534,10 @@ func (p *pipeline) publishOpen() {
 // publishLocked writes a level's running numbers into its NodeStats;
 // the caller holds ctx.mu.
 func (p *pipeline) publishLocked(lv *level) {
-	if lv.node == nil {
+	st := lv.st
+	if st == nil {
 		return
 	}
-	st := p.ctx.statLocked(lv.node)
 	st.Rows, st.Start = lv.rows, lv.start
 	st.Elapsed = lv.cum + lv.busy/time.Duration(p.workers)
 	if lv.eval == "vector" {
@@ -527,7 +569,7 @@ func (p *pipeline) morsel(w, m int) (morselOut, error) {
 			p.charged.Add(b)
 		}
 		if lv.run != nil {
-			if rows, err = lv.run(w, rows); err != nil {
+			if rows, err = lv.run(&p.scratch[w], rows); err != nil {
 				return out, err
 			}
 		}

@@ -83,15 +83,6 @@ func evalScratch(nexprs, nrows int) [][]types.Value {
 	return cols
 }
 
-// widenScratch returns a worker's reusable scratch cols when it is wide
-// enough for the chunks of nrows rows, else fresh scratch that is.
-func widenScratch(cols [][]types.Value, nexprs, nrows int) [][]types.Value {
-	if len(cols) > 0 && len(cols[0]) >= min(nrows, MorselSize) {
-		return cols
-	}
-	return evalScratch(nexprs, nrows)
-}
-
 // tryBatchAll evaluates every expression over rows into its column
 // vector. False means a kernel failed and the caller must run its serial
 // row loop over the same rows so the error that surfaces is exactly the

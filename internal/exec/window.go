@@ -95,8 +95,8 @@ func (n *WindowNode) Children() []Node { return []Node{n.Input} }
 // reserves its whole working set: the widened output row and its share of
 // the scratch (an order key, an argument and an output value per
 // aggregate). A worker runs a morsel through one stage at a time, so the
-// windows of a pipeline share ws, its per-worker scratch.
-func (n *WindowNode) open(c *Ctx, ws *[]*winScratch) (*level, error) {
+// windows of a pipeline share its scratch's winScratch.
+func (n *WindowNode) open(c *Ctx) (*level, error) {
 	// Order keys are only needed for RANGE and peer frames.
 	needKeys := false
 	for _, a := range n.Aggs {
@@ -116,16 +116,8 @@ func (n *WindowNode) open(c *Ctx, ws *[]*winScratch) (*level, error) {
 	}
 	perRow := rowHdrBytes + int64(n.schema.Len())*valueBytes + 8 + int64(len(n.Aggs))*2*valueBytes
 	return &level{node: n, inBytes: perRow, eval: evalMode(vec), parallel: true,
-		size: func(workers int) {
-			if len(*ws) < workers {
-				*ws = make([]*winScratch, workers)
-			}
-		},
-		run: func(w int, in []schema.Row) ([]schema.Row, error) {
-			if (*ws)[w] == nil {
-				(*ws)[w] = &winScratch{}
-			}
-			return (*ws)[w].run(c, n, in, vec, needKeys)
+		run: func(s *scratch, in []schema.Row) ([]schema.Row, error) {
+			return s.win.run(c, n, in, vec, needKeys)
 		}}, nil
 }
 
