@@ -120,7 +120,7 @@ func (b *builder) planStmt(stmt sqlast.Stmt, scope *cteScope) (*planned, error) 
 				return nil, err
 			}
 			rows := l.node.EstRows() + r.node.EstRows()
-			exec.SetEstimates(u, rows, l.node.EstCost()+r.node.EstCost()+cpu(rows*costUnionRow))
+			exec.SetEstimates(u, rows, l.node.EstCost()+r.node.EstCost()+rows*costUnionRow)
 			if s.All {
 				return l.over(u), nil
 			}

@@ -11,40 +11,19 @@ import (
 
 const defaultSel = 1.0 / 3
 
-// costDOP is the effective degree of parallelism the cost model assumes:
-// morsel-driven workers overlap but pay coordination overhead, so each
-// extra core contributes 0.75 of a serial core, capped at 16 (memory
-// bandwidth bounds scan-heavy operators well before wide machines run
-// out of cores). It reads the process-wide exec.Parallelism knob at plan
-// time; per-query overrides do not replan.
-func costDOP() float64 {
-	p := exec.Parallelism
-	if p > 16 {
-		p = 16
-	}
-	if p <= 1 {
-		return 1
-	}
-	return 1 + 0.75*float64(p-1)
-}
-
-// cpu scales an operator's CPU work term by the expected parallel
-// speedup. Every operator's work is scaled by the same factor — morsel
-// parallelism applies across the whole tree — so relative plan choices
-// (index vs sequential scan, join order, rewrite strategy) are exactly
-// what a serial cost model would pick; only the absolute numbers shrink.
-func cpu(work float64) float64 { return work / costDOP() }
-
 // evalCPU costs rows·perRow units of expression-evaluation work under the
 // batch execution model: vectorization discounts the per-row interpreter
 // overhead and adds one dispatch term per MorselSize-row batch. The term
 // applies uniformly to every expression-evaluating operator (filter,
 // project, join, group, window), so relative plan choices match the
 // row-at-a-time model; only absolute numbers move. A query run on the
-// row path (WithRowEval) is costed the same: it does not replan.
+// row path (WithRowEval) is costed the same: it does not replan. Costs are
+// serial work: morsel parallelism would divide every term by one factor,
+// which moves no choice, so the model leaves it out and a plan's printed
+// cost is the same on every machine.
 func evalCPU(rows, perRow float64) float64 {
 	batches := math.Ceil(rows / float64(exec.MorselSize))
-	return cpu(rows*perRow*costVecDiscount + batches*costBatchDispatch)
+	return rows*perRow*costVecDiscount + batches*costBatchDispatch
 }
 
 // selectivity estimates the fraction of pl's rows satisfying expr.

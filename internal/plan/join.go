@@ -216,7 +216,7 @@ func (b *builder) buildJoin(l, r *planned, conjs []sqlast.Expr, kind exec.JoinKi
 		pred = f
 	}
 	n := exec.NewNestedLoopJoinNode(l.node, r.node, pred, desc)
-	cost := l.node.EstCost() + r.node.EstCost() + cpu(l.node.EstRows()*r.node.EstRows()*0.3)
+	cost := l.node.EstCost() + r.node.EstCost() + l.node.EstRows()*r.node.EstRows()*0.3
 	exec.SetEstimates(n, rows, cost)
 	return &planned{node: n, scope: outSchema, stats: stats}, nil
 }

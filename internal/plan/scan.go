@@ -95,19 +95,19 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 		seqRows = float64(zoneKept(t, zone))
 		b.noteZoneBand(t, binding, conjs, seqRows)
 	}
-	seqCost := cpu(seqRows * costSeqRow)
+	seqCost := seqRows * costSeqRow
 	if len(fuse) > 0 {
 		seqCost += evalCPU(seqRows, costFilterRow)
 	}
 
 	if best != nil {
 		matched := total * best.sel
-		idxCost := cpu(matched*costIndexRow + math.Log2(total+2))
+		idxCost := matched*costIndexRow + math.Log2(total+2)
 		// The index-vs-seq decision compares row touches only (the fused
 		// predicate's eval cost applies to the residual filter of the
 		// index path just as much); zone pruning still discounts the
 		// sequential side via seqRows.
-		if idxCost < cpu(seqRows*costSeqRow) {
+		if idxCost < seqRows*costSeqRow {
 			var used, remaining []sqlast.Expr
 			for _, c := range conjs {
 				if best.used[c] {

@@ -503,7 +503,7 @@ func (b *builder) ensureWindowOrder(pl *planned, w *sqlast.WindowExpr) (*planned
 	}
 	n := exec.NewSortNode(pl.node, keys, desc)
 	rows := pl.node.EstRows()
-	exec.SetEstimates(n, rows, pl.node.EstCost()+cpu(rows*math.Log2(rows+2)*costSortFactor))
+	exec.SetEstimates(n, rows, pl.node.EstCost()+rows*math.Log2(rows+2)*costSortFactor)
 	if known {
 		exec.SetOrdering(n, want)
 	}
@@ -716,7 +716,7 @@ func (b *builder) planOrderBy(pl *planned, orderBy []sqlast.OrderItem) (*planned
 	}
 	n := exec.NewSortNode(pl.node, keys, desc)
 	rows := pl.node.EstRows()
-	exec.SetEstimates(n, rows, pl.node.EstCost()+cpu(rows*math.Log2(rows+2)*costSortFactor))
+	exec.SetEstimates(n, rows, pl.node.EstCost()+rows*math.Log2(rows+2)*costSortFactor)
 	if known {
 		exec.SetOrdering(n, ord)
 	}
