@@ -315,3 +315,48 @@ func TestResourceStatsAccumulate(t *testing.T) {
 		t.Errorf("MaxPeak = %d, want > 0", st.MaxPeak)
 	}
 }
+
+// MaterializeCleansed's cleansing run is a governed statement: under the
+// engine's default memory budget it spills, it stores exactly the rows an
+// unlimited run stores, and ResourceStats counts it.
+func TestMaterializeCleansedIsGoverned(t *testing.T) {
+	load := func(opts ...repro.Option) *repro.DB {
+		db := repro.Open(opts...)
+		if err := db.LoadRFIDWorkload(repro.WorkloadConfig{Scale: 1, AnomalyPct: 20, Seed: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.DefinePaperRules(); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	free := load()
+	limited := load(repro.WithDefaultMemoryLimit(32<<10), repro.WithSpillDir(t.TempDir()))
+	before := limited.ResourceStats()
+	n, err := limited.MaterializeCleansed("caser", "caser_clean", "duplicate", "reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := limited.ResourceStats()
+	if after.Queries != before.Queries+1 || after.SpilledQueries != before.SpilledQueries+1 {
+		t.Fatalf("queries %d → %d, spilled %d → %d; want one more of each",
+			before.Queries, after.Queries, before.SpilledQueries, after.SpilledQueries)
+	}
+	want, err := free.MaterializeCleansed("caser", "caser_clean", "duplicate", "reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != want {
+		t.Fatalf("stored %d rows under the budget, %d without", n, want)
+	}
+	const q = "SELECT * FROM caser_clean"
+	got, err := limited.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := free.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRows(t, ref, got)
+}

@@ -82,7 +82,7 @@ func explainNode(b *strings.Builder, n Node, params []types.Value, depth int) {
 func parallelCapable(n Node) bool {
 	switch n.(type) {
 	case *ScanNode, *FilterNode, *ProjectNode, *SortNode,
-		*HashJoinNode, *GroupNode, *WindowNode:
+		*HashJoinNode, *NestedLoopJoinNode, *GroupNode, *WindowNode:
 		return true
 	}
 	return false

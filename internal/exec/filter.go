@@ -484,14 +484,24 @@ func (n *UnionNode) Label() string { return "UnionAll" }
 // Children implements Node.
 func (n *UnionNode) Children() []Node { return []Node{n.Left, n.Right} }
 
-// Execute implements Node. The two inputs execute concurrently.
-func (n *UnionNode) Execute(ctx *Ctx) (*Result, error) {
-	l, r, err := runPair(ctx, n.Left, n.Right)
+// open binds the union as its pipeline's source: it runs its left input,
+// then its right, reserves a row reference per row of both, and serves
+// MorselSize morsels of the left rows, then of the right.
+func (n *UnionNode) open(c *Ctx) (*level, source, error) {
+	lv := &level{node: n}
+	l, err := Run(c, n.Left)
 	if err != nil {
-		return nil, err
+		return lv, source{}, err
 	}
-	if err := ctx.reserveOrCharge(int64(len(l.Rows)+len(r.Rows)) * rowHdrBytes); err != nil {
-		return nil, err
+	r, err := Run(c, n.Right)
+	if err != nil {
+		return lv, source{}, err
 	}
-	return &Result{Schema: n.schema, Rows: slices.Concat(l.Rows, r.Rows)}, nil
+	bytes := int64(len(l.Rows)+len(r.Rows)) * rowHdrBytes
+	if err := c.reserveOrCharge(bytes); err != nil {
+		return lv, source{}, err
+	}
+	src := sliceSource(l.Rows, r.Rows)
+	src.charged = bytes
+	return lv, src, nil
 }

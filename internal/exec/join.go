@@ -410,9 +410,10 @@ func nullRow(width int) schema.Row {
 }
 
 // NestedLoopJoinNode joins two inputs with an arbitrary predicate; used
-// when no equality keys exist. Inner joins only. The pair loop stays
-// serial (nested-loop inputs are small by construction — the planner only
-// picks it without equality keys), but the two inputs run concurrently.
+// when no equality keys exist. Inner joins only. Like the hash-join
+// probe, it is a stage of the pipeline over Left: each left row meets
+// every right row, in order, so the output is left-major at any
+// parallelism.
 type NestedLoopJoinNode struct {
 	base
 	Left, Right Node
@@ -433,37 +434,41 @@ func (n *NestedLoopJoinNode) Label() string { return "NLJoin(" + n.Desc + ")" }
 // Children implements Node.
 func (n *NestedLoopJoinNode) Children() []Node { return []Node{n.Left, n.Right} }
 
-// Execute implements Node.
-func (n *NestedLoopJoinNode) Execute(ctx *Ctx) (*Result, error) {
-	l, r, err := runPair(ctx, n.Left, n.Right)
+// open binds the join as a stage: the right rows come from Run(Right);
+// each morsel reserves a row reference per pair it may emit, so a cross
+// product the budget cannot hold is refused, and charges its joined rows
+// as the hash-join probe does.
+func (n *NestedLoopJoinNode) open(c *Ctx) (*level, error) {
+	r, err := Run(c, n.Right)
 	if err != nil {
 		return nil, err
 	}
-	// Nested-loop inputs are small by construction; account the pair
-	// cross-product's worst-case output references.
-	if err := ctx.reserveOrCharge(int64(len(l.Rows)) * int64(len(r.Rows)) * rowHdrBytes); err != nil {
-		return nil, err
-	}
-	var out []schema.Row
-	pairs := 0
-	for _, lrow := range l.Rows {
-		for _, rrow := range r.Rows {
-			if err := ctx.Tick(pairs); err != nil {
-				return nil, err
-			}
-			pairs++
-			joined := concatRows(lrow, rrow)
-			if n.Pred != nil {
-				ok, err := eval.EvalPredicate(n.Pred, joined)
-				if err != nil {
-					return nil, err
+	right := r.Rows
+	return &level{node: n, parallel: true,
+		inBytes:  int64(len(right)) * rowHdrBytes,
+		outBytes: rowHdrBytes + int64(n.schema.Len())*valueBytes,
+		run: func(_ *scratch, in []schema.Row) ([]schema.Row, error) {
+			var out []schema.Row
+			pairs := 0
+			for _, lrow := range in {
+				for _, rrow := range right {
+					if err := c.Tick(pairs); err != nil {
+						return nil, err
+					}
+					pairs++
+					joined := concatRows(lrow, rrow)
+					if n.Pred != nil {
+						ok, err := eval.EvalPredicate(n.Pred, joined)
+						if err != nil {
+							return nil, err
+						}
+						if !ok {
+							continue
+						}
+					}
+					out = append(out, joined)
 				}
-				if !ok {
-					continue
-				}
 			}
-			out = append(out, joined)
-		}
-	}
-	return &Result{Schema: n.schema, Rows: out}, nil
+			return out, nil
+		}}, nil
 }

@@ -5,20 +5,20 @@
 // it), UNION ALL, and the SQL/OLAP window operator with ROWS and RANGE
 // frames that the paper's cleansing templates compile into.
 //
-// Scans, Values, filters, projections, windows, limits and the hash-join
-// probe are pipelined (see stream.go): one morsel pipeline per chain of
-// them, which Open streams and Run drains. The breakers — sort,
-// aggregation, UNION ALL, the nested-loop join — materialize their output
-// in Execute, consuming their inputs whole through Run. Sort, aggregation
-// and the hash-join build run one algorithm over pieces — sort runs, hash
-// partitions — that live in memory or, past the memory budget, in spill
-// files (see spill.go).
+// Scans, Values, UNION ALL, filters, projections, windows, limits and
+// both joins' probes are pipelined (see stream.go): one morsel pipeline
+// per chain of them, which Open streams and Run drains. The breakers —
+// sort and aggregation — materialize their output in Execute, consuming
+// their inputs whole through Run. Sort, aggregation and the hash-join
+// build run one algorithm over pieces — sort runs, hash partitions — that
+// live in memory or, past the memory budget, in spill files (see
+// spill.go).
 //
 // Within a query, operators are morsel-parallel (see parallel.go and
 // pump.go): pipelines and the breakers' hot loops fan out over a worker
 // pool sized by the Parallelism knob while preserving the exact serial
-// output, and the independent inputs of a UNION ALL or nested-loop join
-// execute concurrently.
+// output. Plan subtrees run one after another, on the goroutine that
+// drives the execution.
 //
 // Each kind of per-execution state has one owner: the Ctx's node table
 // holds every plan node's parent-edge count, once-only Run and
@@ -49,14 +49,15 @@ type Result struct {
 // cancellation and deadlines), the per-query parallelism cap, and one
 // table of per-node state — each plan node's parent-edge count, its
 // once-only Run (so shared subtrees such as CTEs referenced twice and
-// IN-subqueries run once per statement) and its runtime statistics. The
-// table is mutex-guarded because independent plan children execute
-// concurrently (see runPair) and a live stream's statistics are read
-// while it runs (StatsSnapshot).
+// IN-subqueries run once per statement) and its runtime statistics. One
+// goroutine at a time drives a Ctx — pump and forEach workers only run
+// stages and hot loops — but the table is mutex-guarded because workers
+// record statistics and a live stream's are read while it runs
+// (StatsSnapshot).
 type Ctx struct {
 	ctx context.Context
-	// par caps intra-query parallelism (worker-pool width per operator
-	// and concurrent children); defaults to the Parallelism package knob.
+	// par caps intra-query parallelism (the worker-pool width per
+	// operator); defaults to the Parallelism package knob.
 	par int
 	// vec enables batch (vectorized) expression evaluation; on unless
 	// SetVectorize turns it off.
@@ -88,12 +89,9 @@ type nodeState struct {
 	// refs counts the node's parent edges from the statement roots this
 	// context has executed; a node with more than one is shared.
 	refs int
-	// runs counts Run calls; every one past the first is a cache hit.
+	// runs counts Run calls: the first executes the node into res and
+	// err, every later one is a cache hit that shares them.
 	runs int
-	// once makes a node Run reaches from concurrently-executing plan
-	// children execute exactly once, with late arrivals blocking until
-	// the first execution completes and sharing its res and err.
-	once sync.Once
 	res  *Result
 	err  error
 	// stats holds the node's numbers once recorded is set; a node without
@@ -415,18 +413,16 @@ type Node interface {
 }
 
 // breaker is an operator that consumes its inputs whole before producing
-// any output. Execute materializes the output and must reach its inputs
-// through Run, so shared subtrees are cached.
+// any output: sort and aggregation. Execute materializes the output and
+// must reach its inputs through Run, so shared subtrees are cached.
 type breaker interface {
 	Execute(ctx *Ctx) (*Result, error)
 }
 
 // Run executes a node once per context: a pipelined node drains its
 // pipeline, a breaker runs its Execute. Nodes shared between plan
-// subtrees (CTEs) therefore execute exactly once per statement, even
-// when two plan children racing through runPair reach the shared subtree
-// at the same time — the second caller blocks on the first execution and
-// reuses its result.
+// subtrees (CTEs) therefore execute exactly once per statement; every
+// later Run reuses the first one's result.
 func Run(ctx *Ctx, n Node) (*Result, error) {
 	ctx.mu.Lock()
 	ctx.countRefsLocked(n)
@@ -434,38 +430,9 @@ func Run(ctx *Ctx, n Node) (*Result, error) {
 	hit := st.runs > 0
 	st.runs++
 	ctx.mu.Unlock()
-	st.once.Do(func() {
-		// Convert panics escaping any operator (serial paths included; the
-		// worker-pool goroutines carry their own recover) into a per-query
-		// ErrInternal instead of crashing the process.
-		defer func() {
-			if rec := recover(); rec != nil {
-				st.res, st.err = nil, govern.Internalize(rec)
-			}
-		}()
-		if err := ctx.Canceled(); err != nil {
-			st.err = err
-			return
-		}
-		if st.err = ctx.slowOp(); st.err != nil {
-			return
-		}
-		b, ok := n.(breaker)
-		if !ok {
-			// The pipeline records every level's stats itself.
-			st.res, st.err = drain(ctx, n)
-			return
-		}
-		var start time.Time
-		if ctx.analyze {
-			start = time.Now()
-		}
-		st.res, st.err = b.Execute(ctx)
-		if ctx.analyze && st.err == nil {
-			elapsed, rows := time.Since(start), len(st.res.Rows)
-			ctx.note(n, func(ns *NodeStats) { ns.Rows, ns.Start, ns.Elapsed = rows, start, elapsed })
-		}
-	})
+	if !hit {
+		st.res, st.err = execute(ctx, n)
+	}
 	if st.err != nil {
 		return nil, st.err
 	}
@@ -477,6 +444,38 @@ func Run(ctx *Ctx, n Node) (*Result, error) {
 		ctx.mu.Unlock()
 	}
 	return st.res, nil
+}
+
+// execute is Run's one execution of n. A panic escaping any operator
+// (serial paths included; the worker-pool goroutines carry their own
+// recover) becomes a per-query ErrInternal instead of crashing the
+// process.
+func execute(ctx *Ctx, n Node) (res *Result, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			res, err = nil, govern.Internalize(rec)
+		}
+	}()
+	if err := ctx.Canceled(); err != nil {
+		return nil, err
+	}
+	if err := ctx.slowOp(); err != nil {
+		return nil, err
+	}
+	b, ok := n.(breaker)
+	if !ok {
+		// The pipeline records every level's stats itself.
+		return drain(ctx, n)
+	}
+	var start time.Time
+	if ctx.analyze {
+		start = time.Now()
+	}
+	if res, err = b.Execute(ctx); err == nil && ctx.analyze {
+		elapsed, rows := time.Since(start), len(res.Rows)
+		ctx.note(n, func(ns *NodeStats) { ns.Rows, ns.Start, ns.Elapsed = rows, start, elapsed })
+	}
+	return res, err
 }
 
 // base carries the estimate/ordering fields every operator shares. The

@@ -20,10 +20,9 @@ import (
 
 // Parallelism is the default worker-pool width for intra-query
 // parallelism: the morsel pipelines (scans, filters, projections,
-// windows, join probes), join builds, sort, aggregation, and concurrent
-// execution of independent plan children. Set to 1 to force serial
-// execution process-wide; individual executions override it with
-// Ctx.SetParallelism (the repro.WithParallelism query option).
+// windows, join probes), join builds, sort and aggregation. Set to 1 to
+// force serial execution process-wide; individual executions override it
+// with Ctx.SetParallelism (the repro.WithParallelism query option).
 var Parallelism = runtime.NumCPU()
 
 const (
@@ -151,47 +150,4 @@ func concatMorsels(outs [][]schema.Row) []schema.Row {
 		flat = append(flat, o...)
 	}
 	return flat
-}
-
-// runPair executes two independent plan children, concurrently when the
-// context allows more than one worker — the two inputs of a set operation
-// or nested-loop join share no state, so their subtrees (each possibly fanning out
-// its own morsel workers) overlap freely; the scheduler multiplexes the
-// combined goroutines onto GOMAXPROCS threads. Run's inflight tracking
-// makes a subtree shared between both sides execute exactly once.
-func runPair(ctx *Ctx, a, b Node) (*Result, *Result, error) {
-	if ctx.par <= 1 {
-		ra, err := Run(ctx, a)
-		if err != nil {
-			return nil, nil, err
-		}
-		rb, err := Run(ctx, b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ra, rb, nil
-	}
-	var (
-		rb   *Result
-		errB error
-		done = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		defer func() {
-			if rec := recover(); rec != nil {
-				rb, errB = nil, govern.Internalize(rec)
-			}
-		}()
-		rb, errB = Run(ctx, b)
-	}()
-	ra, errA := Run(ctx, a)
-	<-done
-	if errA != nil {
-		return nil, nil, errA
-	}
-	if errB != nil {
-		return nil, nil, errB
-	}
-	return ra, rb, nil
 }

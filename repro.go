@@ -646,12 +646,12 @@ func WithTimeout(d time.Duration) QueryOption {
 
 // WithParallelism sets this query's intra-query worker-pool width: scans,
 // filters, joins, sorts, aggregations, and window partitions split large
-// inputs into morsels executed by up to n goroutines, and independent
-// plan subtrees run concurrently. 1 forces serial execution; values < 1
-// (including the zero default) use the process-wide exec.Parallelism,
-// which defaults to the CPU count. Results are bit-identical at every
-// setting — parallel operators preserve serial output order exactly — so
-// the knob trades only latency for CPU, never answers.
+// inputs into morsels executed by up to n goroutines. 1 forces serial
+// execution; values < 1 (including the zero default) use the
+// process-wide exec.Parallelism, which defaults to the CPU count.
+// Results are bit-identical at every setting — parallel operators
+// preserve serial output order exactly — so the knob trades only latency
+// for CPU, never answers.
 func WithParallelism(n int) QueryOption {
 	return func(o *queryOpts) { o.parallelism = n }
 }
@@ -1002,7 +1002,9 @@ func (db *DB) MaterializeCleansed(source, dest string, ruleNames ...string) (int
 // MaterializeCleansedContext is MaterializeCleansed governed by a
 // context: the cleansing run cancels cooperatively mid-operator, and
 // nothing is stored on cancellation. The failure matches ErrCanceled and
-// the context's own error.
+// the context's own error. The run is a statement nested under the write
+// lock held here, so the engine's memory budget and spill directory
+// govern it and ResourceStats counts it.
 func (db *DB) MaterializeCleansedContext(ctx context.Context, source, dest string, ruleNames ...string) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -1017,16 +1019,14 @@ func (db *DB) MaterializeCleansedContext(ctx context.Context, source, dest strin
 	for i, c := range src.Schema.Columns {
 		cols[i] = c.Name
 	}
-	res, err := db.Rewriter.RewriteSQL(
-		"SELECT "+strings.Join(cols, ", ")+" FROM "+source,
-		ruleNames, Naive,
-	)
-	if err != nil {
+	st := &statement{db: db, sql: "SELECT " + strings.Join(cols, ", ") + " FROM " + source,
+		o: applyOpts([]QueryOption{WithStrategy(Naive), WithRules(ruleNames...)}), nested: true}
+	if err := st.begin(ctx); err != nil {
 		return 0, err
 	}
-	out, err := exec.Run(exec.NewCtxWith(ctx), res.Plan)
-	if err != nil {
-		return 0, wrapCanceled(err)
+	out, err := st.execute()
+	if err := st.finish(nil, err); err != nil {
+		return 0, err
 	}
 	dst := storage.NewTable(dest, src.Schema.WithQualifier(dest))
 	// A MODIFY may assign a value of another kind; such a table could
@@ -1183,7 +1183,8 @@ type ResourceStats struct {
 	Admission AdmissionStats
 	// Queries counts governed executions: Query, ExplainAnalyze,
 	// QueryStream, Prepared.Run and Prepared.Stream (and their Context
-	// variants), plus DryRunRule's two internal runs.
+	// variants), plus DryRunRule's two internal runs and
+	// MaterializeCleansed's one.
 	Queries int64
 	// SpilledQueries counts executions in which at least one operator went
 	// to disk; SpillRuns and SpillBytes accumulate their volume.

@@ -29,8 +29,9 @@ type statement struct {
 	// args bind the statement's placeholders.
 	args []Value
 	// nested marks a sub-query of an operation that already holds the
-	// catalog read lock (DryRunRule): it takes no lock or admission slot of
-	// its own and is not observed by telemetry.
+	// catalog lock (DryRunRule the read lock, MaterializeCleansed the write
+	// lock): it takes no lock or admission slot of its own and is not
+	// observed by telemetry.
 	nested bool
 	// analyze collects per-operator statistics even without telemetry
 	// (EXPLAIN ANALYZE prints them).
