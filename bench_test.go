@@ -229,6 +229,27 @@ func BenchmarkPlanCache(b *testing.B) {
 	e.DB.ResetPlanCache()
 }
 
+// BenchmarkLookup is one EPC's cleansed history under the default query
+// options, cycling 64 EPCs so that every run after the first binds a new
+// literal into the shape's cached plan. Its B/op and allocs/op are the
+// fixed cost of a lookup; run it with -benchmem.
+func BenchmarkLookup(b *testing.B) {
+	e := loadEnv(b, 10)
+	epcs := lookupEPCs(b, e.DB, 64)
+	for _, epc := range epcs {
+		if _, err := e.DB.Query(lookupSQL(epc)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.DB.Query(lookupSQL(epcs[i%len(epcs)])); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkConcurrentClients drives the serving path from every core at
 // once: Query calls share the read side of the serving lock and the plan
 // cache, so throughput should scale with clients rather than serialize.

@@ -118,6 +118,39 @@ func maskAnalyze(s string, parallel bool) string {
 	return s
 }
 
+// EXPLAIN's [parallel] marks follow the query's parallelism: a scan of
+// every read is marked under a process-wide exec.Parallelism of 4 but not
+// under WithParallelism(1), and WithParallelism(4) marks it when the
+// process-wide default is serial.
+func TestExplainParallelMarkFollowsQuery(t *testing.T) {
+	old := exec.Parallelism
+	t.Cleanup(func() { exec.Parallelism = old })
+	e, err := bench.Load(20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT epc, rtime FROM caser"
+	for _, c := range []struct {
+		global int
+		opts   []repro.QueryOption
+		want   bool
+	}{
+		{4, nil, true},
+		{4, []repro.QueryOption{repro.WithParallelism(1)}, false},
+		{1, nil, false},
+		{1, []repro.QueryOption{repro.WithParallelism(4)}, true},
+	} {
+		exec.Parallelism = c.global
+		out, err := e.DB.Explain(q, append(c.opts, repro.WithStrategy(repro.Dirty))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(out, "[parallel]"); got != c.want {
+			t.Errorf("exec.Parallelism %d, %d options: [parallel] printed %v, want %v\n%s", c.global, len(c.opts), got, c.want, out)
+		}
+	}
+}
+
 func checkExplainGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", "explain", name)

@@ -141,6 +141,7 @@ type GroupNode struct {
 // then one column per aggregate.
 func NewGroupNode(child Node, out *schema.Schema, keys []*eval.Compiled, aggs []AggSpec) *GroupNode {
 	n := &GroupNode{Input: child, Keys: keys, Aggs: aggs, prefix: leading(eval.ColumnOrdinals(keys))}
+	n.children = []Node{child}
 	n.schema = out
 	return n
 }
@@ -212,9 +213,6 @@ func (n *GroupNode) Label() string {
 	}
 	return fmt.Sprintf("HashGroup(%d keys, %d aggs)", len(n.Keys), len(n.Aggs))
 }
-
-// Children implements Node.
-func (n *GroupNode) Children() []Node { return []Node{n.Input} }
 
 type groupState struct {
 	keyVals schema.Row

@@ -10,14 +10,20 @@ import (
 )
 
 // Explain renders the plan tree with the planner's cardinality and cost
-// estimates, in the style of a DBMS access plan printout.
-func Explain(n Node) string { return ExplainBound(n, nil) }
+// estimates, in the style of a DBMS access plan printout. Operators that
+// would fan out under the process-wide Parallelism are marked [parallel].
+func Explain(n Node) string { return ExplainBound(n, nil, 0) }
 
 // ExplainBound is Explain with predicates printed under a binding: each
-// placeholder expression is shown as the literal it denotes.
-func ExplainBound(n Node, params []types.Value) string {
+// placeholder expression is shown as the literal it denotes. par is the
+// query's parallelism, which decides the [parallel] marks; par < 1 means
+// the process-wide Parallelism, as Ctx.SetParallelism reads it.
+func ExplainBound(n Node, params []types.Value, par int) string {
+	if par < 1 {
+		par = defaultParallelism()
+	}
 	var b strings.Builder
-	explainNode(&b, n, params, 0)
+	explainNode(&b, n, params, par, 0)
 	return b.String()
 }
 
@@ -61,18 +67,18 @@ func Abbreviate(s string) string {
 	return s
 }
 
-func explainNode(b *strings.Builder, n Node, params []types.Value, depth int) {
+func explainNode(b *strings.Builder, n Node, params []types.Value, par, depth int) {
 	fmt.Fprintf(b, "%s%s  [rows=%.0f cost=%.0f", strings.Repeat("  ", depth), LabelBound(n, params), n.EstRows(), n.EstCost())
 	if m := EstMem(n); m > 0 {
 		fmt.Fprintf(b, " mem=%s", fmtBytes(m))
 	}
 	b.WriteString("]")
-	if Parallelism > 1 && parallelCapable(n) && n.EstRows() >= float64(ParallelThreshold) {
+	if par > 1 && parallelCapable(n) && n.EstRows() >= float64(ParallelThreshold) {
 		b.WriteString("  [parallel]")
 	}
 	b.WriteString("\n")
 	for _, c := range n.Children() {
-		explainNode(b, c, params, depth+1)
+		explainNode(b, c, params, par, depth+1)
 	}
 }
 

@@ -17,13 +17,12 @@ type FilterNode struct {
 	Input Node
 	// Bind compiles the predicate for one execution at open: under the
 	// statement's binding (Ctx.Params), and over the values its
-	// uncorrelated IN/EXISTS subqueries produce — their plans (Subplans,
-	// listed among the children for EXPLAIN) run through Run. Planning
+	// uncorrelated IN/EXISTS subqueries produce — their plans (see
+	// SetSubplans) run through Run. Planning
 	// never executes anything, so those values exist only once a
 	// statement runs. Bind also returns the values of the ProbeCol
 	// conjunct's subquery (nil when there is none).
-	Bind     func(c *Ctx) (*eval.Compiled, []types.Value, error)
-	Subplans []Node
+	Bind func(c *Ctx) (*eval.Compiled, []types.Value, error)
 	// ProbeCol, when >= 0, is the column of a top-level `col IN
 	// (subquery)` conjunct over a plain scan (see ProbeScan) of a table
 	// indexed on it: the subquery's values become index probes that
@@ -39,7 +38,15 @@ func NewFilterNode(child Node, pred *eval.Compiled, desc string) *FilterNode {
 		Bind: func(*Ctx) (*eval.Compiled, []types.Value, error) { return pred, nil, nil }}
 	n.schema = child.Schema()
 	n.ordering = child.Ordering()
+	n.children = []Node{child}
 	return n
+}
+
+// SetSubplans lists the plans of the predicate's subqueries among the
+// filter's children, after its input, so EXPLAIN shows them and a plan
+// they share with the rest of the statement counts as shared.
+func (n *FilterNode) SetSubplans(plans []Node) {
+	n.children = append([]Node{n.Input}, plans...)
 }
 
 // Label implements Node.
@@ -49,14 +56,13 @@ func (n *FilterNode) labelUnder(params []types.Value) string {
 	return "Filter(" + n.Pred.under(params) + ")"
 }
 
-// Children implements Node.
-func (n *FilterNode) Children() []Node { return append([]Node{n.Input}, n.Subplans...) }
-
 // open binds the filter as a pipeline stage. Each morsel reserves a row
 // reference per input row (the worst case, every row passes). On the
 // vector path the predicate evaluates per chunk into the worker's
 // selection vector and only the selected row references are gathered;
-// the row path serves the whole morsel when vectorization is off.
+// the row path serves the whole morsel when vectorization is off. Rows
+// in a worker's row block are the morsel's own, so the survivors are
+// gathered in place, ahead of the rows still to be read.
 func (n *FilterNode) open(c *Ctx) (*level, error) {
 	pred, keys, err := n.Bind(c)
 	if err != nil {
@@ -69,7 +75,10 @@ func (n *FilterNode) open(c *Ctx) (*level, error) {
 	}
 	return &level{node: n, inBytes: rowHdrBytes, eval: evalMode(vec), parallel: true, probe: probe,
 		run: func(s *scratch, in []schema.Row) ([]schema.Row, error) {
-			out := make([]schema.Row, 0, len(in)/4+1)
+			out := in[:0]
+			if s.in == nil {
+				out = make([]schema.Row, 0, len(in)/4+1)
+			}
 			if vec {
 				// A probe's morsel can exceed MorselSize; keep kernel chunks
 				// at the scratch width.
@@ -112,6 +121,7 @@ type ProjectNode struct {
 // NewProjectNode builds a projection with a prepared output schema.
 func NewProjectNode(child Node, out *schema.Schema, exprs []*eval.Compiled) *ProjectNode {
 	n := &ProjectNode{Input: child, Exprs: exprs}
+	n.children = []Node{child}
 	n.schema = out
 	n.estRows = child.EstRows()
 	n.ords = eval.ColumnOrdinals(exprs)
@@ -121,25 +131,22 @@ func NewProjectNode(child Node, out *schema.Schema, exprs []*eval.Compiled) *Pro
 // Label implements Node.
 func (n *ProjectNode) Label() string { return fmt.Sprintf("Project(%d cols)", n.schema.Len()) }
 
-// Children implements Node.
-func (n *ProjectNode) Children() []Node { return []Node{n.Input} }
-
-// project computes out[i] from in[i] for every input row. The vector
-// path works a MorselSize chunk at a time and assembles the
-// chunk's output rows in one flat backing array, so rows stay disjoint
-// and cost one allocation per chunk: a pure column selection copies the
-// cells straight from the input rows, anything else evaluates each
-// expression over the chunk into cols (the worker's scratch) first. A kernel
-// failure reruns the chunk on the row path, which also serves the whole
-// input when vec is off.
-func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][]types.Value) error {
+// project computes out[i] from in[i] for every input row, its cells
+// taken from blk (nil: the heap). The vector path works a MorselSize
+// chunk at a time and assembles the chunk's output rows in one flat
+// backing array, so rows stay disjoint and cost at most one allocation
+// per chunk: a pure column selection copies the cells straight from the
+// input rows, anything else evaluates each expression over the chunk into
+// cols (the worker's scratch) first. A kernel failure reruns the chunk on the row
+// path, which also serves the whole input when vec is off.
+func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][]types.Value, blk *rowBlock) error {
 	ne := len(n.Exprs)
 	serial := func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if err := ctx.Tick(i - lo); err != nil {
 				return err
 			}
-			row := make(schema.Row, ne)
+			row := blk.take(ne)
 			for j, f := range n.Exprs {
 				v, err := f.Eval(in[i])
 				if err != nil {
@@ -159,7 +166,7 @@ func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][
 		if n.ords == nil && !tryBatchAll(n.Exprs, chunk, cols) {
 			return serial(b, e)
 		}
-		flat := make([]types.Value, len(chunk)*ne)
+		flat := blk.take(len(chunk) * ne)
 		for i, r := range chunk {
 			row := flat[i*ne : (i+1)*ne : (i+1)*ne]
 			if n.ords != nil {
@@ -180,16 +187,20 @@ func (n *ProjectNode) project(ctx *Ctx, in, out []schema.Row, vec bool, cols [][
 // open binds the projection as a pipeline stage: each morsel reserves
 // its output rows and projects through the worker's scratch. A
 // projection of the first k input columns over rows the execution owns
-// (OwnsRows) keeps them: it re-slices each to its first k cells, or
-// passes the morsel through when k is the input's width.
+// (OwnsRows) keeps them: it re-slices each to its first k cells — in
+// place when they are in a worker's row block — or passes the morsel
+// through when k is the input's width.
 func (n *ProjectNode) open(c *Ctx) *level {
 	vec := c.useVector(n.Exprs...)
 	lv := &level{node: n, eval: evalMode(vec), parallel: true}
 	if k := len(n.ords); leading(n.ords) && OwnsRows(n.Input) {
 		if k < n.Input.Schema().Len() {
 			lv.inBytes = rowHdrBytes
-			lv.run = func(_ *scratch, in []schema.Row) ([]schema.Row, error) {
-				out := make([]schema.Row, len(in))
+			lv.run = func(s *scratch, in []schema.Row) ([]schema.Row, error) {
+				out := in
+				if s.in == nil {
+					out = make([]schema.Row, len(in))
+				}
 				for i, r := range in {
 					out[i] = r[:k:k]
 				}
@@ -199,13 +210,14 @@ func (n *ProjectNode) open(c *Ctx) *level {
 		return lv
 	}
 	lv.inBytes = rowHdrBytes + int64(len(n.Exprs))*valueBytes
+	lv.builds = true
 	lv.run = func(s *scratch, in []schema.Row) ([]schema.Row, error) {
 		var cols [][]types.Value
 		if vec && n.ords == nil {
 			cols = s.evalCols(len(n.Exprs), len(in))
 		}
-		out := make([]schema.Row, len(in))
-		return out, n.project(c, in, out, vec, cols)
+		out := s.out.rows(len(in), len(in))
+		return out, n.project(c, in, out, vec, cols, s.out)
 	}
 	return lv
 }
@@ -232,6 +244,7 @@ type SortNode struct {
 // NewSortNode builds a sort over child.
 func NewSortNode(child Node, keys []*eval.Compiled, desc []bool) *SortNode {
 	n := &SortNode{Input: child, Keys: keys, Desc: desc}
+	n.children = []Node{child}
 	n.schema = child.Schema()
 	n.estRows = child.EstRows()
 	return n
@@ -239,9 +252,6 @@ func NewSortNode(child Node, keys []*eval.Compiled, desc []bool) *SortNode {
 
 // Label implements Node.
 func (n *SortNode) Label() string { return fmt.Sprintf("Sort(%d keys)", len(n.Keys)) }
-
-// Children implements Node.
-func (n *SortNode) Children() []Node { return []Node{n.Input} }
 
 // Execute implements Node. The input is cut into contiguous chunks, one
 // per worker — or, when the budget refuses the working set and the query
@@ -322,7 +332,9 @@ func (n *SortNode) Execute(ctx *Ctx) (*Result, error) {
 // first, encodes each row's tuple into one sort key (types.AppendSortKey)
 // and sorts the entries by key bytes, ties to the earlier row.
 func (n *SortNode) sortChunk(ctx *Ctx, rows []schema.Row, lo int, ents []sortEntry, vec bool) error {
-	cols := evalScratch(len(n.Keys), len(ents))
+	s := getScratch()
+	defer putScratch(s)
+	cols := s.evalCols(len(n.Keys), len(ents))
 	err := ctx.forBatches(0, len(ents), func(b, e int) error {
 		chunk := rows[lo+b : lo+e]
 		if !vec || !tryBatchAll(n.Keys, chunk, cols) {
@@ -444,6 +456,7 @@ type LimitNode struct {
 // NewLimitNode wraps child with LIMIT n (pass n < 0 for OFFSET-only).
 func NewLimitNode(child Node, limit int64) *LimitNode {
 	n := &LimitNode{Input: child, N: limit}
+	n.children = []Node{child}
 	n.schema = child.Schema()
 	n.ordering = child.Ordering()
 	return n
@@ -456,9 +469,6 @@ func (n *LimitNode) Label() string {
 	}
 	return fmt.Sprintf("Limit(%d)", n.N)
 }
-
-// Children implements Node.
-func (n *LimitNode) Children() []Node { return []Node{n.Input} }
 
 // UnionNode concatenates two inputs: UNION ALL. (UNION is a NewDistinct
 // over it.)
@@ -474,15 +484,13 @@ func NewUnionNode(l, r Node) (*UnionNode, error) {
 		return nil, fmt.Errorf("exec: UNION arity mismatch: %d vs %d", l.Schema().Len(), r.Schema().Len())
 	}
 	n := &UnionNode{Left: l, Right: r}
+	n.children = []Node{l, r}
 	n.schema = l.Schema()
 	return n, nil
 }
 
 // Label implements Node.
 func (n *UnionNode) Label() string { return "UnionAll" }
-
-// Children implements Node.
-func (n *UnionNode) Children() []Node { return []Node{n.Left, n.Right} }
 
 // open binds the union as its pipeline's source: it runs its left input,
 // then its right, reserves a row reference per row of both, and serves

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/schema"
-	"repro/internal/types"
 )
 
 // HashJoinNode joins Left (probe, streamed — its ordering survives) with
@@ -103,6 +102,7 @@ func (k JoinKind) String() string {
 // concatenation left ++ right.
 func NewHashJoinNode(l, r Node, lk, rk []*eval.Compiled, kind JoinKind, residual *eval.Compiled, desc string) *HashJoinNode {
 	n := &HashJoinNode{Left: l, Right: r, LeftKeys: lk, RightKeys: rk, JoinType: kind, Residual: residual, Desc: desc, ProbeCol: -1}
+	n.children = []Node{l, r}
 	n.schema = schema.Concat(l.Schema(), r.Schema())
 	return n
 }
@@ -111,9 +111,6 @@ func NewHashJoinNode(l, r Node, lk, rk []*eval.Compiled, kind JoinKind, residual
 func (n *HashJoinNode) Label() string {
 	return fmt.Sprintf("HashJoin[%s](%s)", n.JoinType, n.Desc)
 }
-
-// Children implements Node.
-func (n *HashJoinNode) Children() []Node { return []Node{n.Left, n.Right} }
 
 // joinTable is the build side of a hash join, partitioned by key hash so
 // that independent workers could build (and later probe) disjoint
@@ -283,19 +280,20 @@ func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 	}
 	vecProbe := c.useVector(n.LeftKeys...) && c.useVector(n.Residual)
 	lv.outBytes = rowHdrBytes + int64(n.schema.Len())*valueBytes
-	lv.eval, lv.batchRows, lv.parallel = evalMode(c.useVector(n.RightKeys...) && vecProbe), buildRows, true
+	lv.eval, lv.batchRows, lv.parallel, lv.builds = evalMode(c.useVector(n.RightKeys...) && vecProbe), buildRows, true, true
 	lv.run = func(s *scratch, in []schema.Row) ([]schema.Row, error) {
-		return n.probe(c, build, s, vecProbe, in, make([]schema.Row, 0, len(in)))
+		return n.probe(c, build, s, vecProbe, in, s.out.rows(0, len(in)))
 	}
 	return lv, nil, nil
 }
 
 // probe probes rows against the build table with a worker's scratch —
 // its key encoder and, in vector mode, its eval columns and candidate
-// buffers — appending the joined output to out in the serial probe order
-// and returning it.
+// buffers — appending the joined output, built in its row block s.out
+// (nil: the heap), to out in the serial probe order and returning it.
 func (n *HashJoinNode) probe(ctx *Ctx, build *joinTable, s *scratch, vec bool, rows, out []schema.Row) ([]schema.Row, error) {
 	rightWidth := n.Right.Schema().Len()
+	blk := s.out
 	probeSerial := func(b, e int) error {
 		for i := b; i < e; i++ {
 			if err := ctx.Tick(i - b); err != nil {
@@ -309,13 +307,14 @@ func (n *HashJoinNode) probe(ctx *Ctx, build *joinTable, s *scratch, vec bool, r
 			matched := false
 			if !null {
 				for _, rrow := range build.lookupRows(hashKey(key), key) {
-					joined := concatRows(lrow, rrow)
+					joined := blk.concat(lrow, rrow, rightWidth)
 					if n.Residual != nil {
 						ok, err := eval.EvalPredicate(n.Residual, joined)
 						if err != nil {
 							return err
 						}
 						if !ok {
+							blk.untake(len(joined))
 							continue
 						}
 					}
@@ -324,7 +323,7 @@ func (n *HashJoinNode) probe(ctx *Ctx, build *joinTable, s *scratch, vec bool, r
 				}
 			}
 			if !matched && n.JoinType == JoinKindLeft {
-				out = append(out, concatRows(lrow, nullRow(rightWidth)))
+				out = append(out, blk.concat(lrow, nil, rightWidth))
 			}
 			s.mark(out)
 		}
@@ -353,7 +352,7 @@ func (n *HashJoinNode) probe(ctx *Ctx, build *joinTable, s *scratch, vec bool, r
 				continue
 			}
 			for _, rrow := range build.lookupRows(hashKey(key), key) {
-				s.cand = append(s.cand, concatRows(chunk[i], rrow))
+				s.cand = append(s.cand, blk.concat(chunk[i], rrow, rightWidth))
 			}
 		}
 		s.candStart = append(s.candStart, len(s.cand))
@@ -379,7 +378,7 @@ func (n *HashJoinNode) probe(ctx *Ctx, build *joinTable, s *scratch, vec bool, r
 				}
 			}
 			if !matched && n.JoinType == JoinKindLeft {
-				out = append(out, concatRows(chunk[i], nullRow(rightWidth)))
+				out = append(out, blk.concat(chunk[i], nil, rightWidth))
 			}
 			s.mark(out)
 		}
@@ -393,20 +392,6 @@ func (s *scratch) mark(out []schema.Row) {
 	if s.ends != nil {
 		s.ends = append(s.ends, len(out))
 	}
-}
-
-func concatRows(l, r schema.Row) schema.Row {
-	out := make(schema.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
-func nullRow(width int) schema.Row {
-	out := make(schema.Row, width)
-	for i := range out {
-		out[i] = types.Null
-	}
-	return out
 }
 
 // NestedLoopJoinNode joins two inputs with an arbitrary predicate; used
@@ -424,6 +409,7 @@ type NestedLoopJoinNode struct {
 // NewNestedLoopJoinNode builds a nested-loop inner join.
 func NewNestedLoopJoinNode(l, r Node, pred *eval.Compiled, desc string) *NestedLoopJoinNode {
 	n := &NestedLoopJoinNode{Left: l, Right: r, Pred: pred, Desc: desc}
+	n.children = []Node{l, r}
 	n.schema = schema.Concat(l.Schema(), r.Schema())
 	return n
 }
@@ -431,24 +417,24 @@ func NewNestedLoopJoinNode(l, r Node, pred *eval.Compiled, desc string) *NestedL
 // Label implements Node.
 func (n *NestedLoopJoinNode) Label() string { return "NLJoin(" + n.Desc + ")" }
 
-// Children implements Node.
-func (n *NestedLoopJoinNode) Children() []Node { return []Node{n.Left, n.Right} }
-
 // open binds the join as a stage: the right rows come from Run(Right);
 // each morsel reserves a row reference per pair it may emit, so a cross
 // product the budget cannot hold is refused, and charges its joined rows
-// as the hash-join probe does.
+// as the hash-join probe does. Joined rows are built in the worker's row
+// block s.out (nil: the heap), which takes back a pair the predicate
+// rejects.
 func (n *NestedLoopJoinNode) open(c *Ctx) (*level, error) {
 	r, err := Run(c, n.Right)
 	if err != nil {
 		return nil, err
 	}
 	right := r.Rows
-	return &level{node: n, parallel: true,
+	width := n.Right.Schema().Len()
+	return &level{node: n, parallel: true, builds: true,
 		inBytes:  int64(len(right)) * rowHdrBytes,
 		outBytes: rowHdrBytes + int64(n.schema.Len())*valueBytes,
-		run: func(_ *scratch, in []schema.Row) ([]schema.Row, error) {
-			var out []schema.Row
+		run: func(s *scratch, in []schema.Row) ([]schema.Row, error) {
+			out := s.out.rows(0, 0)
 			pairs := 0
 			for _, lrow := range in {
 				for _, rrow := range right {
@@ -456,13 +442,14 @@ func (n *NestedLoopJoinNode) open(c *Ctx) (*level, error) {
 						return nil, err
 					}
 					pairs++
-					joined := concatRows(lrow, rrow)
+					joined := s.out.concat(lrow, rrow, width)
 					if n.Pred != nil {
 						ok, err := eval.EvalPredicate(n.Pred, joined)
 						if err != nil {
 							return nil, err
 						}
 						if !ok {
+							s.out.untake(len(joined))
 							continue
 						}
 					}

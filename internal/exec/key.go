@@ -96,9 +96,10 @@ func (c *Ctx) hashRows(rows []schema.Row, keys []*eval.Compiled, aggs []AggSpec,
 		}
 	}
 	workers = min(workers, c.workersFor(n))
-	encs := make([]keyEnc, workers)
-	err := c.parallelFor(n, workers, func(w, lo, hi int) error {
-		enc := &encs[w]
+	err := c.parallelFor(n, workers, func(_, lo, hi int) error {
+		s := getScratch()
+		defer putScratch(s)
+		enc := &s.enc
 		var arena slab[byte]
 		put := func(i int, key []byte, null bool) {
 			if null && nullNil {
@@ -131,7 +132,7 @@ func (c *Ctx) hashRows(rows []schema.Row, keys []*eval.Compiled, aggs []AggSpec,
 		if !vec {
 			return serial(lo, hi)
 		}
-		cols := evalScratch(len(keys), hi-lo)
+		cols := s.evalCols(len(keys), hi-lo)
 		return c.forBatches(lo, hi, func(b, e int) error {
 			chunk := rows[b:e]
 			ok := tryBatchAll(keys, chunk, cols)

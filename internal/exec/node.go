@@ -481,7 +481,10 @@ func execute(ctx *Ctx, n Node) (res *Result, err error) {
 // base carries the estimate/ordering fields every operator shares. The
 // planner fills these in when it builds the tree.
 type base struct {
-	schema   *schema.Schema
+	schema *schema.Schema
+	// children is built once, by the constructor, since every execution
+	// walks it to count parent edges.
+	children []Node
 	estRows  float64
 	estCost  float64
 	estMem   float64
@@ -489,6 +492,7 @@ type base struct {
 }
 
 func (b *base) Schema() *schema.Schema { return b.schema }
+func (b *base) Children() []Node       { return b.children }
 func (b *base) EstRows() float64       { return b.estRows }
 func (b *base) EstCost() float64       { return b.estCost }
 func (b *base) Ordering() []OrderCol   { return b.ordering }
@@ -594,9 +598,6 @@ func (s *ScanNode) labelUnder(params []types.Value) string {
 	}
 	return fmt.Sprintf("Scan(%s)", s.Table.Name)
 }
-
-// Children implements Node.
-func (s *ScanNode) Children() []Node { return nil }
 
 // open binds the scan as its pipeline's source. An index scan, and a
 // plain scan whose probe (the keys the operator above bound, see
@@ -773,6 +774,3 @@ func NewValuesNode(s *schema.Schema, rows []schema.Row) *ValuesNode {
 
 // Label implements Node.
 func (n *ValuesNode) Label() string { return fmt.Sprintf("Values(%d)", len(n.RowsData)) }
-
-// Children implements Node.
-func (n *ValuesNode) Children() []Node { return nil }

@@ -17,7 +17,9 @@ import (
 // is scheduled. Every morsel carries the same contract: a cancellation
 // poll before it, the WorkerPanic injection, and panic containment (via
 // govern.Internalize in a worker, the caller's recover on the consuming
-// goroutine). The first error is sticky and aborts the remaining morsels.
+// goroutine). An error stops the claims; the morsels before the lowest
+// failing one are still delivered, then its error, which stays sticky —
+// so the error is the serial run's at any parallelism.
 type morselPump struct {
 	ctx     *Ctx
 	nm      int
@@ -30,10 +32,12 @@ type morselPump struct {
 	started    bool
 	serialNext int
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	closed  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	closed bool
+	// err is the error of morsel failed, the lowest that failed so far.
 	err     error
+	failed  int
 	claim   int
 	deliver int
 	pending map[int]morselOut
@@ -67,7 +71,7 @@ func (p *morselPump) next() (morselOut, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.err != nil {
+		if p.err != nil && p.deliver >= p.failed {
 			return morselOut{}, false, p.err
 		}
 		if p.deliver >= p.nm {
@@ -114,12 +118,12 @@ func (p *morselPump) worker(w int) {
 		p.claim++
 		p.mu.Unlock()
 		if err := p.ctx.Canceled(); err != nil {
-			p.fail(err)
+			p.fail(m, err)
 			return
 		}
 		out, err := p.runMorsel(w, m)
 		if err != nil {
-			p.fail(err)
+			p.fail(m, err)
 			return
 		}
 		p.mu.Lock()
@@ -140,10 +144,12 @@ func (p *morselPump) runMorsel(w, m int) (out morselOut, err error) {
 	return p.fn(w, m)
 }
 
-func (p *morselPump) fail(err error) {
+// fail records morsel m's error unless a lower morsel already failed.
+// Every morsel below m is claimed, so each of them is delivered or fails.
+func (p *morselPump) fail(m int, err error) {
 	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
+	if p.err == nil || m < p.failed {
+		p.err, p.failed = err, m
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()

@@ -153,9 +153,13 @@ func TestExecStateAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const bound = 314 // 299 at this writing, plus 5 %
+	// 151 at this writing (190 at most under -race), plus 5 %.
+	bound := 158.0
+	if raceEnabled {
+		bound = 200
+	}
 	t.Logf("%.0f allocs per execution", allocs)
 	if allocs > bound {
-		t.Fatalf("%.0f allocs per execution, want at most %d", allocs, bound)
+		t.Fatalf("%.0f allocs per execution, want at most %.0f", allocs, bound)
 	}
 }

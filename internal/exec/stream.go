@@ -45,6 +45,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -157,9 +158,10 @@ type pipeline struct {
 	skip    int64 // cut: offset rows still to drop
 	left    int64 // cut: rows still to emit; negative means no limit
 	workers int
-	// scratch is each pump worker's, made once the fan-out is known when
-	// a stage will use it.
-	scratch []scratch
+	// scratch is each pump worker's, taken from scratchPool once the
+	// fan-out is known when a stage will use it, and returned at close.
+	scratch []*scratch
+	one     [1]*scratch // scratch's backing for one worker
 	pump    *morselPump
 	charged atomic.Int64
 	start   time.Time
@@ -266,6 +268,10 @@ type level struct {
 	batchRows int
 	// parallel records the pump's fan-out as the operator's Workers.
 	parallel bool
+	// builds marks a stage that builds its output rows (a computed
+	// projection, a window, a join); pooled, set at open on every one but
+	// the pipeline's last, makes it build them in the worker's row blocks.
+	builds, pooled bool
 	// probe is the keys this stage bound for the plain scan below it.
 	probe *scanProbe
 	// st is where the level's numbers are published, once open has
@@ -282,8 +288,10 @@ type level struct {
 // scratch is one pump worker's reusable state. A worker runs a morsel
 // through one stage at a time, so every stage of its pipeline shares it:
 // the filter's selection, the eval columns a projection or probe fills,
-// the probe's key encoder and candidate buffers, and the windows'
-// winScratch. Each buffer grows to the largest morsel seen.
+// the probe's key encoder and candidate buffers, the windows'
+// winScratch, and the two row blocks. Each buffer grows to the largest
+// morsel seen. Sort and hash keying take one per chunk for its eval
+// columns and key encoder. Scratch lives in scratchPool between uses.
 type scratch struct {
 	sel       []int
 	vals      []types.Value
@@ -295,6 +303,135 @@ type scratch struct {
 	// row, so partitionedJoin can place every row's output.
 	ends []int
 	win  winScratch
+	// blocks hold the rows the pooled stages build, which only the next
+	// stages of the same morsel read: a pooled stage writes the block
+	// that does not hold its input (out, while it runs), and in is the
+	// block holding the morsel's current rows — nil when they are the
+	// source's or on the heap. A filter or a leading-column projection
+	// keeps its input's block.
+	blocks  [2]rowBlock
+	in, out *rowBlock
+}
+
+// scratchPoolCap is the most scratch, in bytes of its buffers, that
+// scratchPool keeps. A lookup's scratch, a few hundred rows, fits, so
+// its next execution allocates none; a worker that ran full MorselSize
+// morsels of wide rows is dropped instead of pinning megabytes in the
+// pool.
+const scratchPoolCap = 256 << 10
+
+// scratchPool keeps workers' scratch across executions and queries.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch returns s to the pool unless it outgrew scratchPoolCap. Its
+// row references are cleared, so a pooled scratch keeps no rows alive.
+func putScratch(s *scratch) {
+	if s.bytes() > scratchPoolCap {
+		return
+	}
+	clear(s.cand[:cap(s.cand)])
+	for i := range s.blocks {
+		clear(s.blocks[i].hdrs[:cap(s.blocks[i].hdrs)])
+	}
+	s.in, s.out = nil, nil
+	scratchPool.Put(s)
+}
+
+// bytes is the size of s's buffers.
+func (s *scratch) bytes() int {
+	n := 8*(cap(s.sel)+cap(s.candStart)+cap(s.ends)+cap(s.win.ends)+cap(s.win.keys)) +
+		rowHdrBytes*(cap(s.cols)+cap(s.cand)) + valueBytes*(cap(s.vals)+cap(s.win.ord)) +
+		cap(s.enc.buf) + cap(s.win.enc[0].buf) + cap(s.win.enc[1].buf)
+	for i := range s.win.args {
+		n += valueBytes * (cap(s.win.args[i]) + cap(s.win.outs[i]))
+	}
+	for i := range s.blocks {
+		n += rowHdrBytes*cap(s.blocks[i].hdrs) + valueBytes*len(s.blocks[i].cells)
+	}
+	return n
+}
+
+// toBlock readies the block a pooled stage writes: the one that does not
+// hold its input, emptied.
+func (s *scratch) toBlock() {
+	s.out = &s.blocks[0]
+	if s.in == s.out {
+		s.out = &s.blocks[1]
+	}
+	s.out.used = 0
+}
+
+// landed records where a stage left the morsel's rows: in the block a
+// pooled stage wrote, on the heap after any other stage that builds
+// rows, and where they were after a stage that passes them through.
+func (s *scratch) landed(lv *level, rows []schema.Row) {
+	switch {
+	case s.out != nil:
+		if cap(rows) > cap(s.out.hdrs) {
+			s.out.hdrs = rows[:0]
+		}
+		s.in, s.out = s.out, nil
+	case lv.builds:
+		s.in = nil
+	}
+}
+
+// rowBlock is one of a worker's two blocks of row headers and cells. A
+// nil block is the heap: its methods then allocate as a stage that
+// builds rows the pipeline hands on must.
+type rowBlock struct {
+	hdrs  []schema.Row
+	cells []types.Value
+	used  int // cells handed out since the block was emptied
+}
+
+// rows returns n row headers, their cap at least c.
+func (b *rowBlock) rows(n, c int) []schema.Row {
+	if b == nil {
+		return make([]schema.Row, n, c)
+	}
+	if cap(b.hdrs) < c {
+		b.hdrs = make([]schema.Row, c)
+	}
+	return b.hdrs[:n]
+}
+
+// take returns n cells for the caller to fill. When the block runs out
+// it moves to an array twice as large; the rows carved so far keep the
+// old one.
+func (b *rowBlock) take(n int) []types.Value {
+	if b == nil {
+		return make([]types.Value, n)
+	}
+	if len(b.cells)-b.used < n {
+		b.cells = make([]types.Value, max(n, 2*len(b.cells)))
+		b.used = 0
+	}
+	b.used += n
+	return b.cells[b.used-n : b.used : b.used]
+}
+
+// concat is the row l ++ r; a nil r pads with width NULLs (a left join's
+// unmatched row).
+func (b *rowBlock) concat(l, r schema.Row, width int) schema.Row {
+	row := b.take(len(l) + width)
+	copy(row, l)
+	if r == nil {
+		clear(row[len(l):])
+	} else {
+		copy(row[len(l):], r)
+	}
+	return row
+}
+
+// untake gives back the last n cells taken, when they hold a row nobody
+// kept.
+func (b *rowBlock) untake(n int) {
+	if b != nil {
+		b.used -= n
+	}
 }
 
 // evalCols returns exactly nexprs column vectors, each wide enough for
@@ -504,10 +641,25 @@ func (p *pipeline) open() error {
 		p.levels = append(p.levels, &level{open: time.Since(t0)})
 	}
 	slices.Reverse(p.levels)
+	last := -1
+	for i, lv := range p.levels {
+		if lv.builds {
+			last = i
+		}
+	}
+	for _, lv := range p.levels[:max(last, 0)] {
+		lv.pooled = lv.builds
+	}
 	p.workers = max(1, min(c.workersFor(p.src.rows), p.src.nm))
 	for _, lv := range p.levels {
 		if lv.run != nil {
-			p.scratch = make([]scratch, p.workers)
+			p.scratch = p.one[:]
+			if p.workers > 1 {
+				p.scratch = make([]*scratch, p.workers)
+			}
+			for w := range p.scratch {
+				p.scratch[w] = getScratch()
+			}
 			break
 		}
 	}
@@ -577,6 +729,11 @@ func (p *pipeline) morsel(w, m int) (morselOut, error) {
 	if err != nil {
 		return out, err
 	}
+	var s *scratch
+	if p.scratch != nil {
+		s = p.scratch[w]
+		s.in, s.out = nil, nil
+	}
 	for i, lv := range p.levels {
 		if lv.inBytes > 0 {
 			b := int64(len(rows)) * lv.inBytes
@@ -586,9 +743,13 @@ func (p *pipeline) morsel(w, m int) (morselOut, error) {
 			p.charged.Add(b)
 		}
 		if lv.run != nil {
-			if rows, err = lv.run(&p.scratch[w], rows); err != nil {
+			if lv.pooled {
+				s.toBlock()
+			}
+			if rows, err = lv.run(s, rows); err != nil {
 				return out, err
 			}
+			s.landed(lv, rows)
 		}
 		if lv.outBytes > 0 {
 			b := int64(len(rows)) * lv.outBytes
@@ -701,9 +862,9 @@ func (p *pipeline) resident() ([]schema.Row, bool) {
 	return concatMorsels(p.src.parts), true
 }
 
-// close stops the pump — no worker outlives it — and releases the
-// stages' working memory and, unless the output is kept, the per-morsel
-// charges.
+// close stops the pump — no worker outlives it — returns the workers'
+// scratch to the pool, and releases the stages' working memory and,
+// unless the output is kept, the per-morsel charges.
 func (p *pipeline) close() {
 	if p.closed {
 		return
@@ -711,6 +872,9 @@ func (p *pipeline) close() {
 	p.closed = true
 	if p.pump != nil {
 		p.pump.close()
+	}
+	for _, s := range p.scratch {
+		putScratch(s)
 	}
 	res := p.ctx.res
 	for _, lv := range p.levels {

@@ -69,20 +69,6 @@ func batchCount(n int) int {
 	return (n + MorselSize - 1) / MorselSize
 }
 
-// evalScratch allocates per-expression column vectors wide enough for the
-// chunks of nrows rows — MorselSize, or nrows when fewer — sliced out of
-// a single backing array. A probed scan delivers a few rows, and vectors
-// a full chunk wide would make their allocation the cost of the query.
-func evalScratch(nexprs, nrows int) [][]types.Value {
-	width := min(nrows, MorselSize)
-	cols := make([][]types.Value, nexprs)
-	backing := make([]types.Value, nexprs*width)
-	for j := range cols {
-		cols[j] = backing[j*width : (j+1)*width : (j+1)*width]
-	}
-	return cols
-}
-
 // tryBatchAll evaluates every expression over rows into its column
 // vector. False means a kernel failed and the caller must run its serial
 // row loop over the same rows so the error that surfaces is exactly the

@@ -74,6 +74,7 @@ type WindowNode struct {
 // NewWindowNode builds a window operator; out is input ++ agg columns.
 func NewWindowNode(child Node, out *schema.Schema, part, order []*eval.Compiled, desc []bool, aggs []WindowAgg) *WindowNode {
 	n := &WindowNode{Input: child, PartKeys: part, OrderKeys: order, OrderDesc: desc, Aggs: aggs}
+	n.children = []Node{child}
 	n.schema = out
 	n.estRows = child.EstRows()
 	n.ordering = child.Ordering()
@@ -85,9 +86,6 @@ func NewWindowNode(child Node, out *schema.Schema, part, order []*eval.Compiled,
 func (n *WindowNode) Label() string {
 	return fmt.Sprintf("Window(%d aggs)", len(n.Aggs))
 }
-
-// Children implements Node.
-func (n *WindowNode) Children() []Node { return []Node{n.Input} }
 
 // open binds the window as a pipeline stage: each morsel computes every
 // aggregate over its partitions with the worker's scratch and returns the
@@ -116,8 +114,9 @@ func (n *WindowNode) open(c *Ctx) (*level, error) {
 	}
 	perRow := rowHdrBytes + int64(n.schema.Len())*valueBytes + 8 + int64(len(n.Aggs))*2*valueBytes
 	return &level{node: n, inBytes: perRow, eval: evalMode(vec), parallel: true,
+		builds: true,
 		run: func(s *scratch, in []schema.Row) ([]schema.Row, error) {
-			return s.win.run(c, n, in, vec, needKeys)
+			return s.win.run(c, n, in, vec, needKeys, s.out)
 		}}, nil
 }
 
@@ -140,11 +139,11 @@ type winScratch struct {
 
 // run computes the window over one morsel of whole partitions: partition
 // ends, order keys and arguments first, then each partition's frames, then
-// the widened rows, carved from one flat block. A morsel big enough to fan
-// out — an unpartitioned window's whole input, or a partition larger than
-// a morsel — evaluates its arguments and builds its rows over MorselSize
-// chunks on several workers.
-func (s *winScratch) run(c *Ctx, n *WindowNode, in []schema.Row, vec, needKeys bool) ([]schema.Row, error) {
+// the widened rows, carved from one flat array taken from blk (nil: the
+// heap). A morsel big enough to fan out — an unpartitioned window's whole
+// input, or a partition larger than a morsel — evaluates its arguments
+// and builds its rows over MorselSize chunks on several workers.
+func (s *winScratch) run(c *Ctx, n *WindowNode, in []schema.Row, vec, needKeys bool, blk *rowBlock) ([]schema.Row, error) {
 	if len(in) == 0 {
 		return nil, nil
 	}
@@ -225,8 +224,8 @@ func (s *winScratch) run(c *Ctx, n *WindowNode, in []schema.Row, vec, needKeys b
 		start = end
 	}
 	width, inWidth := n.schema.Len(), n.Input.Schema().Len()
-	flat := make([]types.Value, len(in)*width)
-	out := make([]schema.Row, len(in))
+	flat := blk.take(len(in) * width)
+	out := blk.rows(len(in), len(in))
 	return out, c.parallelFor(len(in), workers, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			row := flat[i*width : (i+1)*width : (i+1)*width]

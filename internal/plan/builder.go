@@ -514,7 +514,8 @@ func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*p
 	rows := pl.node.EstRows() * sel
 	cost := pl.node.EstCost() + evalCPU(pl.node.EstRows(), costFilterRow) + subCost
 	n := exec.NewFilterNode(pl.node, nil, "")
-	n.Subplans, n.Pred = order, exec.LabelOf(expr)
+	n.SetSubplans(order)
+	n.Pred = exec.LabelOf(expr)
 	var probe sqlast.Stmt
 	if len(subplans) > 0 {
 		n.ProbeCol, probe = probeConjunct(expr, pl)

@@ -810,7 +810,9 @@ func (db *DB) RewriteContext(ctx context.Context, sql string, opts ...QueryOptio
 }
 
 // Explain returns the physical plan of the rewritten query, with
-// cardinality and cost estimates.
+// cardinality and cost estimates. Operators that fan out at the query's
+// parallelism (WithParallelism, else exec.Parallelism) are marked
+// [parallel].
 func (db *DB) Explain(sql string, opts ...QueryOption) (string, error) {
 	return db.ExplainContext(context.Background(), sql, opts...)
 }
@@ -832,7 +834,7 @@ func (db *DB) ExplainContext(ctx context.Context, sql string, opts ...QueryOptio
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n-- %s\n", c.info.Strategy, c.info.EstCost, c.info.SQL())
-	b.WriteString(exec.ExplainBound(c.res.Plan, c.params))
+	b.WriteString(exec.ExplainBound(c.res.Plan, c.params, o.parallelism))
 	b.WriteString(paramsLine(c.res, c.params))
 	return b.String(), nil
 }

@@ -235,6 +235,88 @@ func TestResultRowsDoNotAliasStorage(t *testing.T) {
 	requireSameRows(t, "after writing to the results", want, again.Data)
 }
 
+// TestResultRowsDoNotAliasPooledScratch is the pooled twin of
+// TestResultRowsDoNotAliasStorage: the rows a query hands out never live
+// in the pooled worker scratch that later queries reuse. It keeps the
+// eager and streamed rows of a lookup and of q1 under expanded, at
+// parallelism 1 and 4, then runs 20 other queries concurrently (under
+// -race the pool also drops a share of what it is given, so scratch
+// both returns and is made anew), and requires every kept row to be
+// unchanged.
+func TestResultRowsDoNotAliasPooledScratch(t *testing.T) {
+	e, err := bench.Load(20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epcs := lookupEPCs(t, e.DB, 21)
+	rules := repro.WithRules(e.RulePrefix(3)...)
+	queries := []struct {
+		label string
+		sql   string
+		opts  []repro.QueryOption
+	}{
+		{"lookup", lookupSQL(epcs[0]), nil},
+		{"q1 expanded", e.Q1(0.1), []repro.QueryOption{repro.WithStrategy(repro.Expanded), rules}},
+	}
+	type kept struct {
+		label      string
+		rows, copy [][]repro.Value
+	}
+	var all []kept
+	keep := func(label string, rows [][]repro.Value) {
+		if len(rows) == 0 {
+			t.Fatalf("%s: no rows", label)
+		}
+		c := make([][]repro.Value, len(rows))
+		for i, r := range rows {
+			c[i] = append([]repro.Value(nil), r...)
+		}
+		all = append(all, kept{label, rows, c})
+	}
+	for _, q := range queries {
+		for _, par := range []int{1, 4} {
+			opts := append([]repro.QueryOption{repro.WithParallelism(par)}, q.opts...)
+			label := fmt.Sprintf("%s par=%d", q.label, par)
+			eager, err := e.DB.Query(q.sql, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			keep(label+" eager", eager.Data)
+			stream, err := e.DB.QueryStream(q.sql, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			streamed, err := drainStream(stream)
+			if err != nil {
+				t.Fatalf("%s stream: %v", label, err)
+			}
+			keep(label+" streamed", streamed)
+		}
+	}
+	others := make(chan error, 20)
+	for i := range 20 {
+		go func() {
+			sql, opts := lookupSQL(epcs[1+i]), []repro.QueryOption{repro.WithParallelism(2)}
+			switch i % 4 {
+			case 1:
+				sql, opts = e.Q1(0.1), append(opts, repro.WithStrategy(repro.JoinBack), rules)
+			case 3:
+				sql, opts = e.Q2(0.1), append(opts, repro.WithStrategy(repro.Expanded), rules)
+			}
+			_, err := e.DB.Query(sql, opts...)
+			others <- err
+		}()
+	}
+	for range 20 {
+		if err := <-others; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range all {
+		requireSameRows(t, k.label+" after 20 more queries", k.copy, k.rows)
+	}
+}
+
 func TestPreparedStreamMatchesRun(t *testing.T) {
 	db := newGovernDB(t)
 	p, err := db.Prepare(spillGroupQuery)
