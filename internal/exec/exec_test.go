@@ -388,75 +388,3 @@ func TestExplainAnalyzeNeverExecuted(t *testing.T) {
 		t.Fatalf("analyze output = %s", out)
 	}
 }
-
-func TestHashJoinBuildCacheReuseAndEpochEviction(t *testing.T) {
-	fact := storage.NewTable("fact", intSchema("k"))
-	for _, v := range []int64{1, 2, 3, 2, 1} {
-		fact.Append(schema.Row{types.NewInt(v)})
-	}
-	dim := storage.NewTable("dim", intSchema("k", "v"))
-	for _, rv := range [][2]int64{{1, 10}, {2, 20}, {3, 30}} {
-		dim.Append(schema.Row{types.NewInt(rv[0]), types.NewInt(rv[1])})
-	}
-
-	join := NewHashJoinNode(NewScanNode(fact), NewScanNode(dim),
-		[]*eval.Compiled{colFn(0)}, []*eval.Compiled{colFn(0)},
-		JoinKindInner, nil, "fact.k = dim.k")
-	join.CacheBuild = true
-
-	run := func(epoch uint64, reuse bool) *Result {
-		t.Helper()
-		ctx := NewCtx()
-		if reuse {
-			ctx.EnableBuildReuse(epoch)
-		}
-		r, err := Run(ctx, join)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	first := run(1, true)
-	if len(first.Rows) != 5 {
-		t.Fatalf("join rows = %d", len(first.Rows))
-	}
-	if got := join.BuildCount(); got != 1 {
-		t.Fatalf("builds after first run = %d", got)
-	}
-
-	// Same epoch: the build side is reused, not rebuilt, and the output
-	// is identical.
-	second := run(1, true)
-	if got := join.BuildCount(); got != 1 {
-		t.Fatalf("builds after same-epoch rerun = %d (cache not reused)", got)
-	}
-	if len(second.Rows) != len(first.Rows) {
-		t.Fatalf("cached run rows = %d, want %d", len(second.Rows), len(first.Rows))
-	}
-	for i := range first.Rows {
-		for j := range first.Rows[i] {
-			if first.Rows[i][j] != second.Rows[i][j] {
-				t.Fatalf("cached run differs at row %d col %d", i, j)
-			}
-		}
-	}
-
-	// A catalog mutation bumps the epoch; the stale build is evicted and
-	// the new dimension row joins.
-	dim.Append(schema.Row{types.NewInt(4), types.NewInt(40)})
-	fact.Append(schema.Row{types.NewInt(4)})
-	third := run(2, true)
-	if got := join.BuildCount(); got != 2 {
-		t.Fatalf("builds after epoch bump = %d (stale cache survived)", got)
-	}
-	if len(third.Rows) != 6 {
-		t.Fatalf("post-append join rows = %d, want 6", len(third.Rows))
-	}
-
-	// A context that never opted in (a one-shot query) rebuilds.
-	run(2, false)
-	if got := join.BuildCount(); got != 3 {
-		t.Fatalf("builds after non-reuse run = %d", got)
-	}
-}

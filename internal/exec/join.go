@@ -3,8 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/eval"
 	"repro/internal/schema"
@@ -29,57 +27,12 @@ type HashJoinNode struct {
 	Residual    *eval.Compiled // over concat(left, right); may be nil
 	Desc        string
 
-	// CacheBuild marks the build side as reusable across executions of
-	// this plan node: the planner sets it only when Right is a pure
-	// base-table scan (no index bounds, no fused predicate), whose
-	// contents change only through catalog mutations — which bump the
-	// epoch and so invalidate the cache. Reuse additionally requires the
-	// executing context to opt in (Ctx.EnableBuildReuse); one-shot
-	// queries never reuse, prepared statements over static dimension
-	// tables do.
-	CacheBuild bool
-
 	// ProbeCol, when >= 0, marks an inner join whose Left is a plain scan
 	// (see ProbeScan) of a table indexed on column ProbeCol, which is
 	// LeftKeys[ProbeKey]: the distinct values of RightKeys[ProbeKey] in a
 	// completed in-memory build become index probes that narrow the scan
 	// (probe.go).
 	ProbeCol, ProbeKey int
-
-	buildMu     sync.Mutex
-	cachedBuild *joinTable
-	cachedRows  int    // build-side row count the cached table was built from
-	cachedEpoch uint64 // catalog epoch the cached table was built under
-	builds      atomic.Int64
-}
-
-// BuildCount reports how many times this node ran its build phase; the
-// build-reuse tests assert on it.
-func (n *HashJoinNode) BuildCount() int64 { return n.builds.Load() }
-
-// cachedTable returns the cached build table when reuse is on and the
-// table was built under the context's epoch; (nil, 0) otherwise.
-func (n *HashJoinNode) cachedTable(ctx *Ctx) (*joinTable, int) {
-	if !n.CacheBuild || !ctx.buildReuse {
-		return nil, 0
-	}
-	n.buildMu.Lock()
-	defer n.buildMu.Unlock()
-	if n.cachedBuild == nil || n.cachedEpoch != ctx.buildEpoch {
-		return nil, 0
-	}
-	return n.cachedBuild, n.cachedRows
-}
-
-// storeTable caches a freshly built in-memory table under the context's
-// epoch. Concurrent runs may race to store equivalent tables; last wins.
-func (n *HashJoinNode) storeTable(ctx *Ctx, jt *joinTable, rows int) {
-	if !n.CacheBuild || !ctx.buildReuse {
-		return
-	}
-	n.buildMu.Lock()
-	n.cachedBuild, n.cachedRows, n.cachedEpoch = jt, rows, ctx.buildEpoch
-	n.buildMu.Unlock()
 }
 
 // JoinKind enumerates join semantics.
@@ -225,35 +178,23 @@ func (n *HashJoinNode) partitionedJoin(c *Ctx, l, r *Result) (*Result, error) {
 	return &Result{Schema: n.schema, Rows: out}, nil
 }
 
-// open binds the join as a probe stage: the build table comes from the
-// cache or from Run(Right), and its working set stays reserved until the
-// pipeline closes; its distinct ProbeKey values become the probe keys of
-// a plain scan below; each probe morsel charges its joined output rows. A
-// refused reservation degrades the join to a breaker when spilling is
-// enabled: partitionedJoin runs both inputs through Run and its result
-// (non-nil) becomes the pipeline's source.
+// open binds the join as a probe stage: the build table comes from
+// Run(Right), and its working set stays reserved until the pipeline
+// closes; its distinct ProbeKey values become the probe keys of a plain
+// scan below; each probe morsel charges its joined output rows. A refused
+// reservation degrades the join to a breaker when spilling is enabled:
+// partitionedJoin runs Left through Run and its result (non-nil) becomes
+// the pipeline's source.
 func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 	lv := &level{node: n}
-	build, buildRows := n.cachedTable(c)
-	var r *Result
-	if build == nil {
-		var err error
-		if r, err = Run(c, n.Right); err != nil {
-			return lv, nil, err
-		}
-		buildRows = len(r.Rows)
+	r, err := Run(c, n.Right)
+	if err != nil {
+		return lv, nil, err
 	}
-	work := joinWorkBytes(0, buildRows)
+	work := joinWorkBytes(0, len(r.Rows))
 	if err := c.res.Reserve(work); err != nil {
 		if !c.res.CanSpill() {
 			return lv, nil, err
-		}
-		if r == nil {
-			// The cache had skipped the build input; run it as a cold
-			// run would.
-			if r, err = Run(c, n.Right); err != nil {
-				return lv, nil, err
-			}
 		}
 		l, err := Run(c, n.Left)
 		if err != nil {
@@ -263,24 +204,18 @@ func (n *HashJoinNode) open(c *Ctx) (*level, *Result, error) {
 		return lv, res, err
 	}
 	lv.reserved = work
-	if build == nil {
-		workers := c.workersFor(buildRows)
-		c.noteWorkers(n, workers)
-		var err error
-		if build, err = buildJoinTable(c, r.Rows, n.RightKeys, workers); err != nil {
-			return lv, nil, err
-		}
-		n.builds.Add(1)
-		// Only a complete in-memory build is cached — the partitioned
-		// join returned above, and errors never reach here.
-		n.storeTable(c, build, buildRows)
+	workers := c.workersFor(len(r.Rows))
+	c.noteWorkers(n, workers)
+	build, err := buildJoinTable(c, r.Rows, n.RightKeys, workers)
+	if err != nil {
+		return lv, nil, err
 	}
 	if lv.probe = c.probeFor(n.Left, n.ProbeCol); lv.probe != nil {
 		lv.probe.keys = build.keys(n.RightKeys[n.ProbeKey], lv.probe.scan.Table.RowCount()/probeShare)
 	}
 	vecProbe := c.useVector(n.LeftKeys...) && c.useVector(n.Residual)
 	lv.outBytes = rowHdrBytes + int64(n.schema.Len())*valueBytes
-	lv.eval, lv.batchRows, lv.parallel, lv.builds = evalMode(c.useVector(n.RightKeys...) && vecProbe), buildRows, true, true
+	lv.eval, lv.batchRows, lv.parallel, lv.builds = evalMode(c.useVector(n.RightKeys...) && vecProbe), len(r.Rows), true, true
 	lv.run = func(s *scratch, in []schema.Row) ([]schema.Row, error) {
 		return n.probe(c, build, s, vecProbe, in, s.out.rows(0, len(in)))
 	}

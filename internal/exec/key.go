@@ -30,6 +30,18 @@ var hashSeed = maphash.MakeSeed()
 // hashKey hashes an encoded key.
 func hashKey(b []byte) uint64 { return maphash.Bytes(hashSeed, b) }
 
+// spillHash is 64-bit FNV-1a over an encoded key, with its fixed offset
+// basis: spill partitions are chosen by it, not by hashKey, so which
+// partitions a spill fills, and so what EXPLAIN ANALYZE reports of it,
+// is a function of the data, the plan and the budget alone.
+func spillHash(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
+}
+
 // keyEnc builds composite keys in a reusable scratch buffer. One keyEnc
 // belongs to one goroutine; parallel operators allocate one per worker.
 type keyEnc struct{ buf []byte }

@@ -53,7 +53,7 @@ type Result struct {
 // goroutine at a time drives a Ctx — pump and forEach workers only run
 // stages and hot loops — but the table is mutex-guarded because workers
 // record statistics and a live stream's are read while it runs
-// (StatsSnapshot).
+// (VisitStats).
 type Ctx struct {
 	ctx context.Context
 	// par caps intra-query parallelism (the worker-pool width per
@@ -65,10 +65,6 @@ type Ctx struct {
 	// res governs this execution's memory budget, spill files, and fault
 	// injection; never nil (defaults to an unbounded handle).
 	res *govern.Resources
-	// buildReuse allows CacheBuild hash joins to reuse build tables
-	// cached under epoch buildEpoch; see Ctx.EnableBuildReuse.
-	buildReuse bool
-	buildEpoch uint64
 	// params is the statement's binding, the values of its placeholders;
 	// plans are shared between executions and never hold them.
 	params []types.Value
@@ -164,24 +160,40 @@ func (c *Ctx) EnableStats() *Ctx {
 	return c
 }
 
-// StatsSnapshot returns the per-operator statistics recorded so far, one
-// entry per distinct plan node (shared subtrees appear once, however
-// many tree positions reference them — iterating this map never double
-// counts an operator's rows). Map and NodeStats are copies, so a
-// snapshot of a running stream stays consistent while it advances.
+// VisitStats calls f with each plan node's statistics recorded so far,
+// one call per distinct plan node (shared subtrees are visited once,
+// however many tree positions reference them — summing over the visits
+// never double counts an operator's rows). f runs under the context's
+// lock: it must not call back into c, and must copy what it keeps, since
+// a running stream's statistics move once the lock is released.
+func (c *Ctx) VisitStats(f func(Node, *NodeStats)) {
+	if !c.analyze {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for node, st := range c.nodes {
+		if st.recorded {
+			f(node, &st.stats)
+		}
+	}
+}
+
+// StatsSnapshot returns copies of the statistics VisitStats visits, by
+// plan node, so a snapshot of a running stream stays consistent while it
+// advances.
 func (c *Ctx) StatsSnapshot() map[Node]*NodeStats {
 	if !c.analyze {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[Node]*NodeStats, len(c.nodes))
-	copies := make([]NodeStats, 0, len(c.nodes))
-	for node, st := range c.nodes {
-		if st.recorded {
-			copies = append(copies, st.stats)
-			out[node] = &copies[len(copies)-1]
-		}
+	var nodes []Node
+	var copies []NodeStats
+	c.VisitStats(func(n Node, st *NodeStats) {
+		nodes, copies = append(nodes, n), append(copies, *st)
+	})
+	out := make(map[Node]*NodeStats, len(nodes))
+	for i, n := range nodes {
+		out[n] = &copies[i]
 	}
 	return out
 }
@@ -212,20 +224,6 @@ func (c *Ctx) SetResources(r *govern.Resources) *Ctx {
 	if r != nil {
 		c.res = r
 	}
-	return c
-}
-
-// EnableBuildReuse lets hash joins the planner marked CacheBuild reuse
-// their build-side table across executions of the same plan node, as
-// long as the catalog epoch still matches the one the table was built
-// under — prepared statements pass the current epoch per run, so any
-// catalog mutation (data load, index build, ANALYZE) invalidates cached
-// builds exactly like it invalidates plan-cache entries. One-shot
-// queries leave it off. It returns c for chaining and must be called
-// before Run.
-func (c *Ctx) EnableBuildReuse(epoch uint64) *Ctx {
-	c.buildReuse = true
-	c.buildEpoch = epoch
 	return c
 }
 

@@ -111,8 +111,9 @@ func (p *piece) slot(k int) int {
 // each in ascending order; rows without a key (a NULL join key, see
 // hashRows) go nowhere. With spill empty the pieces are in-memory lists
 // over one encoding of every row, aggregate arguments included. Otherwise
-// the rows are hashed workers morsels at a time and each partition is a
-// spill file labeled spill; on error every file is gone.
+// the rows are hashed workers morsels at a time, each partition is a
+// spill file labeled spill, and a row's partition is chosen by spillHash,
+// which no process seed moves; on error every file is gone.
 func (c *Ctx) route(rows []schema.Row, keys []*eval.Compiled, aggs []AggSpec, nullNil bool, nparts, workers int, spill string) ([]piece, error) {
 	ps := make([]piece, nparts)
 	chunk := len(rows)
@@ -135,11 +136,12 @@ func (c *Ctx) route(rows []schema.Row, keys []*eval.Compiled, aggs []AggSpec, nu
 			if kb == nil {
 				continue
 			}
-			p := &ps[h.hashes[j]%np]
 			if spill == "" {
+				p := &ps[h.hashes[j]%np]
 				p.idx = append(p.idx, j)
 				continue
 			}
+			p := &ps[spillHash(kb)%np]
 			if p.f == nil {
 				if p.f, err = c.res.NewSpillFile(spill); err != nil {
 					discardPieces(ps)

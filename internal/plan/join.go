@@ -181,14 +181,6 @@ func (b *builder) buildJoin(l, r *planned, conjs []sqlast.Expr, kind exec.JoinKi
 			res = f
 		}
 		n := exec.NewHashJoinNode(l.node, r.node, lFns, rFns, kind, res, desc)
-		// A build side that is a pure base-table scan (no index bounds,
-		// no fused predicate) produces the same table on every run until
-		// a catalog mutation bumps the epoch — mark it reusable so
-		// prepared statements probing a static dimension table skip the
-		// rebuild (the executor still requires Ctx.EnableBuildReuse).
-		if sc, ok := r.node.(*exec.ScanNode); ok && sc.Plain() {
-			n.CacheBuild = true
-		}
 		// An inner join's build keys can narrow a plain probe-side scan to
 		// the rows its index holds for them.
 		for j, k := range lKeys {

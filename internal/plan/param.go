@@ -154,16 +154,18 @@ func resolveConst(e sqlast.Expr, params []types.Value) (types.Value, bool) {
 type colBounds struct {
 	ord    int
 	bounds storage.Bounds
-	used   map[sqlast.Expr]bool
-	sel    float64
+	// used lists the conjuncts the bounds came from, in conjunct order.
+	used []sqlast.Expr
+	sel  float64
 	// param marks bounds that depend on a placeholder.
 	param bool
 }
 
 // sargBounds gathers the sargable bounds of conjs per column of t, under
-// params.
-func sargBounds(conjs []sqlast.Expr, t *storage.Table, binding string, params []types.Value) map[int]*colBounds {
-	byCol := map[int]*colBounds{}
+// params, one entry per column in the order of its first sargable
+// conjunct.
+func sargBounds(conjs []sqlast.Expr, t *storage.Table, binding string, params []types.Value) []colBounds {
+	var cols []colBounds
 	for _, c := range conjs {
 		ord, op, val, ok := sargable(c, t, binding)
 		if !ok {
@@ -173,10 +175,10 @@ func sargBounds(conjs []sqlast.Expr, t *storage.Table, binding string, params []
 		if !ok || v.IsNull() {
 			continue
 		}
-		cb := byCol[ord]
+		cb := boundsOf(cols, ord)
 		if cb == nil {
-			cb = &colBounds{ord: ord, used: map[sqlast.Expr]bool{}}
-			byCol[ord] = cb
+			cols = append(cols, colBounds{ord: ord})
+			cb = &cols[len(cols)-1]
 		}
 		switch op {
 		case sqlast.OpEq:
@@ -192,19 +194,29 @@ func sargBounds(conjs []sqlast.Expr, t *storage.Table, binding string, params []
 		default:
 			continue
 		}
-		cb.used[c] = true
+		cb.used = append(cb.used, c)
 		if sqlast.HasParam(val) {
 			cb.param = true
 		}
 	}
-	return byCol
+	return cols
+}
+
+// boundsOf returns column ord's entry in cols, or nil.
+func boundsOf(cols []colBounds, ord int) *colBounds {
+	for i := range cols {
+		if cols[i].ord == ord {
+			return &cols[i]
+		}
+	}
+	return nil
 }
 
 // zonePreds lists the zone summaries of a scan's bounds.
-func zonePreds(byCol map[int]*colBounds) []storage.ZonePred {
-	var zone []storage.ZonePred
-	for _, cb := range byCol {
-		zone = append(zone, storage.ZonePred{Col: cb.ord, Bounds: cb.bounds})
+func zonePreds(cols []colBounds) []storage.ZonePred {
+	zone := make([]storage.ZonePred, len(cols))
+	for i, cb := range cols {
+		zone[i] = storage.ZonePred{Col: cb.ord, Bounds: cb.bounds}
 	}
 	return zone
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/eval"
 	"repro/internal/exec"
@@ -55,7 +56,8 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 
 	// Choose the most selective indexed column.
 	var best *colBounds
-	for _, cb := range byCol {
+	for i := range byCol {
+		cb := &byCol[i]
 		cb.sel = boundsSelectivity(stats[cb.ord], cb.bounds)
 		if cb.param {
 			b.noteColBand(t, binding, cb, total)
@@ -110,7 +112,7 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 		if idxCost < seqRows*costSeqRow {
 			var used, remaining []sqlast.Expr
 			for _, c := range conjs {
-				if best.used[c] {
+				if slices.Contains(best.used, c) {
 					used = append(used, c)
 				} else {
 					remaining = append(remaining, c)
@@ -118,7 +120,7 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 			}
 			ord := best.ord
 			bind, err := atOpen(b, best.param, func(params []types.Value) (exec.ScanBinding, error) {
-				cb := sargBounds(used, t, binding, params)[ord]
+				cb := boundsOf(sargBounds(used, t, binding, params), ord)
 				if cb == nil {
 					return exec.ScanBinding{}, fmt.Errorf("plan: index bounds of %s.%s: %w", t.Name, t.Schema.Columns[ord].Name, eval.ErrUnbound)
 				}
@@ -154,14 +156,10 @@ func (b *builder) planScan(t *storage.Table, binding string, conjs []sqlast.Expr
 // noteColBand records a placeholder-dependent column selectivity, in
 // rows, as a band.
 func (b *builder) noteColBand(t *storage.Table, binding string, cb *colBounds, total float64) {
-	var deps []sqlast.Expr
-	for c := range cb.used {
-		deps = append(deps, c)
-	}
-	st, ord := t.Stats(cb.ord), cb.ord
+	deps, st, ord := cb.used, t.Stats(cb.ord), cb.ord
 	b.bind.note(sqlast.And(deps...), t.Name+"."+t.Schema.Columns[ord].Name+" rows", total*cb.sel,
 		func(params []types.Value) (float64, bool) {
-			nb := sargBounds(deps, t, binding, params)[ord]
+			nb := boundsOf(sargBounds(deps, t, binding, params), ord)
 			if nb == nil {
 				return 0, false
 			}

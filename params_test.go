@@ -383,8 +383,9 @@ func TestLiteralTextUnchanged(t *testing.T) {
 }
 
 // TestPreparedBuildReuseSkipsBoundSides runs a prepared join under two
-// bindings of a predicate on its build side: reuse of build sides across
-// runs must not hand the second binding the first one's table.
+// bindings of a predicate on its build side: each run builds its table
+// under its own binding, so the second binding never sees the first
+// one's rows.
 func TestPreparedBuildReuseSkipsBoundSides(t *testing.T) {
 	e, err := bench.Load(8, 10)
 	if err != nil {

@@ -1,11 +1,13 @@
 package repro_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -386,9 +388,8 @@ func TestDryRunRule(t *testing.T) {
 	}
 }
 
-// A prepared join caches its build side over a static dimension table;
-// a catalog mutation (the dimension insert bumps the epoch) must evict
-// that cache so later runs see the new rows.
+// A prepared join over a dimension table sees rows inserted into it
+// between runs.
 func TestPreparedJoinSeesDimensionChanges(t *testing.T) {
 	db := repro.Open()
 	if err := db.CreateTable("fact",
@@ -422,7 +423,7 @@ func TestPreparedJoinSeesDimensionChanges(t *testing.T) {
 	if len(rows.Data) != 2 {
 		t.Fatalf("first run rows = %d", len(rows.Data))
 	}
-	// Rerun without changes: same answer off the cached build.
+	// Rerun without changes: same answer.
 	rows, err = p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -443,6 +444,74 @@ func TestPreparedJoinSeesDimensionChanges(t *testing.T) {
 	}
 	if got := rows.Data[2][1].Str(); got != "three" {
 		t.Fatalf("new dimension row label = %q", got)
+	}
+}
+
+// A prepared join executes like a query: traced, every operator of its
+// second run records the rows it recorded on its first, the build side's
+// scan included, and the same rows as an ad-hoc query of the statement.
+func TestPreparedJoinTracesLikeAQuery(t *testing.T) {
+	db := repro.Open()
+	if err := db.CreateTable("fact", repro.ColumnDef{Name: "k", Kind: repro.KindInt}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("dim",
+		repro.ColumnDef{Name: "k", Kind: repro.KindInt},
+		repro.ColumnDef{Name: "label", Kind: repro.KindString},
+	); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 6 {
+		if err := db.Insert("fact", []repro.Value{intValue(int64(i % 4))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Insert("dim",
+		[]repro.Value{intValue(1), stringValue("one")},
+		[]repro.Value{intValue(2), stringValue("two")},
+		[]repro.Value{intValue(5), stringValue("five")},
+	); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT fact.k, dim.label FROM fact, dim WHERE fact.k = dim.k"
+	opts := []repro.QueryOption{repro.WithTrace(nil), repro.WithParallelism(1)}
+	operatorRows := func(rows *repro.Rows) string {
+		t.Helper()
+		tr := rows.Trace()
+		if tr == nil || tr.Find("execute") == nil {
+			t.Fatal("traced run has no execute span")
+		}
+		var b strings.Builder
+		tr.Find("execute").Walk(func(depth int, sp *obs.Span) {
+			n, _ := sp.Attr("rows")
+			fmt.Fprintf(&b, "%*s%s rows=%s\n", 2*depth, "", sp.Name, n)
+		})
+		return b.String()
+	}
+	p, err := db.Prepare(q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []string
+	for range 2 {
+		rows, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, operatorRows(rows))
+	}
+	adHoc, err := db.Query(q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := operatorRows(adHoc)
+	if !strings.Contains(want, "Scan(dim) rows=3") {
+		t.Fatalf("query trace lacks the build scan's rows:\n%s", want)
+	}
+	for i, got := range runs {
+		if got != want {
+			t.Errorf("prepared run %d records other operator rows than the query\nprepared:\n%squery:\n%s", i+1, got, want)
+		}
 	}
 }
 

@@ -50,8 +50,7 @@ func (p *Prepared) Stream(args ...Value) (*Rows, error) {
 
 // StreamContext executes the prepared plan as an incremental stream,
 // with the same lifecycle as QueryStreamContext (Close required) and
-// the same per-run governance as RunContext, including build-side reuse
-// for CacheBuild joins.
+// the same per-run governance as RunContext.
 func (p *Prepared) StreamContext(ctx context.Context, args ...Value) (*Rows, error) {
 	return p.statement(args).stream(ctx)
 }

@@ -23,8 +23,8 @@ type statement struct {
 	sql string
 	o   *queryOpts
 	// prep, when non-nil, is the Prepared the statement runs: its parsed
-	// statement compiles through the plan cache under args. Such runs also
-	// reuse join build sides.
+	// statement compiles through the plan cache under args; it otherwise
+	// runs exactly like a query.
 	prep *Prepared
 	// args bind the statement's placeholders.
 	args []Value
@@ -101,9 +101,6 @@ func (st *statement) begin(ctx context.Context) error {
 	st.key, st.plan, st.res, st.info = c.key, c.res.Plan, c.res, c.info
 	st.grs = db.resources(o)
 	st.ectx = o.execCtx(ctx).SetResources(st.grs).SetParams(c.params)
-	if st.prep != nil {
-		st.ectx.EnableBuildReuse(db.Catalog.Epoch())
-	}
 	if st.tel != nil || st.analyze {
 		st.ectx.EnableStats()
 	}

@@ -21,7 +21,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/govern"
 	"repro/internal/obs"
-	"repro/internal/types"
 )
 
 // Telemetry types, re-exported from internal/obs so callers can consume
@@ -350,9 +349,8 @@ func (q *qtel) attachExec(ectx *exec.Ctx, grs *govern.Resources) {
 		return
 	}
 	stats := func() []obs.ActiveOp {
-		snap := ectx.StatsSnapshot()
-		agg := make(map[string]*obs.ActiveOp, len(snap))
-		for n, st := range snap {
+		agg := map[string]*obs.ActiveOp{}
+		ectx.VisitStats(func(n exec.Node, st *exec.NodeStats) {
 			kind := exec.Kind(n)
 			a := agg[kind]
 			if a == nil {
@@ -361,7 +359,7 @@ func (q *qtel) attachExec(ectx *exec.Ctx, grs *govern.Resources) {
 			}
 			a.Rows += st.Rows
 			a.Batches += st.Batches
-		}
+		})
 		out := make([]obs.ActiveOp, 0, len(agg))
 		for _, a := range agg {
 			out = append(out, *a)
@@ -434,8 +432,8 @@ func (q *qtel) notePhases(c *compiled) {
 // and, in a trace, the operator span subtree under an "execute" span
 // mirroring the plan tree.
 //
-// Metrics iterate the stats snapshot — one entry per distinct plan node —
-// so a shared subtree (a CTE referenced from several tree positions)
+// Metrics visit the recorded stats — once per distinct plan node — so a
+// shared subtree (a CTE referenced from several tree positions)
 // counts its rows once. The span tree instead mirrors the plan shape, so
 // a shared node appears at every position it is referenced from, with a
 // cached=N attribute past the first execution.
@@ -444,8 +442,7 @@ func (q *qtel) noteExec(plan exec.Node, ectx *exec.Ctx, mem MemStats, start time
 		return
 	}
 	q.mem = mem
-	snap := ectx.StatsSnapshot()
-	for n, st := range snap {
+	ectx.VisitStats(func(n exec.Node, st *exec.NodeStats) {
 		kind := exec.Kind(n)
 		q.m.opRows.With(kind).Add(int64(st.Rows))
 		if st.Batches > 0 {
@@ -454,21 +451,21 @@ func (q *qtel) noteExec(plan exec.Node, ectx *exec.Ctx, mem MemStats, start time
 		if st.EvalMode != "" {
 			q.m.evalOps.With(st.EvalMode).Inc()
 		}
-	}
+	})
 	if q.trace != nil {
 		ex := &obs.Span{Name: "execute", Start: start, Dur: d}
-		ex.AddChild(operatorSpan(plan, snap, ectx.Params()))
+		ex.AddChild(operatorSpan(plan, ectx))
 		q.trace.Root.AddChild(ex)
 	}
 }
 
-// operatorSpan converts one plan subtree plus its recorded stats into a
+// operatorSpan converts one plan subtree plus the stats ectx recorded into a
 // span subtree. Span names are the operators' EXPLAIN labels, so a trace
 // lines up 1:1 with the EXPLAIN / EXPLAIN ANALYZE printout of the same
 // plan.
-func operatorSpan(n exec.Node, stats map[exec.Node]*exec.NodeStats, params []types.Value) *obs.Span {
-	sp := &obs.Span{Name: exec.LabelBound(n, params)}
-	if st := stats[n]; st != nil {
+func operatorSpan(n exec.Node, ectx *exec.Ctx) *obs.Span {
+	sp := &obs.Span{Name: exec.LabelBound(n, ectx.Params())}
+	if st := ectx.Stats(n); st != nil {
 		sp.Start, sp.Dur = st.Start, st.Elapsed
 		sp.SetAttr("op", exec.Kind(n))
 		sp.SetAttr("rows", strconv.Itoa(st.Rows))
@@ -493,7 +490,7 @@ func operatorSpan(n exec.Node, stats map[exec.Node]*exec.NodeStats, params []typ
 		}
 	}
 	for _, c := range n.Children() {
-		sp.AddChild(operatorSpan(c, stats, params))
+		sp.AddChild(operatorSpan(c, ectx))
 	}
 	return sp
 }
