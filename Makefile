@@ -56,7 +56,8 @@ perf:
 # enlarges the DB; the parallel-pipeline benchmark raises it to ≥70
 # (~105k reads) on its own.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkParallelPipeline|BenchmarkAblationWindowParallelism|BenchmarkPlanCache|BenchmarkConcurrentClients|BenchmarkSpillOverhead|BenchmarkFirstRowLatency' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkLookup$$|BenchmarkParallelPipeline|BenchmarkAblationWindowParallelism|BenchmarkPlanCache|BenchmarkConcurrentClients|BenchmarkSpillOverhead|BenchmarkFirstRowLatency' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkLookupAfterIngest|BenchmarkIngestIndexed' -benchtime 400x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 20x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkRowKeying|BenchmarkVectorized|BenchmarkColumnarScan' -benchmem ./internal/exec/
 

@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/bench"
@@ -245,6 +246,79 @@ func BenchmarkLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.DB.Query(lookupSQL(epcs[i%len(epcs)])); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ingestBatches returns n batches of 500 caser reads of fresh EPCs (1000
+// reads each), after every loaded read in time, numbered from batch k0 on.
+func ingestBatches(k0, n int) [][][]repro.Value {
+	const per = 500
+	t0 := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	batches := make([][][]repro.Value, n)
+	for k := range batches {
+		rows := make([][]repro.Value, per)
+		for i := range rows {
+			seq := (k0+k)*per + i
+			rows[i] = []repro.Value{
+				repro.NewString(fmt.Sprintf("urn:epc:id:sgtin:9999999.%06d.%09d", seq/1000, seq)),
+				repro.NewTime(t0.Add(time.Duration(seq) * time.Millisecond)),
+				repro.NewString("rdr-bench-ingest"),
+				repro.NewString(fmt.Sprintf("%013d", 9000+seq%50)),
+				repro.NewString(fmt.Sprintf("step-%03d", seq%100)),
+			}
+		}
+		batches[k] = rows
+	}
+	return batches
+}
+
+// BenchmarkLookupAfterIngest is BenchmarkLookup after 200 000 reads were
+// ingested into caser in 500-row batches since its indexes were built,
+// cycling 64 loaded EPCs: the lookups of a table under ingest. It loads
+// at least scale 200 (300 000 reads): below that the ingested reads
+// outnumber the loaded ones, and with statistics from the load the
+// planner costs every EPC at hundreds of reads and picks naive.
+func BenchmarkLookupAfterIngest(b *testing.B) {
+	e, err := bench.LoadFresh(max(benchScale(), 200), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	epcs := lookupEPCs(b, e.DB, 64)
+	for _, rows := range ingestBatches(0, 400) {
+		if err := e.DB.Ingest("caser", rows...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, epc := range epcs {
+		if _, err := e.DB.Query(lookupSQL(epc)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.DB.Query(lookupSQL(epcs[i%len(epcs)])); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIngestIndexed times one op as a 500-row Ingest into caser, whose
+// four indexes (epc, rtime, biz_loc, biz_step) cover every appended row:
+// the ingest cost of keeping them. Run it at a fixed -benchtime (make
+// bench uses 400x, 200 000 rows), since every op grows the table.
+func BenchmarkIngestIndexed(b *testing.B) {
+	e, err := bench.LoadFresh(benchScale(), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := ingestBatches(0, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, rows := range batches {
+		if err := e.DB.Ingest("caser", rows...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -313,10 +313,8 @@ func (db *DB) ingestLocked(ctx context.Context, table string, rows []schema.Row,
 	}
 	it.setPhase("apply")
 	applyStart := time.Now()
-	for _, r := range rows {
-		if err := t.Append(r); err != nil {
-			return err
-		}
+	if err := t.Append(rows...); err != nil {
+		return err
 	}
 	db.Catalog.BumpEpoch()
 	it.span("apply", applyStart, time.Since(applyStart))

@@ -20,7 +20,9 @@ type ZoneMap struct {
 	// HasNaN disables pruning on this column: NaN breaks the ordering
 	// min/max relies on (it compares as equal to everything).
 	HasNaN bool
-	// Mixed disables pruning when the column holds incomparable kinds.
+	// Mixed disables pruning when the column holds more than one kind:
+	// incomparable ones, or INT beside FLOAT, where Compare (which the
+	// bounds come from) and the index's order can disagree.
 	Mixed bool
 }
 
@@ -150,8 +152,8 @@ func (s *Segment) CanMatch(p ZonePred) bool {
 	}
 	b := p.Bounds.ranged()
 	if b.Lo != nil {
-		c, err := types.Compare(z.Max, *b.Lo)
-		if err != nil {
+		c, ok := zoneCompare(z.Max, *b.Lo)
+		if !ok {
 			return true
 		}
 		if c < 0 || (c == 0 && !b.LoIncl) {
@@ -159,8 +161,8 @@ func (s *Segment) CanMatch(p ZonePred) bool {
 		}
 	}
 	if b.Hi != nil {
-		c, err := types.Compare(z.Min, *b.Hi)
-		if err != nil {
+		c, ok := zoneCompare(z.Min, *b.Hi)
+		if !ok {
 			return true
 		}
 		if c > 0 || (c == 0 && !b.HiIncl) {
@@ -168,6 +170,26 @@ func (s *Segment) CanMatch(p ZonePred) bool {
 		}
 	}
 	return true
+}
+
+// zoneCompare compares a zone bound with a range bound; ok is false when
+// the two are incomparable, or when Compare and the index's order could
+// disagree: on a NaN bound, which Compare finds equal to every number and
+// the index orders above +Inf, and on an INT beyond ±2^53 against a
+// FLOAT, which Compare rounds to the FLOAT's precision and the index
+// does not.
+func zoneCompare(z, b types.Value) (int, bool) {
+	c, err := types.Compare(z, b)
+	if err != nil || isNaN(b) || z.Kind() != b.Kind() && (roundsToFloat(z) || roundsToFloat(b)) {
+		return 0, false
+	}
+	return c, true
+}
+
+// roundsToFloat reports whether v is an INT that a float64 may not hold
+// exactly.
+func roundsToFloat(v types.Value) bool {
+	return v.Kind() == types.KindInt && (v.Int() > 1<<53 || v.Int() < -(1<<53))
 }
 
 // CanMatchAll applies CanMatch over a conjunction of zone predicates.
@@ -202,6 +224,9 @@ func sealSegment(base int, ncols int, rows []schema.Row) *Segment {
 			if z.Min.IsNull() {
 				z.Min, z.Max = v, v
 				continue
+			}
+			if v.Kind() != z.Min.Kind() {
+				z.Mixed = true
 			}
 			if c, err := types.Compare(v, z.Min); err != nil {
 				z.Mixed = true

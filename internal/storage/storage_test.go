@@ -135,8 +135,8 @@ func TestIndexScanMatchesLinearScanProperty(t *testing.T) {
 
 // Property: Lookup over an index built part-way through the appends
 // returns exactly the rows a linear filter keeps, per range, in (value,
-// row ID) order — the covered prefix from the index, the rest checked in
-// zone-pruned sealed segments and the tail.
+// row ID) order — the build run's, the zone-admitted segment runs' and
+// the tail runs' hits merged.
 func TestLookupCoversRowsAppendedAfterBuildProperty(t *testing.T) {
 	defer func(n int) { DefaultSegmentRows = n }(DefaultSegmentRows)
 	DefaultSegmentRows = 8

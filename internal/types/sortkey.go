@@ -1,6 +1,7 @@
 package types
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"strings"
@@ -59,6 +60,62 @@ func AppendSortKey(b []byte, v Value, desc bool) []byte {
 		}
 	}
 	return b
+}
+
+// CompareSortKey compares a and b in sort-key order without encoding
+// them: its sign is that of bytes.Compare of their ascending keys. An
+// index run compares with it per step of a sort, merge or search.
+func CompareSortKey(a, b Value) int {
+	if a.kind == b.kind { // the common case, one column of one kind
+		switch a.kind {
+		case KindString:
+			return strings.Compare(a.s, b.s)
+		case KindBool, KindInt, KindTime, KindInterval:
+			return cmp.Compare(a.i, b.i)
+		}
+	}
+	if c := CompareSortClass(a, b); c != 0 {
+		return c
+	}
+	switch a.kind {
+	case KindNull:
+		return 0
+	case KindInt, KindFloat:
+		af, ar := numberImage(a)
+		bf, br := numberImage(b)
+		switch an, bn := af != af, bf != bf; {
+		case an || bn: // one NaN, above +Inf
+			return cmp.Compare(b2i(an), b2i(bn))
+		case af < bf:
+			return -1
+		case af > bf: // −0 and +0 fall through as equal
+			return 1
+		}
+		return cmp.Compare(ar, br)
+	case KindString:
+		return strings.Compare(a.s, b.s)
+	}
+	return cmp.Compare(a.i, b.i)
+}
+
+// CompareSortClass compares the sort classes of a and b: the first byte
+// of their sort keys.
+func CompareSortClass(a, b Value) int { return cmp.Compare(sortClass(a.kind), sortClass(b.kind)) }
+
+// numberImage is a number's sort-key payload before encoding: its
+// float64 image and the residual.
+func numberImage(v Value) (float64, int16) {
+	if v.kind == KindInt {
+		return float64(v.i), intResidual(v.i)
+	}
+	return v.f, 0
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // appendNumber appends a numeric payload: f's order-preserving image and

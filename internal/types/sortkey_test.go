@@ -34,13 +34,6 @@ func sortOracle(a, b Value) int {
 
 func isNaN(v Value) bool { return v.kind == KindFloat && math.IsNaN(v.f) }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func exactNumber(v Value) *big.Float {
 	if v.kind == KindInt {
 		return new(big.Float).SetInt64(v.i)
@@ -95,7 +88,7 @@ var sortKeyCases = []Value{
 
 // TestSortKeyMatchesCompare: over every pair of cases, in both
 // directions, bytes.Compare of the sort keys agrees in sign with the
-// oracle; so does every two-column tuple under every direction pair.
+// oracle, as does CompareSortKey ascending; so does every two-column tuple under every direction pair.
 func TestSortKeyMatchesCompare(t *testing.T) {
 	for _, a := range sortKeyCases {
 		for _, b := range sortKeyCases {
@@ -107,6 +100,9 @@ func TestSortKeyMatchesCompare(t *testing.T) {
 				got := bytes.Compare(AppendSortKey(nil, a, desc), AppendSortKey(nil, b, desc))
 				if got != want {
 					t.Fatalf("%s %v vs %s %v (desc %v): keys compare %d, want %d", a.kind, a, b.kind, b, desc, got, want)
+				}
+				if !desc && CompareSortKey(a, b) != want {
+					t.Fatalf("%s %v vs %s %v: CompareSortKey %d, want %d", a.kind, a, b.kind, b, CompareSortKey(a, b), want)
 				}
 			}
 		}
@@ -130,8 +126,8 @@ func TestSortKeyMatchesCompare(t *testing.T) {
 
 // FuzzSortKey checks the sort key against the oracle on two values given
 // in the value codec (inputs it refuses are skipped): singly in the
-// fuzzed direction, and as the tuples (a, b) and (b, a) in opposite
-// directions. Seeds are in testdata/fuzz/FuzzSortKey.
+// fuzzed direction, by CompareSortKey ascending, and as the tuples (a, b)
+// and (b, a) in opposite directions. Seeds are in testdata/fuzz/FuzzSortKey.
 func FuzzSortKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ea, eb []byte, desc bool) {
 		a, _, err := ReadValue(ea)
@@ -148,6 +144,9 @@ func FuzzSortKey(f *testing.F) {
 		}
 		if got := bytes.Compare(AppendSortKey(nil, a, desc), AppendSortKey(nil, b, desc)); got != want {
 			t.Fatalf("%s %v vs %s %v (desc %v): keys compare %d, want %d", a.kind, a, b.kind, b, desc, got, want)
+		}
+		if got := CompareSortKey(a, b); got != sortOracle(a, b) {
+			t.Fatalf("%s %v vs %s %v: CompareSortKey %d, want %d", a.kind, a, b.kind, b, got, sortOracle(a, b))
 		}
 		ta, tb, dirs := []Value{a, b}, []Value{b, a}, []bool{desc, !desc}
 		if got, want := bytes.Compare(tupleKey(ta, dirs), tupleKey(tb, dirs)), tupleOracle(ta, tb, dirs); got != want {

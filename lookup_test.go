@@ -1,11 +1,16 @@
 package repro_test
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/bench"
+	"repro/internal/storage"
 )
 
 // lookupSQL is the cleansed history of one EPC: the served benchmark's
@@ -71,5 +76,143 @@ func TestLookupAllocsBounded(t *testing.T) {
 	t.Logf("%.0f allocs and %d bytes per lookup", allocs, bytes)
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Fatalf("%.0f allocs and %d bytes per lookup, want at most %.0f and %d", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// TestLookupsDuringSealingIngest runs index lookups, materialized and
+// streamed, while Ingest appends 7-row batches to a table of 16-row
+// segments, so batches seal segments and leave tail runs behind. Row n
+// holds EPC e(n mod 5); every lookup of an EPC must return its rows as
+// an unbroken prefix, in rtime order: a row that an index run missed
+// would leave a gap. Run with -race.
+func TestLookupsDuringSealingIngest(t *testing.T) {
+	old := storage.DefaultSegmentRows
+	storage.DefaultSegmentRows = 16
+	t.Cleanup(func() { storage.DefaultSegmentRows = old })
+	const epcs, batches, per = 5, 60, 7
+	db := repro.Open()
+	if err := db.CreateTable("reads",
+		repro.ColumnDef{Name: "epc", Kind: repro.KindString},
+		repro.ColumnDef{Name: "rtime", Kind: repro.KindTime},
+		repro.ColumnDef{Name: "n", Kind: repro.KindInt},
+	); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	ingest := func() error {
+		rows := make([][]repro.Value, per)
+		for i := range rows {
+			rows[i] = []repro.Value{
+				repro.NewString(fmt.Sprintf("e%d", next%epcs)),
+				repro.NewTime(time.UnixMicro(int64(next)).UTC()),
+				repro.NewInt(int64(next)),
+			}
+			next++
+		}
+		return db.Ingest("reads", rows...)
+	}
+	for range 3 { // a build run over two sealed segments and a tail
+		if err := ingest(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.BuildIndex("reads", "epc"); err != nil {
+		t.Fatal(err)
+	}
+	sql := func(e int) string {
+		return fmt.Sprintf("SELECT n FROM reads WHERE epc = 'e%d' ORDER BY rtime", e)
+	}
+	if plan, err := db.Explain(sql(0)); err != nil || !strings.Contains(plan, "IndexScan(reads.epc)") {
+		t.Fatalf("lookup does not scan the index (%v):\n%s", err, plan)
+	}
+	// check reports whether ns are e's rows n = e, e+5, ... in order.
+	check := func(e int, ns []int64) error {
+		for i, n := range ns {
+			if n != int64(e+i*epcs) {
+				return fmt.Errorf("e%d: rows %v are not an unbroken prefix", e, ns)
+			}
+		}
+		return nil
+	}
+	fetch := func(e int, stream bool) ([]int64, error) {
+		opts := []repro.QueryOption{repro.WithStrategy(repro.Dirty)}
+		var ns []int64
+		if !stream {
+			res, err := db.Query(sql(e), opts...)
+			if err != nil {
+				return nil, err
+			}
+			for _, r := range res.Data {
+				ns = append(ns, r[0].Int())
+			}
+			return ns, check(e, ns)
+		}
+		rows, err := db.QueryStream(sql(e), opts...)
+		if err != nil {
+			return nil, err
+		}
+		for rows.Next() {
+			ns = append(ns, rows.Row()[0].Int())
+		}
+		err = rows.Err()
+		if cerr := rows.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, err
+		}
+		return ns, check(e, ns)
+	}
+	// Each reader ticks after every lookup, and the writer waits for a
+	// tick from both after every batch, so lookups interleave with seals.
+	done := make(chan struct{})
+	ticks := []chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	var wg sync.WaitGroup
+	for r, stream := range []bool{false, true} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			failed := false
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !failed {
+					if _, err := fetch(i%epcs, stream); err != nil {
+						t.Error(err)
+						failed = true
+					}
+				}
+				select {
+				case ticks[r] <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	var err error
+	for range batches {
+		if err = ingest(); err != nil {
+			break
+		}
+		for _, tick := range ticks {
+			<-tick
+		}
+	}
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range epcs {
+		ns, err := fetch(e, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (next - e + epcs - 1) / epcs; len(ns) != want {
+			t.Fatalf("e%d: %d rows, want %d", e, len(ns), want)
+		}
 	}
 }
