@@ -124,12 +124,19 @@ func (ix *Index) add(tail []schema.Row, base, from, seal, segRows int) {
 	// Rows arrive in ID order, so a stable sort by value alone is the
 	// (value, row ID) order.
 	slices.SortStableFunc(run, func(a, b int32) int { return types.CompareSortKey(val.at(a), val.at(b)) })
-	runs := slices.Clip(ix.tail) // appends copy: a published list never changes
+	// Appending writes past the published list's length, so a holder of
+	// that list never sees it; a merge rewrites its slots, so it works
+	// on a copy.
+	runs := ix.tail
 	if len(run) > 0 {
 		runs = append(runs, run)
 	}
 	if seal == 0 {
-		for n := len(runs); n >= 2 && len(runs[n-2]) <= 2*len(runs[n-1]); n-- {
+		n := len(runs)
+		if n >= 2 && len(runs[n-2]) <= 2*len(runs[n-1]) {
+			runs = slices.Clone(runs)
+		}
+		for ; n >= 2 && len(runs[n-2]) <= 2*len(runs[n-1]); n-- {
 			runs = append(runs[:n-2], merge(runs[n-2], runs[n-1], val))
 		}
 		ix.tail = runs

@@ -21,8 +21,8 @@ type ZoneMap struct {
 	// min/max relies on (it compares as equal to everything).
 	HasNaN bool
 	// Mixed disables pruning when the column holds more than one kind:
-	// incomparable ones, or INT beside FLOAT, where Compare (which the
-	// bounds come from) and the index's order can disagree.
+	// incomparable ones, or INT beside FLOAT, where the Min and Max that
+	// Compare picks and the index's order can disagree.
 	Mixed bool
 }
 
