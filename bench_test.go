@@ -18,6 +18,7 @@ package repro_test
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
@@ -252,10 +253,12 @@ func BenchmarkLookup(b *testing.B) {
 }
 
 // ingestBatches returns n batches of 500 caser reads of fresh EPCs (1000
-// reads each), after every loaded read in time, numbered from batch k0 on.
+// reads each), after every loaded read in time, numbered from batch k0
+// on; like the benchmark harness's, places and steps are drawn at random.
 func ingestBatches(k0, n int) [][][]repro.Value {
 	const per = 500
 	t0 := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(int64(k0)))
 	batches := make([][][]repro.Value, n)
 	for k := range batches {
 		rows := make([][]repro.Value, per)
@@ -265,8 +268,8 @@ func ingestBatches(k0, n int) [][][]repro.Value {
 				repro.NewString(fmt.Sprintf("urn:epc:id:sgtin:9999999.%06d.%09d", seq/1000, seq)),
 				repro.NewTime(t0.Add(time.Duration(seq) * time.Millisecond)),
 				repro.NewString("rdr-bench-ingest"),
-				repro.NewString(fmt.Sprintf("%013d", 9000+seq%50)),
-				repro.NewString(fmt.Sprintf("step-%03d", seq%100)),
+				repro.NewString(fmt.Sprintf("%013d", 9000+rng.Intn(50))),
+				repro.NewString(fmt.Sprintf("step-%03d", rng.Intn(100))),
 			}
 		}
 		batches[k] = rows

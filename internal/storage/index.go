@@ -38,58 +38,38 @@ type Index struct {
 	tail    [][]int32 // the tail's runs, oldest (and largest) first
 }
 
-// BuildIndex builds (or rebuilds) a sorted index on the named column. The
-// column's non-null values are encoded into one arena of sort keys
-// (types.AppendSortKey) and their entries sorted by key bytes, ties to
-// the lower row ID: the (value, row ID) order. The rebuilt index is one
-// build run over every row.
+// BuildIndex builds (or rebuilds) a sorted index on the named column: one
+// build run over every row, its entries sorted by keyed.
 func (t *Table) BuildIndex(column string) error {
 	ord := t.Schema.IndexOf(column)
 	if ord < 0 {
 		return fmt.Errorf("storage: no column %q in table %s", column, t.Name)
 	}
-	// An entry is row id's key, arena[off:off+n].
-	type entry struct {
-		off int
-		n   uint32
-		id  int32
-	}
 	n := t.RowCount()
-	ents := make([]entry, 0, n)
-	var arena []byte
+	ks := keyed{ents: make([]keyedID, 0, n)}
 	for k, seg := range t.Segments() {
 		if k == 1 { // size the arena from the first, sealed, segment's keys
-			arena = slices.Grow(arena, len(arena)*(n/t.segRows))
+			ks.arena = slices.Grow(ks.arena, len(ks.arena)*(n/t.segRows))
 		}
 		for i := 0; i < seg.Len(); i++ {
-			v := seg.Value(ord, i)
-			if v.IsNull() {
-				continue
+			if v := seg.Value(ord, i); !v.IsNull() {
+				ks.add(v, int32(seg.Base+i))
 			}
-			off := len(arena)
-			arena = types.AppendSortKey(arena, v, false)
-			ents = append(ents, entry{off: off, n: uint32(len(arena) - off), id: int32(seg.Base + i)})
 		}
 	}
-	key := func(e entry) []byte { return arena[e.off : e.off+int(e.n)] }
-	slices.SortFunc(ents, func(a, b entry) int {
-		if c := bytes.Compare(key(a), key(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	ks.sort()
 	idx := &Index{
 		Column:  ord,
-		vals:    make([]types.Value, len(ents)),
-		rows:    make([]int32, len(ents)),
+		vals:    make([]types.Value, len(ks.ents)),
+		rows:    make([]int32, len(ks.ents)),
 		covered: n,
-		stats:   ColStats{NonNull: len(ents), Min: types.Null, Max: types.Null},
+		stats:   ColStats{NonNull: len(ks.ents), Min: types.Null, Max: types.Null},
 		seg0:    len(t.sealed),
 	}
-	for i, e := range ents {
+	for i, e := range ks.ents {
 		v := t.value(ord, int(e.id))
 		idx.vals[i], idx.rows[i] = v, e.id
-		if i > 0 && bytes.Equal(key(e), key(ents[i-1])) {
+		if i > 0 && bytes.Equal(ks.key(e), ks.key(ks.ents[i-1])) {
 			continue
 		}
 		// A new distinct value. NaN sorts last; Max bounds the others.
@@ -98,32 +78,75 @@ func (t *Table) BuildIndex(column string) error {
 			idx.stats.Max = v
 		}
 	}
-	if len(ents) > 0 {
+	if len(ks.ents) > 0 {
 		idx.stats.Min = idx.vals[0]
 	}
 	t.indexes[ord] = idx
 	return nil
 }
 
-// add indexes the rows tail[from:] — the tail as Append extended it,
-// before sealing, whose first row has ID base — as one new tail run.
-// Then, if the tail's first seal whole segments are sealing, each
-// one's entries leave the tail runs and merge into that segment's run,
-// and the rest merge into one tail run. Otherwise the two newest tail
-// runs merge while the older holds at most twice the newer's entries, so
-// sizes at least double towards the oldest: O(log segRows) runs, and
-// each entry is merged O(log segRows) times before its segment seals.
-func (ix *Index) add(tail []schema.Row, base, from, seal, segRows int) {
-	val := rowVals{tail, base, ix.Column}
-	run := make([]int32, 0, len(tail)-from)
-	for i := from; i < len(tail); i++ {
-		if !tail[i][ix.Column].IsNull() {
-			run = append(run, int32(base+i))
+// keyed sorts row IDs by (value, row ID): each value is encoded once into
+// an arena of sort keys (types.AppendSortKey), and the entries compare key
+// bytes, ties to the lower row ID. Neither slice holds a pointer, and the
+// keys lie side by side wherever the rows do.
+type keyed struct {
+	arena []byte
+	ents  []keyedID
+}
+
+// keyedID is row id's key, arena[off:off+n].
+type keyedID struct {
+	off int
+	n   uint32
+	id  int32
+}
+
+func (ks *keyed) add(v types.Value, id int32) {
+	off := len(ks.arena)
+	ks.arena = types.AppendSortKey(ks.arena, v, false)
+	ks.ents = append(ks.ents, keyedID{off: off, n: uint32(len(ks.arena) - off), id: id})
+}
+
+func (ks *keyed) key(e keyedID) []byte { return ks.arena[e.off : e.off+int(e.n)] }
+
+func (ks *keyed) sort() {
+	slices.SortFunc(ks.ents, func(a, b keyedID) int {
+		if c := bytes.Compare(ks.key(a), ks.key(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+}
+
+// sortBatch returns the IDs of the rows whose column col is not NULL, in
+// (value, row ID) order; the first of rows has ID base. ks is a reused
+// buffer.
+func sortBatch(rows []schema.Row, base, col int, ks *keyed) []int32 {
+	ks.arena, ks.ents = ks.arena[:0], ks.ents[:0]
+	for i, r := range rows {
+		if v := r[col]; !v.IsNull() {
+			ks.add(v, int32(base+i))
 		}
 	}
-	// Rows arrive in ID order, so a stable sort by value alone is the
-	// (value, row ID) order.
-	slices.SortStableFunc(run, func(a, b int32) int { return types.CompareSortKey(val.at(a), val.at(b)) })
+	ks.sort()
+	run := make([]int32, len(ks.ents))
+	for i, e := range ks.ents {
+		run[i] = e.id
+	}
+	return run
+}
+
+// add folds run, the sorted entries of rows appended to the tail, into
+// the tail runs. tail is the tail as Append extended it, before sealing;
+// its first row has ID base. If the tail's first seal whole segments are
+// sealing, each one's entries leave the tail runs and merge into that
+// segment's run, and the rest merge into one tail run. Otherwise the two
+// newest tail runs merge while the older holds at most twice the newer's
+// entries, so sizes at least double towards the oldest: O(log segRows)
+// runs, and each entry is merged O(log segRows) times before its
+// segment seals.
+func (ix *Index) add(run []int32, tail []schema.Row, base, seal, segRows int) {
+	val := rowVals{tail, base, ix.Column}
 	// Appending writes past the published list's length, so a holder of
 	// that list never sees it; a merge rewrites its slots, so it works
 	// on a copy.

@@ -43,6 +43,7 @@ type Table struct {
 	tail    []schema.Row
 	indexes map[int]*Index // column ordinal -> index
 	stats   map[int]*ColStats
+	sorter  keyed // Append's buffer for sorting index entries
 }
 
 // NewTable creates an empty table. The segment size is captured from
@@ -78,7 +79,11 @@ func (t *Table) Append(rows ...schema.Row) error {
 	t.tail = append(t.tail, rows...)
 	seal := len(t.tail) / t.segRows
 	for _, ix := range t.indexes {
-		ix.add(t.tail, base, from, seal, t.segRows)
+		run := sortBatch(t.tail[from:], base+from, ix.Column, &t.sorter)
+		ix.add(run, t.tail, base, seal, t.segRows)
+	}
+	if cap(t.sorter.arena) > 256<<10 { // a bulk append's buffer is not kept
+		t.sorter = keyed{}
 	}
 	if seal == 0 {
 		return nil
