@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -94,9 +95,11 @@ type keyed struct {
 	ents  []keyedID
 }
 
-// keyedID is row id's key, arena[off:off+n].
+// keyedID is row id's key, arena[off:off+n]; pre abbreviates it (see
+// sort).
 type keyedID struct {
 	off int
+	pre uint64
 	n   uint32
 	id  int32
 }
@@ -109,8 +112,31 @@ func (ks *keyed) add(v types.Value, id int32) {
 
 func (ks *keyed) key(e keyedID) []byte { return ks.arena[e.off : e.off+int(e.n)] }
 
+// sort orders the entries. Keys are abbreviated first: past the prefix
+// they all share, their next 8 bytes, zero-padded, as a big-endian
+// integer. A smaller abbreviation means a smaller key (a shorter key is
+// padded with the lowest byte), so most comparisons are one integer
+// comparison, and only equal abbreviations compare key bytes.
 func (ks *keyed) sort() {
+	if len(ks.ents) == 0 {
+		return
+	}
+	first := ks.key(ks.ents[0])
+	lcp := len(first)
+	for _, e := range ks.ents[1:] {
+		for !bytes.HasPrefix(ks.key(e), first[:lcp]) {
+			lcp--
+		}
+	}
+	for i, e := range ks.ents {
+		var b [8]byte
+		copy(b[:], ks.key(e)[lcp:])
+		ks.ents[i].pre = binary.BigEndian.Uint64(b[:])
+	}
 	slices.SortFunc(ks.ents, func(a, b keyedID) int {
+		if a.pre != b.pre {
+			return cmp.Compare(a.pre, b.pre)
+		}
 		if c := bytes.Compare(ks.key(a), ks.key(b)); c != 0 {
 			return c
 		}
