@@ -34,8 +34,7 @@ type Index struct {
 	rows    []int32
 	covered int
 	stats   ColStats
-	seg0    int       // the ordinal of the first segment sealed after the build
-	segs    [][]int32 // segs[k-seg0] is segment k's run
+	segs    [][]int32 // segs[k] is the run of segment covered/segRows + k
 	tail    [][]int32 // the tail's runs, oldest (and largest) first
 }
 
@@ -65,7 +64,6 @@ func (t *Table) BuildIndex(column string) error {
 		rows:    make([]int32, len(ks.ents)),
 		covered: n,
 		stats:   ColStats{NonNull: len(ks.ents), Min: types.Null, Max: types.Null},
-		seg0:    len(t.sealed),
 	}
 	for i, e := range ks.ents {
 		v := t.value(ord, int(e.id))
@@ -360,7 +358,7 @@ func (t *Table) Lookup(ord int, ranges []Bounds) [][]int32 {
 		env := ZonePred{Col: ord, Bounds: Bounds{Lo: first.Lo, LoIncl: first.LoIncl, Hi: last.Hi, HiIncl: last.HiIncl}}
 		late = nil
 		for k, r := range ix.segs {
-			if len(r) > 0 && t.sealed[ix.seg0+k].CanMatch(env) {
+			if len(r) > 0 && t.sealed[ix.covered/t.segRows+k].CanMatch(env) {
 				late = append(late, r)
 			}
 		}
